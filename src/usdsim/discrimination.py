@@ -32,7 +32,7 @@ from .hilbert import (
     STRUCTURAL_TOL,
     NumericalGuardError,
     TruncatedOperator,
-    beam_splitter_unitary,
+    beam_splitter_vacuum_columns,
     check_dim,
     coherent_state,
     expectation,
@@ -226,6 +226,22 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     return _validate_povm(PovmSet(elements, "analytic", dim))
 
 
+def _projection_factors(
+    cfg: ReceiverConfig,
+) -> dict[Outcome, tuple[TruncatedOperator, TruncatedOperator]]:
+    """Single-mode (mode 1, mode 2) factors of each two-mode projection."""
+    dim = cfg.dim
+    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
+    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
+    eye = identity(dim)
+    return {
+        Outcome.INCONCLUSIVE: (p1, p2),
+        Outcome.CONCLUSIVE_1: (p1, eye - p2),
+        Outcome.CONCLUSIVE_2: (eye - p1, p2),
+        Outcome.ANOMALOUS: (eye - p1, eye - p2),
+    }
+
+
 def ancilla_projections(cfg: ReceiverConfig) -> dict[Outcome, TruncatedOperator]:
     """The four two-mode projections measured behind the beam splitter.
 
@@ -233,15 +249,9 @@ def ancilla_projections(cfg: ReceiverConfig) -> dict[Outcome, TruncatedOperator]
     the second.  The four products of |beta_i><beta_i| and their complements
     form a complete projective measurement on the two-mode space.
     """
-    dim = cfg.dim
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
-    eye = identity(dim)
     return {
-        Outcome.INCONCLUSIVE: tensor(p1, p2),
-        Outcome.CONCLUSIVE_1: tensor(p1, eye - p2),
-        Outcome.CONCLUSIVE_2: tensor(eye - p1, p2),
-        Outcome.ANOMALOUS: tensor(eye - p1, eye - p2),
+        outcome: tensor(left, right)
+        for outcome, (left, right) in _projection_factors(cfg).items()
     }
 
 
@@ -254,10 +264,13 @@ def povm_ancilla(cfg: ReceiverConfig, max_dim: int = MAX_ANCILLA_DIM) -> PovmSet
 
         A[m, n] = <m, 0| U^dag B U |n, 0> = (U|m,0>)^dag B (U|n,0>).
 
-    Only the vacuum-sector columns W = U[:, n*dim] enter the reduction, so
-    the conjugation is evaluated as W^dag B W without materializing the full
-    dim^2 x dim^2 conjugate; the tests check this against the literal
-    conjugate-then-reduce path.
+    Only the vacuum-port columns W = U|n,0> enter the reduction, so they are
+    built directly on every call (no cache, no full unitary) and the
+    conjugation is evaluated as W^dag B W; the tests check this against the
+    literal conjugate-then-reduce path.  The projections B are built one at a
+    time, so a single dense dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is
+    live at once.  The reduction relies on W being an isometry: an isometry
+    defect max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
     """
     _check_adequacy(cfg)
     dim = cfg.dim
@@ -265,25 +278,17 @@ def povm_ancilla(cfg: ReceiverConfig, max_dim: int = MAX_ANCILLA_DIM) -> PovmSet
         raise NumericalGuardError(
             f"two-mode workspace guard: dim={dim} exceeds the configured cap {max_dim}"
         )
-    w = _vacuum_port_columns(dim)
+    w = beam_splitter_vacuum_columns(0.5, dim)
+    defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dim))))
+    if defect > STRUCTURAL_TOL:
+        raise NumericalGuardError(
+            f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
+        )
     elements = {}
-    for outcome, proj in ancilla_projections(cfg).items():
-        reduced = w.conj().T @ proj.matrix @ w
+    for outcome, (left, right) in _projection_factors(cfg).items():
+        reduced = w.conj().T @ tensor(left, right).matrix @ w
         elements[outcome] = TruncatedOperator(dim, 1, reduced)
     return _validate_povm(PovmSet(elements, "ancilla", dim))
-
-
-_VACUUM_COLUMN_CACHE: dict[int, np.ndarray] = {}
-
-
-def _vacuum_port_columns(dim: int) -> np.ndarray:
-    """Columns U |n, 0> of the 50:50 beam-splitter unitary (dim^2 x dim)."""
-    w = _VACUUM_COLUMN_CACHE.get(dim)
-    if w is None:
-        u = beam_splitter_unitary(0.5, dim)
-        w = u.matrix[:, ::dim].copy()
-        _VACUUM_COLUMN_CACHE[dim] = w
-    return w
 
 
 def outcome_probabilities(

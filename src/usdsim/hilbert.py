@@ -3,8 +3,8 @@
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
 or two optical modes.  The module provides the handful of objects the receiver
 simulation needs: coherent states, displacement operators, beam-splitter
-unitaries, normally ordered Gaussian operators, tensor products, and partial
-vacuum expectations.
+unitaries and their vacuum-port columns, normally ordered Gaussian operators,
+tensor products, and partial vacuum expectations.
 
 Conventions (fixed, do not change silently):
   * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest;
@@ -41,6 +41,7 @@ __all__ = [
     "coherent_state",
     "displacement_operator",
     "beam_splitter_unitary",
+    "beam_splitter_vacuum_columns",
     "normally_ordered_gaussian",
     "normally_ordered_exponential",
     "tensor",
@@ -261,6 +262,41 @@ def displacement_operator(alpha: complex, dim: int) -> TruncatedOperator:
     return TruncatedOperator(dim, 1, mat, unitary_defect=defect)
 
 
+def _mixing_angle(power_transmission: float) -> float:
+    """Beam-splitter angle theta with cos^2(theta) = t, after validating t."""
+    t = float(power_transmission)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"power transmission must lie in [0, 1], got {t}")
+    return math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
+
+
+def _port_parity(dim: int) -> np.ndarray:
+    """Phase (-1)^(n_v) on the two-mode basis, n_v the second-mode number."""
+    return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
+
+
+def _sector_block(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices and exponentiated generator of one photon-number sector.
+
+    The sector holds |n1, total - n1> for the n1 that fit in the truncation,
+    ordered by increasing n1, so for total < dim its last state is |total, 0>.
+    """
+    lo = max(0, total - dim + 1)
+    hi = min(total, dim - 1)
+    size = hi - lo + 1
+    block = np.zeros((size, size))
+    for i in range(size - 1):
+        n1 = lo + i
+        n2 = total - n1
+        # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
+        w = theta * math.sqrt((n1 + 1) * n2)
+        block[i + 1, i] = w
+        block[i, i + 1] = -w
+    eblock = expm(block) if size > 1 else np.ones((1, 1))
+    idx = np.array([(lo + i) * dim + (total - lo - i) for i in range(size)])
+    return idx, eblock
+
+
 def beam_splitter_unitary(power_transmission: float, dim: int) -> TruncatedOperator:
     """Two-mode beam-splitter unitary for the fixed real orthogonal convention.
 
@@ -271,50 +307,56 @@ def beam_splitter_unitary(power_transmission: float, dim: int) -> TruncatedOpera
     The generator theta*(a^dag v - a v^dag) conserves total photon number, so
     it is exponentiated sector by sector (cheap), then composed with the
     parity phase (-1)^(n_v) that supplies the sign of the second output row.
+    Up to that phase and a permutation the unitary is block diagonal, so the
+    max-norm of U^dag U - I is the largest E^T E - I over the sector blocks E.
     """
-    t = float(power_transmission)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"power transmission must lie in [0, 1], got {t}")
+    theta = _mixing_angle(power_transmission)
     check_dim(dim)
-    theta = math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
 
     n = dim * dim
     u = np.zeros((n, n))
+    defect = 0.0
     for total in range(2 * dim - 1):
-        lo = max(0, total - dim + 1)
-        hi = min(total, dim - 1)
-        size = hi - lo + 1
-        block = np.zeros((size, size))
-        for i in range(size - 1):
-            n1 = lo + i
-            n2 = total - n1
-            # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
-            w = theta * math.sqrt((n1 + 1) * n2)
-            block[i + 1, i] = w
-            block[i, i + 1] = -w
-        eblock = expm(block) if size > 1 else np.ones((1, 1))
-        idx = np.array([(lo + i) * dim + (total - lo - i) for i in range(size)])
+        idx, eblock = _sector_block(theta, total, dim)
         u[np.ix_(idx, idx)] = eblock
+        defect = max(defect, float(np.max(np.abs(eblock.T @ eblock - np.eye(idx.size)))))
 
-    parity = np.where(np.arange(n) % dim % 2 == 1, -1.0, 1.0)
-    mat = (parity[:, None] * u).astype(np.complex128)
-    defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(n))))
+    mat = (_port_parity(dim)[:, None] * u).astype(np.complex128)
     return TruncatedOperator(dim, 2, mat, unitary_defect=defect)
+
+
+def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndarray:
+    """Columns U|n, 0>, n = 0..dim-1, of the beam splitter: a dim^2 x dim isometry.
+
+    |n, 0> is the last state of photon-number sector n, so column n is the last
+    column of that sector's block and sectors with total >= dim are never
+    built.  The result equals ``beam_splitter_unitary(t, dim).matrix[:, ::dim]``
+    bit for bit.
+    """
+    theta = _mixing_angle(power_transmission)
+    check_dim(dim)
+
+    w = np.zeros((dim * dim, dim))
+    for total in range(dim):
+        idx, eblock = _sector_block(theta, total, dim)
+        w[idx, total] = eblock[:, total]
+    return (_port_parity(dim)[:, None] * w).astype(np.complex128)
 
 
 def _exp_creation(z: complex, dim: int) -> np.ndarray:
     """Lower-triangular Fock matrix of exp(z a^dag).
 
     <j| exp(z a^dag) |k> = z^(j-k) sqrt(j!/k!) / (j-k)!  for j >= k.
+    The column z^m / m! is shared by every k; one gather fills the triangle.
     """
     sf = _sqrt_factorials(dim)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
     col = np.empty(dim, dtype=np.complex128)
-    for k in range(dim):
-        col[0] = 1.0
-        for m in range(1, dim - k):
-            col[m] = col[m - 1] * z / m
-        mat[k:, k] = col[: dim - k] * (sf[k:] / sf[k])
+    col[0] = 1.0
+    for m in range(1, dim):
+        col[m] = col[m - 1] * z / m
+    j, k = np.tril_indices(dim)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[j, k] = col[j - k] * (sf[j] / sf[k])
     return mat
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from usdsim import discrimination
 from usdsim import hilbert as h
 from usdsim.discrimination import (
     OUTCOME_ORDER,
@@ -137,6 +138,14 @@ class TestAncillaPovm:
         cfg = ReceiverConfig(0.5, -0.5, 66)
         with pytest.raises(NumericalGuardError):
             povm_ancilla(cfg)
+
+    def test_isometry_guard(self, monkeypatch):
+        def leaky_columns(t, dim):
+            return h.beam_splitter_vacuum_columns(t, dim) * (1 + 1e-6)
+
+        monkeypatch.setattr(discrimination, "beam_splitter_vacuum_columns", leaky_columns)
+        with pytest.raises(NumericalGuardError, match="isometry guard"):
+            povm_ancilla(ReceiverConfig(0.5, -0.5, 16))
 
     def test_norm_guard_small_dim(self):
         cfg = ReceiverConfig(2.5, -2.5, 8)

@@ -178,6 +178,57 @@ class TestBeamSplitter:
             h.beam_splitter_unitary(-0.1, 8)
         with pytest.raises(ValueError):
             h.beam_splitter_unitary(1.1, 8)
+        with pytest.raises(ValueError):
+            h.beam_splitter_vacuum_columns(1.1, 8)
+
+    def test_sector_defect_matches_dense_defect(self):
+        for dim in (4, 10, 16):
+            u = h.beam_splitter_unitary(0.5, dim)
+            dense = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim * dim)))
+            assert abs(u.unitary_defect - dense) <= 1e-15
+
+    def test_vacuum_columns_are_unitary_columns_exactly(self):
+        for t in (0.0, 0.3, 0.5, 1.0):
+            for dim in (2, 5, 16):
+                w = h.beam_splitter_vacuum_columns(t, dim)
+                assert w.dtype == np.complex128
+                assert np.array_equal(w, h.beam_splitter_unitary(t, dim).matrix[:, ::dim])
+
+    def test_vacuum_columns_binomial_closed_form(self):
+        # oracle: U|n,0> = sum_k sqrt(C(n,k)) t^(k/2) (1-t)^((n-k)/2) |k, n-k>
+        dim = 12
+        for t in (0.3, 0.5, 0.85):
+            want = np.zeros((dim * dim, dim))
+            for n in range(dim):
+                for k in range(n + 1):
+                    want[k * dim + (n - k), n] = (
+                        math.sqrt(math.comb(n, k)) * t ** (k / 2) * (1 - t) ** ((n - k) / 2)
+                    )
+            w = h.beam_splitter_vacuum_columns(t, dim)
+            assert np.max(np.abs(w - want)) <= 1e-13
+
+
+def exp_creation_loop_reference(z, dim):
+    """The former per-column double loop, kept as the exact reference."""
+    sf = h._sqrt_factorials(dim)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    col = np.empty(dim, dtype=np.complex128)
+    for k in range(dim):
+        col[0] = 1.0
+        for m in range(1, dim - k):
+            col[m] = col[m - 1] * z / m
+        mat[k:, k] = col[: dim - k] * (sf[k:] / sf[k])
+    return mat
+
+
+class TestExpCreation:
+    def test_equals_double_loop_bit_for_bit(self):
+        for z in (0.3 + 0.2j, -1.7j, 5):
+            for dim in (2, 3, 50, 200):
+                got = h._exp_creation(z, dim)
+                want = exp_creation_loop_reference(z, dim)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestNormallyOrderedGaussian:
