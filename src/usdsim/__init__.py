@@ -45,7 +45,6 @@ from .multiplex import (
     MultiplexConfig,
     MultiplexDerived,
     PulsePair,
-    WindowedClicks,
     alice_emit,
     balance_check,
     click_probabilities,

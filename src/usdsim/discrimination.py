@@ -32,8 +32,10 @@ from .hilbert import (
     STRUCTURAL_TOL,
     NumericalGuardError,
     TruncatedOperator,
+    _as_amplitude,
     beam_splitter_vacuum_columns,
     check_dim,
+    check_efficiency,
     coherent_state,
     expectation,
     identity,
@@ -97,6 +99,17 @@ OUTCOME_ORDER: tuple[Outcome, ...] = (
 )
 
 
+def _joint_outcomes(q1: float, q2: float) -> dict[Outcome, float]:
+    """Four-outcome distribution of two independent detectors whose no-click
+    probabilities are q1 (D1) and q2 (D2)."""
+    return {
+        Outcome.INCONCLUSIVE: q1 * q2,
+        Outcome.CONCLUSIVE_1: q1 * (1.0 - q2),
+        Outcome.CONCLUSIVE_2: (1.0 - q1) * q2,
+        Outcome.ANOMALOUS: (1.0 - q1) * (1.0 - q2),
+    }
+
+
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Receiver parameters: the candidate pair, truncation, and efficiency.
@@ -111,18 +124,13 @@ class ReceiverConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        a1, a2 = complex(self.alpha1), complex(self.alpha2)
-        for a in (a1, a2):
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"amplitude must be finite, got {a!r}")
+        a1, a2 = _as_amplitude(self.alpha1), _as_amplitude(self.alpha2)
         if a1 == a2:
             raise ValueError("alpha1 == alpha2: identical states are not discriminable")
-        check_dim(self.dim)
-        if not 0.0 <= float(self.eta) <= 1.0:
-            raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "dim", check_dim(self.dim))
+        object.__setattr__(self, "eta", check_efficiency(self.eta))
 
     @property
     def beta1(self) -> complex:
@@ -324,14 +332,7 @@ def outcome_probabilities(
         # no-click marginals for each detector, then eta-scaled products
         q1 = min(raw[Outcome.INCONCLUSIVE] + raw[Outcome.CONCLUSIVE_1], 1.0)
         q2 = min(raw[Outcome.INCONCLUSIVE] + raw[Outcome.CONCLUSIVE_2], 1.0)
-        q1e = q1**cfg.eta
-        q2e = q2**cfg.eta
-        probs = {
-            Outcome.INCONCLUSIVE: q1e * q2e,
-            Outcome.CONCLUSIVE_1: q1e * (1.0 - q2e),
-            Outcome.CONCLUSIVE_2: (1.0 - q1e) * q2e,
-            Outcome.ANOMALOUS: (1.0 - q1e) * (1.0 - q2e),
-        }
+        probs = _joint_outcomes(q1**cfg.eta, q2**cfg.eta)
 
     total = sum(probs.values())
     if abs(total - 1.0) > STRUCTURAL_TOL:
@@ -357,15 +358,10 @@ def closed_form_probabilities(cfg: ReceiverConfig, sent: complex) -> dict[Outcom
     For a coherent input the no-click probability of detector i is
     exp(-eta |sent - alpha_i|^2 / 2) and the detectors are independent.
     """
-    sent = complex(sent)
+    sent = _as_amplitude(sent)
     q1 = math.exp(-0.5 * cfg.eta * abs(sent - cfg.alpha1) ** 2)
     q2 = math.exp(-0.5 * cfg.eta * abs(sent - cfg.alpha2) ** 2)
-    return {
-        Outcome.INCONCLUSIVE: q1 * q2,
-        Outcome.CONCLUSIVE_1: q1 * (1.0 - q2),
-        Outcome.CONCLUSIVE_2: (1.0 - q1) * q2,
-        Outcome.ANOMALOUS: (1.0 - q1) * (1.0 - q2),
-    }
+    return _joint_outcomes(q1, q2)
 
 
 def inconclusive_rate(alpha1: complex, alpha2: complex) -> float:
@@ -374,11 +370,7 @@ def inconclusive_rate(alpha1: complex, alpha2: complex) -> float:
     This equals the state overlap |<alpha1|alpha2>|, the lowest inconclusive
     rate any measurement can reach on this pair.
     """
-    a1, a2 = complex(alpha1), complex(alpha2)
-    for a in (a1, a2):
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"amplitude must be finite, got {a!r}")
-    return math.exp(-0.5 * abs(a1 - a2) ** 2)
+    return math.exp(-0.5 * abs(_as_amplitude(alpha1) - _as_amplitude(alpha2)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ __all__ = [
     "CROSS_ORACLE_TOL",
     "ADEQUACY_MIN_NORM",
     "check_dim",
+    "check_efficiency",
     "default_dim",
     "annihilation",
     "identity",
@@ -68,19 +69,35 @@ class NumericalGuardError(RuntimeError):
     """A numerical guard tripped (truncation adequacy, workspace caps)."""
 
 
+def _as_integer(value, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_dim(dim: int) -> int:
     """Validate a Fock-space truncation size (at least the levels |0>, |1>)."""
-    if not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"Fock dimension must be an integer, got {dim!r}")
+    dim = _as_integer(dim, "Fock dimension")
     if dim < 2:
         raise ValueError(f"Fock dimension must be >= 2, got {dim}")
-    return int(dim)
+    return dim
+
+
+def check_efficiency(eta: float) -> float:
+    """Validate a detector efficiency, a real number in [0, 1]."""
+    if isinstance(eta, bool) or not 0.0 <= float(eta) <= 1.0:
+        raise ValueError(f"detector efficiency must lie in [0, 1], got {eta}")
+    return float(eta)
 
 
 def _as_amplitude(alpha: complex) -> complex:
+    """``alpha`` as a complex amplitude whose mean photon number |alpha|^2 is
+    a finite float."""
     alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError(f"amplitude must be finite, got {alpha!r}")
+    modulus = math.hypot(alpha.real, alpha.imag)
+    if not math.isfinite(modulus * modulus):
+        raise ValueError(f"amplitude must be finite with finite |amplitude|^2, got {alpha!r}")
     return alpha
 
 

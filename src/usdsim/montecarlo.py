@@ -1,15 +1,18 @@
 """Seeded sampling of detector outcomes and tally statistics.
 
 Outcomes are drawn by inverse CDF over the fixed ordering (00, 01, 10, 11).
-Probability mass below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution
-renormalized before sampling, so outcomes the model forbids (the exact zeros
-of the ideal receiver) never appear as roundoff dust in a tally.
+Every draw in the package, ``sample_outcome``, ``run_trials`` and
+``multiplex.run_protocol`` alike, goes through the one sampler
+``_draw_indices``, one uniform per draw.  Probability mass below
+``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized before
+sampling, so outcomes the model forbids (the exact zeros of the ideal
+receiver) never appear as roundoff dust in a tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -22,6 +25,7 @@ from .discrimination import (
     outcome_probabilities,
     povm_analytic,
 )
+from .hilbert import _as_integer
 
 #: Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
@@ -45,9 +49,7 @@ class RngStream:
 
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= int(value) < 2**64:
+            if not 0 <= _as_integer(value, name) < 2**64:
                 raise ValueError(f"{name} must fit in 64 bits, got {value}")
 
     def generator(self) -> np.random.Generator:
@@ -84,11 +86,6 @@ class TrialTally:
         merged = {o: self.counts[o] + other.counts[o] for o in OUTCOME_ORDER}
         return TrialTally(merged, self.n_trials + other.n_trials)
 
-    def __add__(self, other):
-        if not isinstance(other, TrialTally):
-            return NotImplemented
-        return self.merge(other)
-
 
 def clean_distribution(dist) -> np.ndarray:
     """Validate a 4-outcome distribution and zero sub-tolerance mass.
@@ -113,6 +110,33 @@ def clean_distribution(dist) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _draw_indices(
+    dists: Mapping[Hashable, object], labels: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The one inverse-CDF sampler; returns indices into OUTCOME_ORDER.
+
+    Draw i inverts the cumulative cleaned distribution ``dists[labels[i]]``
+    at the uniform ``u[i]``; every label must be a key of ``dists``.  Each
+    distribution is handled on its own boolean mask, so no (n, 4) array is
+    ever built.
+    """
+    cums = {label: np.cumsum(clean_distribution(d)) for label, d in dists.items()}
+    idx = np.empty(u.size, dtype=int)
+    for label, cum in cums.items():
+        mask = labels == label
+        if np.any(mask):
+            idx[mask] = np.minimum(
+                np.searchsorted(cum, u[mask], side="right"), len(OUTCOME_ORDER) - 1
+            )
+    return idx
+
+
+def _outcome_counts(idx: np.ndarray) -> dict[Outcome, int]:
+    """Counts of each outcome among indices into OUTCOME_ORDER."""
+    binned = np.bincount(idx, minlength=len(OUTCOME_ORDER))
+    return {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)}
+
+
 def sample_outcome(dist, rng: "np.random.Generator | RngStream") -> Outcome:
     """Draw one outcome by inverse CDF over the fixed ordering.
 
@@ -121,18 +145,8 @@ def sample_outcome(dist, rng: "np.random.Generator | RngStream") -> Outcome:
     """
     if isinstance(rng, RngStream):
         rng = rng.generator()
-    probs = clean_distribution(dist)
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return OUTCOME_ORDER[min(idx, len(OUTCOME_ORDER) - 1)]
-
-
-def sample_outcome_indices(dist, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized inverse-CDF draw; returns indices into OUTCOME_ORDER."""
-    probs = clean_distribution(dist)
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, len(OUTCOME_ORDER) - 1)
+    idx = _draw_indices({0: dist}, np.zeros(1, dtype=int), rng.random(1))
+    return OUTCOME_ORDER[idx[0]]
 
 
 def run_trials(
@@ -154,27 +168,15 @@ def run_trials(
         raise ValueError("sent_sequence entries must be 1 or 2")
     if povm is None:
         povm = povm_analytic(cfg)
-    cum = {
-        1: np.cumsum(clean_distribution(outcome_probabilities(cfg, cfg.alpha1, povm))),
-        2: np.cumsum(clean_distribution(outcome_probabilities(cfg, cfg.alpha2, povm))),
+    dists = {
+        1: outcome_probabilities(cfg, cfg.alpha1, povm),
+        2: outcome_probabilities(cfg, cfg.alpha2, povm),
     }
-    u = rng.generator().random(sent.size)
-    idx = np.empty(sent.size, dtype=int)
-    for value in (1, 2):
-        mask = sent == value
-        if np.any(mask):
-            idx[mask] = np.minimum(
-                np.searchsorted(cum[value], u[mask], side="right"),
-                len(OUTCOME_ORDER) - 1,
-            )
+    idx = _draw_indices(dists, sent, rng.generator().random(sent.size))
     tallies = {}
     for value in (1, 2):
         mask = sent == value
-        binned = np.bincount(idx[mask], minlength=len(OUTCOME_ORDER))
-        tallies[value] = TrialTally(
-            {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)},
-            int(mask.sum()),
-        )
+        tallies[value] = TrialTally(_outcome_counts(idx[mask]), int(mask.sum()))
     return tallies
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import OUTCOME_ORDER, Outcome
-from .montecarlo import RngStream, clean_distribution
+from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
+from .hilbert import _as_amplitude, _as_integer, check_efficiency
+from .montecarlo import RngStream, _draw_indices, _outcome_counts
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
 WEAK_SPLITTING_LIMIT = 0.2
@@ -63,24 +64,23 @@ class MultiplexConfig:
     seed: int = 0
 
     def __post_init__(self):
-        g = complex(self.gamma)
-        if not (math.isfinite(g.real) and math.isfinite(g.imag)):
-            raise ValueError(f"gamma must be finite, got {g!r}")
+        g = _as_amplitude(self.gamma)
         t = float(self.splitter_transmission)
         if not 0.0 < t < 1.0:
             raise ValueError(f"splitter transmission must lie in (0, 1), got {t}")
-        if not 0.0 <= float(self.eta) <= 1.0:
-            raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
+        eta = check_efficiency(self.eta)
         c = float(self.channel_transmission)
         if not 0.0 < c <= 1.0:
             raise ValueError(f"channel transmission must lie in (0, 1], got {c}")
-        if int(self.rounds) < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        rounds = _as_integer(self.rounds, "rounds")
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        RngStream(self.seed)  # rejects a seed run_protocol could not use
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "splitter_transmission", t)
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "channel_transmission", c)
-        object.__setattr__(self, "rounds", int(self.rounds))
+        object.__setattr__(self, "rounds", rounds)
         if self.outside_weak_splitting_regime:
             warnings.warn(
                 f"splitter transmission T={t} exceeds {WEAK_SPLITTING_LIMIT}; "
@@ -105,17 +105,6 @@ class PulsePair:
 
     signal_amplitude: complex
     auxiliary_amplitude: complex
-    signal_slot: str = "early"
-    auxiliary_slot: str = "late"
-
-
-@dataclass(frozen=True)
-class WindowedClicks:
-    """Click bits of one round; only in-window events enter sifting."""
-
-    d1: int
-    d2: int
-    in_window: bool = True
 
 
 @dataclass(frozen=True)
@@ -131,10 +120,6 @@ class MultiplexDerived:
     def state_overlap(self) -> float:
         """|<vacuum|signal>| = exp(-T^2 |gamma|^2 / 2)."""
         return math.exp(-0.5 * abs(self.alice_signal_amp) ** 2)
-
-    def round_inconclusive_probability(self, eta: float) -> float:
-        """exp(-eta * (1-T)^2 T^2 |gamma|^2 / (2-T))."""
-        return math.exp(-eta * self.detector_mean_photons)
 
 
 def derived_constants(cfg: MultiplexConfig) -> MultiplexDerived:
@@ -200,20 +185,10 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
 
     Each detector clicks independently with probability 1 - exp(-eta |amp|^2).
     """
-    if not 0.0 <= float(eta) <= 1.0:
-        raise ValueError(f"detector efficiency must lie in [0, 1], got {eta}")
-    for amp in (amps.amp_d1, amps.amp_d2):
-        a = complex(amp)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"amplitude must be finite, got {a!r}")
-    no1 = math.exp(-eta * abs(amps.amp_d1) ** 2)
-    no2 = math.exp(-eta * abs(amps.amp_d2) ** 2)
-    return {
-        Outcome.INCONCLUSIVE: no1 * no2,
-        Outcome.CONCLUSIVE_1: no1 * (1.0 - no2),
-        Outcome.CONCLUSIVE_2: (1.0 - no1) * no2,
-        Outcome.ANOMALOUS: (1.0 - no1) * (1.0 - no2),
-    }
+    eta = check_efficiency(eta)
+    no1 = math.exp(-eta * abs(_as_amplitude(amps.amp_d1)) ** 2)
+    no2 = math.exp(-eta * abs(_as_amplitude(amps.amp_d2)) ** 2)
+    return _joint_outcomes(no1, no2)
 
 
 @dataclass(frozen=True)
@@ -257,15 +232,6 @@ def quantum_bound(cfg: MultiplexConfig) -> float:
     return math.exp(
         -0.5 * cfg.channel_transmission * t * t * abs(cfg.gamma) ** 2
     )
-
-
-def sample_round(bit: int, cfg: MultiplexConfig, rng: np.random.Generator) -> WindowedClicks:
-    """Sample one round's in-window click pattern."""
-    dist = click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
-    probs = clean_distribution(dist)
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = OUTCOME_ORDER[min(idx, len(OUTCOME_ORDER) - 1)]
-    return WindowedClicks(d1=outcome.d1, d2=outcome.d2, in_window=True)
 
 
 def _out_of_window_amplitudes(bit: int, cfg: MultiplexConfig) -> dict[str, complex]:
@@ -326,18 +292,11 @@ def run_protocol(
     bits = gen.integers(0, 2, size=cfg.rounds)
     u = gen.random(cfg.rounds)
 
-    cums = {}
-    for bit in (0, 1):
-        dist = click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
-        cums[bit] = np.cumsum(clean_distribution(dist))
-    idx = np.empty(cfg.rounds, dtype=int)
-    for bit in (0, 1):
-        mask = bits == bit
-        if np.any(mask):
-            idx[mask] = np.minimum(
-                np.searchsorted(cums[bit], u[mask], side="right"),
-                len(OUTCOME_ORDER) - 1,
-            )
+    dists = {
+        bit: click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
+        for bit in (0, 1)
+    }
+    idx = _draw_indices(dists, bits, u)
 
     conclusive_1 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)  # D2: bit 0
     conclusive_2 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_2)  # D1: bit 1
@@ -347,8 +306,7 @@ def run_protocol(
     n_sifted = sifted_positions.size
     errors = int(np.count_nonzero(bob_bits != bits[sifted_positions]))
 
-    binned = np.bincount(idx, minlength=len(OUTCOME_ORDER))
-    counts = {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)}
+    counts = _outcome_counts(idx)
 
     out_of_window = None
     if out_of_window_diagnostics:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,22 @@ class TestMultiplexCommand:
         cfg = base_config(out)
         del cfg["multiplex"]
         assert cli.main(["multiplex", write(cfg)]) == 2
+
+    def test_overflowing_gamma_is_a_config_error(self, workspace):
+        # |gamma|^2 overflows a float; run as a fresh process so an escaping
+        # exception would show up as a traceback and exit code 1
+        _, out, write = workspace
+        cfg = base_config(out, multiplex={"gamma": [1e200, 0.0]})
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "usdsim.cli", "multiplex", write(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweepCommand:

@@ -1,0 +1,52 @@
+"""Property tests: the three descriptions of one receiver agree.
+
+The Fock-space POVM (``povm_analytic`` + ``outcome_probabilities``), the
+closed forms (``closed_form_probabilities``) and the fiber-network click model
+(``click_probabilities`` on the detector amplitudes (sent - alpha_i)/sqrt(2))
+must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
+efficiency and any coherent input.  Examples are derandomized, so every run
+checks the same cases.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from usdsim.discrimination import (
+    OUTCOME_ORDER,
+    ReceiverConfig,
+    closed_form_probabilities,
+    outcome_probabilities,
+    povm_analytic,
+)
+from usdsim.hilbert import CROSS_ORACLE_TOL, default_dim
+from usdsim.multiplex import DetectorAmplitudes, click_probabilities
+
+amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def receiver_cases(draw):
+    alpha1 = draw(amplitudes)
+    alpha2 = draw(amplitudes.filter(lambda a: a != alpha1))
+    # eta = 1 reads the POVM expectations directly, not the no-click marginals
+    eta = draw(st.just(1.0) | st.floats(min_value=0.0, max_value=1.0))
+    sent = draw(st.sampled_from([alpha1, alpha2]) | amplitudes)
+    return alpha1, alpha2, eta, sent
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(receiver_cases())
+def test_fock_closed_form_and_fiber_descriptions_agree(case):
+    alpha1, alpha2, eta, sent = case
+    cfg = ReceiverConfig(alpha1, alpha2, default_dim(alpha1, alpha2, sent), eta)
+    closed = closed_form_probabilities(cfg, sent)
+    fock = outcome_probabilities(cfg, sent, povm_analytic(cfg))
+    amps = DetectorAmplitudes(
+        (sent - alpha1) / math.sqrt(2.0), (sent - alpha2) / math.sqrt(2.0)
+    )
+    fiber = click_probabilities(amps, eta)
+    for outcome in OUTCOME_ORDER:
+        assert abs(fock[outcome] - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
+        assert abs(fiber[outcome] - closed[outcome]) <= 1e-12, outcome

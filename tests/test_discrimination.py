@@ -54,7 +54,11 @@ class TestReceiverConfig:
         with pytest.raises(ValueError):
             ReceiverConfig(1.0, -1.0, 16, eta=1.5)
         with pytest.raises(ValueError):
+            ReceiverConfig(1.0, -1.0, 16, eta=True)
+        with pytest.raises(ValueError):
             ReceiverConfig(float("inf"), -1.0, 16)
+        with pytest.raises(ValueError):
+            ReceiverConfig(1e200, -1.0, 16)  # |alpha|^2 overflows
 
     def test_outcome_classification(self):
         assert Outcome.classify(0, 1) is Outcome.CONCLUSIVE_1
@@ -259,6 +263,10 @@ class TestInconclusiveRate:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             inconclusive_rate(float("nan"), 0.0)
+        with pytest.raises(ValueError):
+            inconclusive_rate(1e200, 0.0)
+        with pytest.raises(ValueError):
+            closed_form_probabilities(ReceiverConfig(1.0, -1.0, 16), float("nan"))
 
 
 class TestOptimality:

@@ -370,6 +370,8 @@ class TestTypesAndGuards:
             h.check_dim(1)
         with pytest.raises(ValueError):
             h.check_dim(2.0)
+        with pytest.raises(ValueError, match="integer"):
+            h.check_dim(True)
         with pytest.raises(ValueError):
             h.vacuum_state(1)
 

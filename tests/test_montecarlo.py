@@ -13,6 +13,7 @@ from usdsim.discrimination import (
 from usdsim.montecarlo import (
     RngStream,
     TrialTally,
+    _draw_indices,
     chi_square_pvalue,
     clean_distribution,
     sample_outcome,
@@ -43,6 +44,8 @@ class TestRngStream:
             RngStream(2**64)
         with pytest.raises(ValueError):
             RngStream(1.5)
+        with pytest.raises(ValueError):
+            RngStream(True)
 
 
 class TestSampling:
@@ -74,7 +77,10 @@ class TestSampling:
         dist = closed_form_probabilities(cfg, cfg.alpha1)
         gen = RngStream(2024).generator()
         n = 100_000
-        hits = sum(sample_outcome(dist, gen) is Outcome.CONCLUSIVE_1 for _ in range(n))
+        # one vectorized draw through the sampler behind sample_outcome; Philox
+        # yields the same doubles for random(n) as for n calls of random()
+        idx = _draw_indices({0: dist}, np.zeros(n, dtype=int), gen.random(n))
+        hits = int(np.count_nonzero(idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)))
         p = 1.0 - math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         lo, hi = three_sigma_band(p, n)
         assert lo <= hits / n <= hi
@@ -144,8 +150,8 @@ class TestTrialTally:
             return TrialTally(counts, a + b + c + d)
 
         x, y, z = tally(1, 2, 3, 4), tally(5, 6, 7, 8), tally(9, 0, 1, 2)
-        left = (x + y) + z
-        right = x + (y + z)
+        left = x.merge(y).merge(z)
+        right = x.merge(y.merge(z))
         assert left.counts == right.counts
         assert left.n_trials == right.n_trials
 
