@@ -1,9 +1,10 @@
 """Command-line front end with machine-readable, byte-deterministic outputs.
 
 Subcommands: povm, probs, simulate, multiplex, sweep.  All read a strict JSON
-config file (unknown keys rejected, physical ranges validated at load) and
-write their artifacts into the configured output directory; the environment
-variable USDSIM_OUTPUT_DIR overrides that directory.
+config file (unknown keys rejected, every value validated at load by the
+library constructor it feeds) and write their artifacts into the configured
+output directory; the environment variable USDSIM_OUTPUT_DIR overrides that
+directory.
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical guard failure.
 """
@@ -14,9 +15,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +39,13 @@ from .discrimination import (
     povm_analytic,
     povm_ancilla,
 )
+from .hilbert import _as_real
 from .montecarlo import RNG_ALGORITHM, RngStream, run_trials, three_sigma_band
 from .multiplex import (
     MultiplexConfig,
     balance_check,
     derived_constants,
+    inconclusive_bound_ratio,
     quantum_bound,
     round_inconclusive_probability,
     run_protocol,
@@ -55,7 +61,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading (strict: unknown keys rejected, ranges validated here)
+# config loading (JSON layout checked here, values by the library constructors)
 
 _SECTION_KEYS = {
     "receiver": {"alpha1", "alpha2", "dim", "eta"},
@@ -71,7 +77,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -96,89 +102,68 @@ def load_config(path: str | Path) -> dict:
         fmt = raw["output"].get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
+        out = raw["output"].get("path", "out")
+        if not isinstance(out, str):
+            raise ConfigError(f"output path must be a string, got {out!r}")
     return raw
 
 
-def _complex_field(section: dict, key: str, where: str) -> complex:
-    try:
-        value = section[key]
-    except KeyError:
-        raise ConfigError(f"missing key '{key}' in '{where}'") from None
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        raise ConfigError(f"'{where}.{key}' must be a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
-
-def _number_field(section: dict, key: str, where: str):
-    try:
-        value = section[key]
-    except KeyError:
-        raise ConfigError(f"missing key '{key}' in '{where}'") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number, got {value!r}")
-    return value
-
-
-def _require(raw: dict, section: str) -> dict:
+def _section(raw: dict, section: str, *required: str) -> dict:
+    """The config section, after checking that it has every required key."""
     if section not in raw:
         raise ConfigError(f"config is missing the '{section}' section")
+    for key in required:
+        if key not in raw[section]:
+            raise ConfigError(f"missing key '{key}' in '{section}'")
     return raw[section]
 
 
-def receiver_config(raw: dict) -> ReceiverConfig:
-    sec = _require(raw, "receiver")
+@contextmanager
+def _config_errors(section: str):
+    """Report a value the library rejects as a config error in ``section``."""
     try:
-        return ReceiverConfig(
-            alpha1=_complex_field(sec, "alpha1", "receiver"),
-            alpha2=_complex_field(sec, "alpha2", "receiver"),
-            dim=_int_field(sec, "dim", "receiver"),
-            eta=float(_number_field(sec, "eta", "receiver")),
-        )
+        yield
     except ValueError as exc:
-        raise ConfigError(f"receiver: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _int_field(section: dict, key: str, where: str) -> int:
-    value = _number_field(section, key, where)
-    if not isinstance(value, int):
-        raise ConfigError(f"'{where}.{key}' must be an integer, got {value!r}")
-    return value
+def _amplitude(value, key: str) -> complex:
+    """Decode a JSON [re, im] pair."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{key} must be a [re, im] pair, got {value!r}")
+    re, im = value
+    return complex(_as_real(re, f"{key} real part"), _as_real(im, f"{key} imaginary part"))
 
 
-def multiplex_config(raw: dict, **overrides) -> MultiplexConfig:
-    sec = _require(raw, "multiplex")
-    seed = rng_stream(raw).seed if "rng" in raw else 0
-    channel = sec.get("channel_transmission", 1.0)
-    if isinstance(channel, bool) or not isinstance(channel, (int, float)):
-        raise ConfigError(
-            f"'multiplex.channel_transmission' must be a number, got {channel!r}"
+def receiver_config(raw: dict) -> ReceiverConfig:
+    sec = _section(raw, "receiver", "alpha1", "alpha2", "dim", "eta")
+    with _config_errors("receiver"):
+        return ReceiverConfig(
+            alpha1=_amplitude(sec["alpha1"], "alpha1"),
+            alpha2=_amplitude(sec["alpha2"], "alpha2"),
+            dim=sec["dim"],
+            eta=sec["eta"],
         )
-    kwargs = dict(
-        gamma=_complex_field(sec, "gamma", "multiplex"),
-        splitter_transmission=float(_number_field(sec, "T", "multiplex")),
-        eta=float(_number_field(sec, "eta", "multiplex")),
-        channel_transmission=float(channel),
-        rounds=_int_field(sec, "rounds", "multiplex"),
-        seed=seed,
-    )
-    kwargs.update(overrides)
-    try:
-        return MultiplexConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"multiplex: {exc}") from exc
+
+
+def multiplex_config(raw: dict) -> MultiplexConfig:
+    sec = _section(raw, "multiplex", "gamma", "T", "eta", "rounds")
+    seed = rng_stream(raw).seed if "rng" in raw else 0
+    with _config_errors("multiplex"):
+        return MultiplexConfig(
+            gamma=_amplitude(sec["gamma"], "gamma"),
+            splitter_transmission=sec["T"],
+            eta=sec["eta"],
+            channel_transmission=sec.get("channel_transmission", 1.0),
+            rounds=sec["rounds"],
+            seed=seed,
+        )
 
 
 def rng_stream(raw: dict) -> RngStream:
-    sec = _require(raw, "rng")
-    seed = _int_field(sec, "seed", "rng")
-    try:
-        return RngStream(seed)
-    except ValueError as exc:
-        raise ConfigError(f"rng: {exc}") from exc
+    sec = _section(raw, "rng", "seed")
+    with _config_errors("rng"):
+        return RngStream(sec["seed"])
 
 
 def output_dir(raw: dict) -> Path:
@@ -187,7 +172,10 @@ def output_dir(raw: dict) -> Path:
         path = Path(env)
     else:
         path = Path(raw.get("output", {}).get("path", "out"))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -479,87 +467,65 @@ def cmd_multiplex(args) -> int:
     return 0
 
 
-_SWEEP_BASE_COLUMNS = {
-    "eta": ["eta", "analytic_inconclusive", "analytic_quantum_bound", "analytic_ratio"],
-    "T": ["T", "analytic_inconclusive", "analytic_quantum_bound", "analytic_ratio"],
-    "gamma_mag": [
-        "gamma_mag",
-        "analytic_inconclusive",
-        "analytic_quantum_bound",
-        "analytic_ratio",
-    ],
-    "alpha_separation": [
-        "alpha_separation",
-        "analytic_inconclusive",
-        "analytic_quantum_bound",
-    ],
-}
+_SWEEP_FIELDS = {"eta": "eta", "T": "splitter_transmission", "gamma_mag": "gamma"}
 
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
-    if not args.sweep_from < args.sweep_to:
+    if not (args.sweep_from < args.sweep_to and math.isfinite(args.sweep_to - args.sweep_from)):
         raise ConfigError(
-            f"--from must be smaller than --to, got {args.sweep_from} >= {args.sweep_to}"
+            f"--from must be smaller than --to, both finite, got {args.sweep_from}, {args.sweep_to}"
         )
     raw = load_config(args.config)
     out = output_dir(raw)
     grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
-    header = list(_SWEEP_BASE_COLUMNS[args.param])
+    separation = args.param == "alpha_separation"
+    header = [args.param, "analytic_inconclusive", "analytic_quantum_bound"]
+    if not separation:
+        header.append("analytic_ratio")
     mc = args.mc
     if mc is not None:
         if mc < 1:
             raise ConfigError(f"--mc must be >= 1, got {mc}")
         header += ["mc_inconclusive", "mc_conclusive"]
 
+    if separation:
+        base = receiver_config(raw)
+    else:
+        base = multiplex_config(raw)
+        if mc is not None:
+            base = replace(base, rounds=mc)
+        phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
     rows = []
-    if args.param == "alpha_separation":
-        cfg = receiver_config(raw)
-        if mc is not None and np.any(grid == 0.0):
-            raise ConfigError("--mc cannot simulate alpha_separation = 0 (identical states)")
-        for i, sep in enumerate(grid):
-            a1, a2 = -sep / 2.0, sep / 2.0
-            row = [
-                _fmt(sep),
-                _fmt(inconclusive_rate(a1, a2) ** cfg.eta),
-                _fmt(inconclusive_rate(a1, a2)),
-            ]
+    for i, value in enumerate(grid):
+        rejected = _config_errors(f"sweep value {value!r} for {args.param}")
+        if separation:
+            a1, a2 = -value / 2.0, value / 2.0
+            with rejected:
+                rate = inconclusive_rate(a1, a2)
+                cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
+            row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
             if mc is not None:
-                point_cfg = ReceiverConfig(a1, a2, cfg.dim, cfg.eta)
-                tallies = run_trials(
-                    point_cfg, [1] * mc + [2] * mc, rng_stream(raw).substream(i)
-                )
+                tallies = run_trials(cfg, [1] * mc + [2] * mc, rng_stream(raw).substream(i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
                 row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]
-            rows.append(row)
-    else:
-        base = multiplex_config(raw)
-        for i, value in enumerate(grid):
-            overrides = {}
-            if args.param == "eta":
-                overrides["eta"] = float(value)
-            elif args.param == "T":
-                overrides["splitter_transmission"] = float(value)
-            else:
-                phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
-                overrides["gamma"] = float(value) * phase
-            if mc is not None:
-                overrides["rounds"] = mc
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    cfg = multiplex_config(raw, **overrides)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep value {value!r} for {args.param}: {exc}") from exc
-            inconclusive = round_inconclusive_probability(cfg)
-            bound = quantum_bound(cfg)
-            row = [_fmt(value), _fmt(inconclusive), _fmt(bound), _fmt(inconclusive / bound)]
+        else:
+            point = float(value) * phase if args.param == "gamma_mag" else float(value)
+            with rejected, warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg = replace(base, **{_SWEEP_FIELDS[args.param]: point})
+            row = [
+                _fmt(value),
+                _fmt(round_inconclusive_probability(cfg)),
+                _fmt(quantum_bound(cfg)),
+                _fmt(inconclusive_bound_ratio(cfg)),
+            ]
             if mc is not None:
                 report = run_protocol(cfg, rng=RngStream(cfg.seed, stream_id=i))
                 row += [_fmt(report.inconclusive_rate_empirical), _fmt(report.sifted_key_rate)]
-            rows.append(row)
+        rows.append(row)
     write_csv(out / "sweep.csv", header, rows)
     return 0
 

@@ -192,11 +192,6 @@ def _check_adequacy(cfg: ReceiverConfig) -> None:
             )
 
 
-def _q_operator(alpha: complex, dim: int, weight: float = 0.5) -> TruncatedOperator:
-    """:exp(-weight (a^dag - alpha*)(a - alpha)): on the signal mode."""
-    return normally_ordered_gaussian(weight, alpha, dim)
-
-
 def _q_product(alpha1: complex, alpha2: complex, dim: int) -> TruncatedOperator:
     """Normally ordered product :Q1 Q2: assembled from the merged exponent.
 
@@ -221,8 +216,8 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     """
     _check_adequacy(cfg)
     dim = cfg.dim
-    q1 = _q_operator(cfg.alpha1, dim)
-    q2 = _q_operator(cfg.alpha2, dim)
+    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim)
+    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim)
     q12 = _q_product(cfg.alpha1, cfg.alpha2, dim)
     eye = identity(dim)
     elements = {
@@ -263,7 +258,7 @@ def ancilla_projections(cfg: ReceiverConfig) -> dict[Outcome, TruncatedOperator]
     }
 
 
-def povm_ancilla(cfg: ReceiverConfig, max_dim: int = MAX_ANCILLA_DIM) -> PovmSet:
+def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     """Brute-force POVM through the explicit two-mode ancilla construction.
 
     Each two-mode projection B is expressed in the (signal, vacuum-port)
@@ -282,9 +277,9 @@ def povm_ancilla(cfg: ReceiverConfig, max_dim: int = MAX_ANCILLA_DIM) -> PovmSet
     """
     _check_adequacy(cfg)
     dim = cfg.dim
-    if dim > max_dim:
+    if dim > MAX_ANCILLA_DIM:
         raise NumericalGuardError(
-            f"two-mode workspace guard: dim={dim} exceeds the configured cap {max_dim}"
+            f"two-mode workspace guard: dim={dim} exceeds the cap {MAX_ANCILLA_DIM}"
         )
     w = beam_splitter_vacuum_columns(0.5, dim)
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dim))))
@@ -352,6 +347,15 @@ def _clamp_probability(p: float, outcome: Outcome) -> float:
     return clamped
 
 
+def _gaussian_decay(scale: float, separation: complex) -> float:
+    """exp(scale |separation|^2) for scale <= 0; once |separation|^2
+    overflows a float, its limit 0, or 1 at scale 0 (0 * inf would be NaN)."""
+    try:
+        return math.exp(scale * abs(separation) ** 2)
+    except OverflowError:
+        return 1.0 if scale == 0.0 else 0.0
+
+
 def closed_form_probabilities(cfg: ReceiverConfig, sent: complex) -> dict[Outcome, float]:
     """Outcome distribution from the closed forms alone (no truncation).
 
@@ -359,8 +363,8 @@ def closed_form_probabilities(cfg: ReceiverConfig, sent: complex) -> dict[Outcom
     exp(-eta |sent - alpha_i|^2 / 2) and the detectors are independent.
     """
     sent = _as_amplitude(sent)
-    q1 = math.exp(-0.5 * cfg.eta * abs(sent - cfg.alpha1) ** 2)
-    q2 = math.exp(-0.5 * cfg.eta * abs(sent - cfg.alpha2) ** 2)
+    q1 = _gaussian_decay(-0.5 * cfg.eta, sent - cfg.alpha1)
+    q2 = _gaussian_decay(-0.5 * cfg.eta, sent - cfg.alpha2)
     return _joint_outcomes(q1, q2)
 
 
@@ -370,7 +374,7 @@ def inconclusive_rate(alpha1: complex, alpha2: complex) -> float:
     This equals the state overlap |<alpha1|alpha2>|, the lowest inconclusive
     rate any measurement can reach on this pair.
     """
-    return math.exp(-0.5 * abs(_as_amplitude(alpha1) - _as_amplitude(alpha2)) ** 2)
+    return _gaussian_decay(-0.5, _as_amplitude(alpha1) - _as_amplitude(alpha2))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ Conventions (fixed, do not change silently):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,6 +77,17 @@ def _as_integer(value, name: str) -> int:
     return int(value)
 
 
+def _as_real(value, name: str) -> float:
+    """``value`` as a float; bools, strings, None and non-real numbers are
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def check_dim(dim: int) -> int:
     """Validate a Fock-space truncation size (at least the levels |0>, |1>)."""
     dim = _as_integer(dim, "Fock dimension")
@@ -86,15 +98,18 @@ def check_dim(dim: int) -> int:
 
 def check_efficiency(eta: float) -> float:
     """Validate a detector efficiency, a real number in [0, 1]."""
-    if isinstance(eta, bool) or not 0.0 <= float(eta) <= 1.0:
+    eta = _as_real(eta, "detector efficiency")
+    if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detector efficiency must lie in [0, 1], got {eta}")
-    return float(eta)
+    return eta
 
 
 def _as_amplitude(alpha: complex) -> complex:
     """``alpha`` as a complex amplitude whose mean photon number |alpha|^2 is
-    a finite float."""
-    alpha = complex(alpha)
+    a finite float; bools, strings, None and non-numbers are rejected."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex):
+        raise ValueError(f"amplitude must be a number, got {alpha!r}")
+    alpha = complex(_as_real(alpha.real, "amplitude"), _as_real(alpha.imag, "amplitude"))
     modulus = math.hypot(alpha.real, alpha.imag)
     if not math.isfinite(modulus * modulus):
         raise ValueError(f"amplitude must be finite with finite |amplitude|^2, got {alpha!r}")
@@ -281,7 +296,7 @@ def displacement_operator(alpha: complex, dim: int) -> TruncatedOperator:
 
 def _mixing_angle(power_transmission: float) -> float:
     """Beam-splitter angle theta with cos^2(theta) = t, after validating t."""
-    t = float(power_transmission)
+    t = _as_real(power_transmission, "power transmission")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"power transmission must lie in [0, 1], got {t}")
     return math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
@@ -397,12 +412,7 @@ def normally_ordered_exponential(
     untruncated operator.
     """
     check_dim(dim)
-    cd = complex(coeff_dag)
-    ca = complex(coeff_a)
-    cq = complex(coeff_quad)
-    c0 = complex(coeff_const)
-    for z in (cd, ca, cq, c0):
-        _as_amplitude(z)
+    cd, ca, cq, c0 = map(_as_amplitude, (coeff_dag, coeff_a, coeff_quad, coeff_const))
 
     left = _exp_creation(cd, dim)
     right = _exp_creation(ca, dim).T
@@ -422,7 +432,7 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> Truncat
     leaks near the top of a truncated basis, so it serves as an independent
     test oracle rather than as the construction.
     """
-    kappa = float(kappa)
+    kappa = _as_real(kappa, "kappa")
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     alpha = _as_amplitude(alpha)

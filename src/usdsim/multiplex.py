@@ -24,23 +24,26 @@ click rates requires tau = 1/(2-T).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
-from .hilbert import _as_amplitude, _as_integer, check_efficiency
+from .hilbert import _as_amplitude, _as_integer, _as_real, check_efficiency
 from .montecarlo import RngStream, _draw_indices, _outcome_counts
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
 WEAK_SPLITTING_LIMIT = 0.2
 
+_EXP_OVERFLOW = math.log(sys.float_info.max)
+
 
 def bob_bs_transmission(splitter_transmission: float) -> float:
     """Power transmission 1/(2-T) of Bob's tap splitter that balances the
     two conclusive click rates; at T = 0 this is an exact 50:50 splitter."""
-    t = float(splitter_transmission)
+    t = _as_real(splitter_transmission, "splitter transmission")
     if not 0.0 <= t < 1.0:
         raise ValueError(f"splitter transmission must lie in [0, 1), got {t}")
     return 1.0 / (2.0 - t)
@@ -65,11 +68,11 @@ class MultiplexConfig:
 
     def __post_init__(self):
         g = _as_amplitude(self.gamma)
-        t = float(self.splitter_transmission)
+        t = _as_real(self.splitter_transmission, "splitter transmission")
         if not 0.0 < t < 1.0:
             raise ValueError(f"splitter transmission must lie in (0, 1), got {t}")
         eta = check_efficiency(self.eta)
-        c = float(self.channel_transmission)
+        c = _as_real(self.channel_transmission, "channel transmission")
         if not 0.0 < c <= 1.0:
             raise ValueError(f"channel transmission must lie in (0, 1], got {c}")
         rounds = _as_integer(self.rounds, "rounds")
@@ -167,9 +170,9 @@ def propagate_bob(
     so amp_d2 is exactly zero.
     """
     t = cfg.splitter_transmission
-    tau = cfg.bob_bs_transmission if tau is None else float(tau)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tap transmission must lie in (0, 1), got {tau}")
+    tau = cfg.bob_bs_transmission if tau is None else _as_real(tau, "tap transmission")
+    if not 0.0 < tau <= 1.0:  # 1/(2-T) rounds to 1 for T within an ulp of 1
+        raise ValueError(f"tap transmission must lie in (0, 1], got {tau}")
     root_c = math.sqrt(cfg.channel_transmission)
     signal = pulses.signal_amplitude * root_c
     bit1_signal = t * cfg.gamma * root_c  # what the signal would be for bit 1
@@ -234,6 +237,18 @@ def quantum_bound(cfg: MultiplexConfig) -> float:
     )
 
 
+def inconclusive_bound_ratio(cfg: MultiplexConfig) -> float:
+    """round_inconclusive_probability over quantum_bound; once the bound
+    underflows to 0, exp of c T^2 |gamma|^2 (1/2 - eta (1-T)^2 / (2-T))."""
+    bound = quantum_bound(cfg)
+    if bound > 0.0:
+        return round_inconclusive_probability(cfg) / bound
+    t = cfg.splitter_transmission
+    excess = 0.5 - cfg.eta * (1.0 - t) ** 2 / (2.0 - t)
+    exponent = cfg.channel_transmission * t * t * abs(cfg.gamma) ** 2 * excess
+    return math.exp(exponent) if exponent < _EXP_OVERFLOW else math.inf
+
+
 def _out_of_window_amplitudes(bit: int, cfg: MultiplexConfig) -> dict[str, complex]:
     """Amplitudes of the discarded (mistimed) pulses at the detectors.
 
@@ -264,7 +279,7 @@ class KeyReport:
     sifted_positions: np.ndarray
     sifted_bits: np.ndarray  # Bob's conclusive bits, aligned with positions
     sifted_key_rate: float
-    bit_error_rate: float
+    bit_error_rate: float | None  # None when nothing was sifted
     inconclusive_rate_empirical: float
     anomalous_count: int
     counts: dict[Outcome, int]
@@ -326,7 +341,7 @@ def run_protocol(
         sifted_positions=sifted_positions,
         sifted_bits=bob_bits,
         sifted_key_rate=n_sifted / cfg.rounds,
-        bit_error_rate=errors / n_sifted if n_sifted else 0.0,
+        bit_error_rate=errors / n_sifted if n_sifted else None,
         inconclusive_rate_empirical=counts[Outcome.INCONCLUSIVE] / cfg.rounds,
         anomalous_count=counts[Outcome.ANOMALOUS],
         counts=counts,

@@ -46,6 +46,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def run_fresh(*argv):
+    """Run the CLI as a fresh process, so an escaping exception shows up as a
+    traceback and exit code 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "usdsim.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestConfigLoading:
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["povm", "/nonexistent/config.json"]) == 2
@@ -56,6 +65,10 @@ class TestConfigLoading:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["povm", str(path)]) == 2
+        # undecodable bytes, an integer literal past the conversion limit, deep nesting
+        for text in (b"\xff{", b'{"rng": {"seed": ' + b"1" * 5000 + b"}}", b"[" * 100_000):
+            path.write_bytes(text)
+            assert cli.main(["povm", str(path)]) == 2
 
     def test_dim_one_exits_2(self, workspace):
         _, out, write = workspace
@@ -81,6 +94,11 @@ class TestConfigLoading:
     def test_bad_output_format_exits_2(self, workspace):
         _, out, write = workspace
         assert cli.main(["povm", write(base_config(out, output={"format": "xml"}))]) == 2
+        assert cli.main(["povm", write(base_config(out, output={"path": 5}))]) == 2
+        tmp_path, _, _ = workspace
+        (tmp_path / "a_file").write_text("")
+        for path in (str(tmp_path / "a_file"), "nul\u0000byte"):
+            assert cli.main(["povm", write(base_config(out, output={"path": path}))]) == 2
 
     def test_guard_failure_exits_3(self, workspace, capsys):
         _, out, write = workspace
@@ -216,20 +234,25 @@ class TestMultiplexCommand:
         assert cli.main(["multiplex", write(cfg)]) == 2
 
     def test_overflowing_gamma_is_a_config_error(self, workspace):
-        # |gamma|^2 overflows a float; run as a fresh process so an escaping
-        # exception would show up as a traceback and exit code 1
+        # |gamma|^2 overflows a float
         _, out, write = workspace
         cfg = base_config(out, multiplex={"gamma": [1e200, 0.0]})
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "usdsim.cli", "multiplex", write(cfg)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_fresh("multiplex", write(cfg))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_blind_detectors_leave_bit_error_rate_undefined(self, workspace):
+        _, out, write = workspace
+        cfg = base_config(out, multiplex={"eta": 0.0, "rounds": 500})
+        assert cli.main(["multiplex", write(cfg)]) == 0
+        record = json.loads((out / "multiplex.json").read_text())
+        assert {r["name"]: r["value"] for r in record["results"]}["bit_error_rate"] is None
+        cfg["output"]["format"] = "csv"
+        assert cli.main(["multiplex", write(cfg)]) == 0
+        rows = {r[0]: r[1] for r in read_csv(out / "multiplex.csv")}
+        assert rows["bit_error_rate"] == ""
+
 
 
 class TestSweepCommand:
@@ -281,6 +304,32 @@ class TestSweepCommand:
     def test_out_of_range_value_exits_2(self, workspace):
         _, out, write = workspace
         assert cli.main(["sweep", write(base_config(out)), "--param", "T", "--from", "0.5", "--to", "2.0", "--steps", "4"]) == 2
+
+    def test_rejected_separation_exits_2(self, workspace, capsys):
+        _, out, write = workspace
+        path = write(base_config(out))
+        for to in ("inf", "1e300"):  # an infinite grid; |alpha|^2 overflows
+            argv = ["sweep", path, "--param", "alpha_separation", "--from", "0", "--to", to]
+            assert cli.main([*argv, "--steps", "3"]) == 2
+        assert "sweep value" in capsys.readouterr().err
+
+    def test_overflowing_separation_sweeps(self, workspace):
+        # each |alpha|^2 fits a float but |alpha1 - alpha2|^2 does not
+        _, out, write = workspace
+        argv = ["--param", "alpha_separation", "--from", "1", "--to", "2e154", "--steps", "2"]
+        proc = run_fresh("sweep", write(base_config(out)), *argv)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert read_csv(out / "sweep.csv")[-1][1:] == ["0", "0"]
+
+    def test_underflowing_bound_keeps_the_ratio(self, workspace):
+        _, out, write = workspace
+        path = write(base_config(out))
+        assert cli.main(["sweep", path, "--param", "gamma_mag", "--from", "100", "--to", "1000", "--steps", "2"]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert float(rows[2][2]) == 0.0  # the quantum bound exp(-1250)
+        ratios = [float(r[3]) for r in rows[1:]]
+        assert math.log(ratios[1]) == pytest.approx(100.0 * math.log(ratios[0]), rel=1e-10)
 
 
 class TestOutputDirectory:

@@ -53,8 +53,13 @@ class TestReceiverConfig:
             ReceiverConfig(1.0, -1.0, 1)
         with pytest.raises(ValueError):
             ReceiverConfig(1.0, -1.0, 16, eta=1.5)
-        with pytest.raises(ValueError):
-            ReceiverConfig(1.0, -1.0, 16, eta=True)
+        for junk in ("0.5", None, True):
+            with pytest.raises(ValueError):
+                ReceiverConfig(1.0, -1.0, 16, eta=junk)
+            with pytest.raises(ValueError):
+                ReceiverConfig(junk, -1.0, 16)
+            with pytest.raises(ValueError):
+                ReceiverConfig(1.0, -1.0, junk)
         with pytest.raises(ValueError):
             ReceiverConfig(float("inf"), -1.0, 16)
         with pytest.raises(ValueError):
@@ -267,6 +272,14 @@ class TestInconclusiveRate:
             inconclusive_rate(1e200, 0.0)
         with pytest.raises(ValueError):
             closed_form_probabilities(ReceiverConfig(1.0, -1.0, 16), float("nan"))
+
+    def test_overflowing_separation_reaches_its_limit(self):
+        # each |alpha|^2 = 1e308 fits a float, |alpha1 - alpha2|^2 = 4e308 does not
+        assert inconclusive_rate(1e154, -1e154) == 0.0
+        for eta, expected in ((1.0, [0.0, 1.0, 0.0, 0.0]), (0.0, [1.0, 0.0, 0.0, 0.0])):
+            cfg = ReceiverConfig(1e154, -1e154, 32, eta)
+            closed = closed_form_probabilities(cfg, 1e154)
+            assert [closed[o] for o in OUTCOME_ORDER] == expected
 
 
 class TestOptimality:

@@ -13,6 +13,7 @@ from usdsim.multiplex import (
     bob_bs_transmission,
     click_probabilities,
     derived_constants,
+    inconclusive_bound_ratio,
     propagate_bob,
     quantum_bound,
     round_inconclusive_probability,
@@ -111,6 +112,11 @@ class TestConfig:
             dict(seed=-1),
             dict(gamma=float("inf")),
             dict(gamma=1e200),  # |gamma|^2 overflows
+            *(
+                {key: junk}
+                for key in ("gamma", "T", "eta", "channel", "rounds", "seed")
+                for junk in ("0.5", None, True)
+            ),
         ):
             with pytest.raises(ValueError):
                 make_config(**kwargs)
@@ -185,6 +191,15 @@ class TestPropagation:
         assert amps1.amp_d2 == 0.0  # cancellation survives the loss
         full = propagate_bob(alice_emit(1, make_config(gamma=10.0, T=0.05)), make_config(gamma=10.0, T=0.05))
         assert abs(amps1.amp_d1) ** 2 == pytest.approx(0.5 * abs(full.amp_d1) ** 2, abs=1e-12)
+
+    def test_splitter_within_an_ulp_of_one(self):
+        # the derived tap transmission 1/(2-T) rounds to exactly 1 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = make_config(T=0.9999999999999999, rounds=100)
+        assert cfg.bob_bs_transmission == 1.0
+        assert propagate_bob(alice_emit(1, cfg), cfg).amp_d1 == 0.0
+        assert run_protocol(cfg).rounds == 100
 
 
 class TestClickProbabilities:
@@ -261,12 +276,29 @@ class TestBalance:
             )
 
 
+class TestBoundRatio:
+    def test_direct_ratio_while_the_bound_is_positive(self):
+        cfg = make_config(gamma=10.0, T=0.05, eta=0.9, channel=0.6)
+        direct = round_inconclusive_probability(cfg) / quantum_bound(cfg)
+        assert inconclusive_bound_ratio(cfg) == direct
+
+    def test_underflowing_bound(self):
+        # the log of the ratio scales with |gamma|^2, so gamma = 1000 (bound
+        # exp(-1250) underflows) gives 100 times the log at gamma = 100
+        small = make_config(gamma=100.0, T=0.05, eta=0.9)
+        big = make_config(gamma=1000.0, T=0.05, eta=0.9)
+        assert quantum_bound(big) == 0.0
+        expected = 100.0 * math.log(inconclusive_bound_ratio(small))
+        assert math.log(inconclusive_bound_ratio(big)) == pytest.approx(expected, rel=1e-10)
+        assert inconclusive_bound_ratio(make_config(gamma=1e5, T=0.05, eta=0.0)) == math.inf
+
+
 class TestProtocol:
     def test_blind_detectors_empty_key(self):
         report = run_protocol(make_config(eta=0.0, rounds=500))
         assert report.sifted_positions.size == 0
         assert report.inconclusive_rate_empirical == 1.0
-        assert report.bit_error_rate == 0.0
+        assert report.bit_error_rate is None  # undefined, not a perfect key
 
     def test_ideal_run_statistics(self):
         cfg = make_config(gamma=10.0, T=0.05, eta=1.0, rounds=100_000, seed=99)
