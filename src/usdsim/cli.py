@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,52 +70,32 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 
-
-def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_SECTION_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section, keys in _SECTION_KEYS.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"config section '{section}' must be an object")
-            extra = set(raw[section]) - keys
-            if extra:
-                raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
-    # build domain objects for whatever is present so ranges fail at load
-    if "receiver" in raw:
-        receiver_config(raw)
-    if "multiplex" in raw:
-        multiplex_config(raw)
-    if "rng" in raw:
-        rng_stream(raw)
-    if "output" in raw:
-        fmt = raw["output"].get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
-        out = raw["output"].get("path", "out")
-        if not isinstance(out, str):
-            raise ConfigError(f"output path must be a string, got {out!r}")
-    return raw
+# keys a section may leave out; load_config supplies their defaults
+_OPTIONAL_KEYS = {"channel_transmission", "format", "path"}
 
 
-def _section(raw: dict, section: str, *required: str) -> dict:
-    """The config section, after checking that it has every required key."""
-    if section not in raw:
-        raise ConfigError(f"config is missing the '{section}' section")
-    for key in required:
-        if key not in raw[section]:
-            raise ConfigError(f"missing key '{key}' in '{section}'")
-    return raw[section]
+@dataclass(frozen=True)
+class Config:
+    """A loaded config file: each section present built once, by the library
+    constructor it feeds, and the raw JSON that run metadata hashes.
+
+    ``format`` serializes run records: 'json' or flat 'csv' rows; inherently
+    tabular artifacts (the simulate table, sweep grids) are CSV regardless.
+    """
+
+    raw: dict
+    receiver: ReceiverConfig | None
+    multiplex: MultiplexConfig | None
+    rng: RngStream | None
+    format: str
+    path: str
+
+    def require(self, section: str):
+        """The built section, or a config error naming the missing section."""
+        value = getattr(self, section)
+        if value is None:
+            raise ConfigError(f"config is missing the '{section}' section")
+        return value
 
 
 @contextmanager
@@ -135,57 +115,71 @@ def _amplitude(value, key: str) -> complex:
     return complex(_as_real(re, f"{key} real part"), _as_real(im, f"{key} imaginary part"))
 
 
-def receiver_config(raw: dict) -> ReceiverConfig:
-    sec = _section(raw, "receiver", "alpha1", "alpha2", "dim", "eta")
-    with _config_errors("receiver"):
-        return ReceiverConfig(
-            alpha1=_amplitude(sec["alpha1"], "alpha1"),
-            alpha2=_amplitude(sec["alpha2"], "alpha2"),
-            dim=sec["dim"],
-            eta=sec["eta"],
-        )
+def load_config(path: str | Path) -> Config:
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    unknown = set(raw) - set(_SECTION_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section, keys in _SECTION_KEYS.items():
+        if section in raw:
+            if not isinstance(raw[section], dict):
+                raise ConfigError(f"config section '{section}' must be an object")
+            extra = set(raw[section]) - keys
+            if extra:
+                raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
+            missing = sorted(keys - _OPTIONAL_KEYS - set(raw[section]))
+            if missing:
+                raise ConfigError(f"missing key '{missing[0]}' in '{section}'")
+
+    rng = receiver = multiplex = None
+    if "rng" in raw:
+        with _config_errors("rng"):
+            rng = RngStream(raw["rng"]["seed"])
+    if "receiver" in raw:
+        sec = raw["receiver"]
+        with _config_errors("receiver"):
+            receiver = ReceiverConfig(
+                alpha1=_amplitude(sec["alpha1"], "alpha1"),
+                alpha2=_amplitude(sec["alpha2"], "alpha2"),
+                dim=sec["dim"],
+                eta=sec["eta"],
+            )
+    if "multiplex" in raw:
+        sec = raw["multiplex"]
+        with _config_errors("multiplex"):
+            multiplex = MultiplexConfig(
+                gamma=_amplitude(sec["gamma"], "gamma"),
+                splitter_transmission=sec["T"],
+                eta=sec["eta"],
+                channel_transmission=sec.get("channel_transmission", 1.0),
+                rounds=sec["rounds"],
+                seed=rng.seed if rng is not None else 0,
+            )
+    output = raw.get("output", {})
+    fmt = output.get("format", "json")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
+    out = output.get("path", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"output path must be a string, got {out!r}")
+    return Config(raw, receiver, multiplex, rng, fmt, out)
 
 
-def multiplex_config(raw: dict) -> MultiplexConfig:
-    sec = _section(raw, "multiplex", "gamma", "T", "eta", "rounds")
-    seed = rng_stream(raw).seed if "rng" in raw else 0
-    with _config_errors("multiplex"):
-        return MultiplexConfig(
-            gamma=_amplitude(sec["gamma"], "gamma"),
-            splitter_transmission=sec["T"],
-            eta=sec["eta"],
-            channel_transmission=sec.get("channel_transmission", 1.0),
-            rounds=sec["rounds"],
-            seed=seed,
-        )
-
-
-def rng_stream(raw: dict) -> RngStream:
-    sec = _section(raw, "rng", "seed")
-    with _config_errors("rng"):
-        return RngStream(sec["seed"])
-
-
-def output_dir(raw: dict) -> Path:
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        path = Path(env)
-    else:
-        path = Path(raw.get("output", {}).get("path", "out"))
+def output_dir(config: Config) -> Path:
+    path = Path(os.environ.get(OUTPUT_DIR_ENV) or config.path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
-
-
-def record_format(raw: dict) -> str:
-    """Serialization of run records: 'json' (default) or flat 'csv' rows.
-
-    Inherently tabular artifacts (the simulate table, sweep grids) are CSV
-    regardless of this setting.
-    """
-    return raw.get("output", {}).get("format", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +290,9 @@ def result(name: str, value, source: str) -> dict:
 # commands
 
 def cmd_povm(args) -> int:
-    raw = load_config(args.config)
-    cfg = receiver_config(raw)
-    out = output_dir(raw)
+    config = load_config(args.config)
+    cfg = config.require("receiver")
+    out = output_dir(config)
     constructions = (
         ("analytic", "ancilla") if args.construction == "both" else (args.construction,)
     )
@@ -323,16 +317,16 @@ def cmd_povm(args) -> int:
                 dump_operator(path, cfg.dim, 1, povm[outcome].matrix)
     write_record(
         out / "povm",
-        {"metadata": run_metadata("povm", raw, None), "results": results},
-        record_format(raw),
+        {"metadata": run_metadata("povm", config.raw, None), "results": results},
+        config.format,
     )
     return 0
 
 
 def cmd_probs(args) -> int:
-    raw = load_config(args.config)
-    cfg = receiver_config(raw)
-    out = output_dir(raw)
+    config = load_config(args.config)
+    cfg = config.require("receiver")
+    out = output_dir(config)
     povm = povm_analytic(cfg)
     table = []
     for sent_name, sent in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
@@ -356,8 +350,8 @@ def cmd_probs(args) -> int:
     ]
     write_record(
         out / "probs",
-        {"metadata": run_metadata("probs", raw, None), "results": results, "table": table},
-        record_format(raw),
+        {"metadata": run_metadata("probs", config.raw, None), "results": results, "table": table},
+        config.format,
     )
     return 0
 
@@ -379,10 +373,10 @@ _SIMULATE_HEADER = [
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    raw = load_config(args.config)
-    cfg = receiver_config(raw)
-    rng = rng_stream(raw)
-    out = output_dir(raw)
+    config = load_config(args.config)
+    cfg = config.require("receiver")
+    rng = config.require("rng")
+    out = output_dir(config)
     n = args.trials
     sequence = [1] * n + [2] * n
     tallies = run_trials(cfg, sequence, rng)
@@ -423,18 +417,18 @@ def cmd_simulate(args) -> int:
     write_record(
         out / "simulate_run",
         {
-            "metadata": run_metadata("simulate", raw, rng.seed),
+            "metadata": run_metadata("simulate", config.raw, rng.seed),
             "results": [result("trials_per_state", n, "montecarlo")],
         },
-        record_format(raw),
+        config.format,
     )
     return 0
 
 
 def cmd_multiplex(args) -> int:
-    raw = load_config(args.config)
-    cfg = multiplex_config(raw)
-    out = output_dir(raw)
+    config = load_config(args.config)
+    cfg = config.require("multiplex")
+    out = output_dir(config)
     derived = derived_constants(cfg)
     report = run_protocol(cfg)
     balance = balance_check(cfg)
@@ -458,11 +452,11 @@ def cmd_multiplex(args) -> int:
     write_record(
         out / "multiplex",
         {
-            "metadata": run_metadata("multiplex", raw, cfg.seed),
+            "metadata": run_metadata("multiplex", config.raw, cfg.seed),
             "results": results,
             "counts": counts,
         },
-        record_format(raw),
+        config.format,
     )
     return 0
 
@@ -477,26 +471,25 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"--from must be smaller than --to, both finite, got {args.sweep_from}, {args.sweep_to}"
         )
-    raw = load_config(args.config)
-    out = output_dir(raw)
-    grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
+    mc = args.mc
+    if mc is not None and mc < 1:
+        raise ConfigError(f"--mc must be >= 1, got {mc}")
+    config = load_config(args.config)
     separation = args.param == "alpha_separation"
+    if separation:
+        base = config.require("receiver")
+        rng = config.require("rng") if mc is not None else None
+    else:
+        base = config.require("multiplex")
+        rounds = {} if mc is None else {"rounds": mc}
+        phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
+    out = output_dir(config)
+    grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     header = [args.param, "analytic_inconclusive", "analytic_quantum_bound"]
     if not separation:
         header.append("analytic_ratio")
-    mc = args.mc
     if mc is not None:
-        if mc < 1:
-            raise ConfigError(f"--mc must be >= 1, got {mc}")
         header += ["mc_inconclusive", "mc_conclusive"]
-
-    if separation:
-        base = receiver_config(raw)
-    else:
-        base = multiplex_config(raw)
-        if mc is not None:
-            base = replace(base, rounds=mc)
-        phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
     rows = []
     for i, value in enumerate(grid):
         rejected = _config_errors(f"sweep value {value!r} for {args.param}")
@@ -507,7 +500,7 @@ def cmd_sweep(args) -> int:
                 cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
             row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
             if mc is not None:
-                tallies = run_trials(cfg, [1] * mc + [2] * mc, rng_stream(raw).substream(i))
+                tallies = run_trials(cfg, [1] * mc + [2] * mc, rng.substream(i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
                 row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]
@@ -515,7 +508,7 @@ def cmd_sweep(args) -> int:
             point = float(value) * phase if args.param == "gamma_mag" else float(value)
             with rejected, warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cfg = replace(base, **{_SWEEP_FIELDS[args.param]: point})
+                cfg = replace(base, **rounds, **{_SWEEP_FIELDS[args.param]: point})
             row = [
                 _fmt(value),
                 _fmt(round_inconclusive_probability(cfg)),

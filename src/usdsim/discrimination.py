@@ -33,6 +33,7 @@ from .hilbert import (
     NumericalGuardError,
     TruncatedOperator,
     _as_amplitude,
+    _check_fock_range,
     beam_splitter_vacuum_columns,
     check_dim,
     check_efficiency,
@@ -164,18 +165,19 @@ class PovmSet:
 
 
 def _validate_povm(povm: PovmSet) -> PovmSet:
+    # each guard is written so that a NaN fails it
     herm = povm.max_hermiticity_defect()
-    if herm > STRUCTURAL_TOL:
+    if not herm <= STRUCTURAL_TOL:
         raise NumericalGuardError(
             f"hermiticity guard: POVM defect {herm:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
     residual = povm.completeness_residual()
-    if residual > STRUCTURAL_TOL:
+    if not residual <= STRUCTURAL_TOL:
         raise NumericalGuardError(
             f"completeness guard: residual {residual:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
     min_eig = povm.min_eigenvalue()
-    if min_eig < -EIGENVALUE_CLAMP:
+    if not min_eig >= -EIGENVALUE_CLAMP:
         raise NumericalGuardError(
             f"positivity guard: eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}"
         )
@@ -183,6 +185,7 @@ def _validate_povm(povm: PovmSet) -> PovmSet:
 
 
 def _check_adequacy(cfg: ReceiverConfig) -> None:
+    _check_fock_range(cfg.dim)
     for name, alpha in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
         achieved = coherent_state(alpha, cfg.dim).norm
         if achieved < ADEQUACY_MIN_NORM:
@@ -275,15 +278,15 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     live at once.  The reduction relies on W being an isometry: an isometry
     defect max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
     """
-    _check_adequacy(cfg)
     dim = cfg.dim
     if dim > MAX_ANCILLA_DIM:
         raise NumericalGuardError(
             f"two-mode workspace guard: dim={dim} exceeds the cap {MAX_ANCILLA_DIM}"
         )
+    _check_adequacy(cfg)
     w = beam_splitter_vacuum_columns(0.5, dim)
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dim))))
-    if defect > STRUCTURAL_TOL:
+    if not defect <= STRUCTURAL_TOL:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )

@@ -17,6 +17,7 @@ Conventions (fixed, do not change silently):
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "STRUCTURAL_TOL",
     "CROSS_ORACLE_TOL",
     "ADEQUACY_MIN_NORM",
+    "MAX_FOCK_DIM",
     "check_dim",
     "check_efficiency",
     "default_dim",
@@ -61,13 +63,21 @@ CROSS_ORACLE_TOL = 1e-8
 # inadequately resolved and rejected by the guarded constructors downstream.
 ADEQUACY_MIN_NORM = 1.0 - 1e-8
 
-# Cumulative products of sqrt(n!) switch to log space beyond this index so the
-# helper stays finite for any dim while small-n values remain exact products.
+# Cumulative products of sqrt(n!) switch to log space beyond this index so no
+# intermediate n! overflows while small-n values remain exact products.
 _LOG_FACTORIAL_SWITCH = 30
+
+# Largest truncation whose sqrt((dim-1)!) is a finite float, read off the float
+# range: the first d for which sqrt(d!) = exp(lgamma(d+1)/2) overflows (301 for
+# IEEE doubles).  Fock matrices carry sqrt(j!/k!), so none is built past it.
+MAX_FOCK_DIM = next(
+    d for d in itertools.count(2) if 0.5 * math.lgamma(d + 1) > math.log(np.finfo(float).max)
+)
 
 
 class NumericalGuardError(RuntimeError):
-    """A numerical guard tripped (truncation adequacy, workspace caps)."""
+    """A numerical guard tripped (Fock dimension, truncation adequacy,
+    workspace caps)."""
 
 
 def _as_integer(value, name: str) -> int:
@@ -128,8 +138,20 @@ def default_dim(*alphas: complex) -> int:
     return max(16, math.ceil(m * m + 8.0 * m + 12.0))
 
 
+def _check_fock_range(dim: int) -> None:
+    """Fock-dimension guard: sqrt(k!) must be a finite float for every level
+    k < dim, or NumericalGuardError is raised before anything dim-sized is
+    allocated."""
+    if dim > MAX_FOCK_DIM:
+        raise NumericalGuardError(
+            f"Fock dimension guard: dim={dim} exceeds {MAX_FOCK_DIM}, beyond which "
+            "sqrt((dim-1)!) overflows a float"
+        )
+
+
 def _sqrt_factorials(n: int) -> np.ndarray:
     """sqrt(k!) for k = 0..n-1; cumulative product, log space for large k."""
+    _check_fock_range(n)
     out = np.empty(n)
     acc = 1.0
     for k in range(min(n, _LOG_FACTORIAL_SWITCH)):

@@ -89,7 +89,7 @@ class MultiplexConfig:
                 f"splitter transmission T={t} exceeds {WEAK_SPLITTING_LIMIT}; "
                 "the scheme is designed for T << 1",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
 
     @property

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -46,13 +47,46 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def run_fresh(*argv):
-    """Run the CLI as a fresh process, so an escaping exception shows up as a
-    traceback and exit code 1."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this usdsim, so an escaping
+    exception shows up as a traceback and exit code 1."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "usdsim.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_fresh(*argv):
+    """Run the CLI as a fresh process."""
+    return run_python("-m", "usdsim.cli", *argv)
+
+
+def test_import_leaves_out_scipy_stats():
+    proc = run_python("-c", "import sys, usdsim.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+def test_each_command_builds_each_section_once(workspace, monkeypatch):
+    _, out, write = workspace
+    path = write(base_config(out))
+    builds = collections.Counter()
+    for name in ("ReceiverConfig", "MultiplexConfig", "RngStream"):
+
+        def counted(*args, _build=getattr(cli, name), _name=name, **kwargs):
+            builds[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2"]
+    for argv in (
+        ["povm", path, "--construction", "analytic"],
+        ["probs", path],
+        ["simulate", path, "--trials", "10"],
+        ["multiplex", path],
+        ["sweep", path, *separation, "--mc", "10"],
+    ):
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert builds == {"ReceiverConfig": 1, "MultiplexConfig": 1, "RngStream": 1}, argv
 
 
 class TestConfigLoading:
@@ -105,6 +139,21 @@ class TestConfigLoading:
         cfg = base_config(out, receiver={"alpha1": [4.0, 0.0], "alpha2": [-4.0, 0.0], "dim": 16})
         assert cli.main(["povm", write(cfg)]) == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_fock_dimension_guard_exits_3(self, workspace):
+        # 302 overflows sqrt((dim-1)!); 10**20 is past what numpy can allocate
+        _, out, write = workspace
+        for dim in (302, 10**20):
+            path = write(base_config(out, receiver={"dim": dim}))
+            for command, *options in (
+                ["probs"],
+                ["povm", "--construction", "analytic"],
+                ["povm", "--construction", "ancilla"],
+            ):
+                proc = run_fresh(command, path, *options)
+                assert proc.returncode == 3, (dim, command, options, proc.stderr)
+                assert "guard" in proc.stderr
+                assert "Traceback" not in proc.stderr
 
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["sweep", "config.json", "--param", "bogus", "--from", "0", "--to", "1", "--steps", "5"]) == 2
@@ -242,6 +291,14 @@ class TestMultiplexCommand:
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_weak_splitting_warning_is_printed_once(self, workspace):
+        _, out, write = workspace
+        cfg = base_config(out, multiplex={"T": 0.5, "rounds": 100})
+        proc = run_python("-W", "always", "-m", "usdsim.cli", "multiplex", write(cfg))
+        assert proc.returncode == 0
+        assert proc.stderr.count("exceeds 0.2") == 1
+        assert "<string>" not in proc.stderr
+
     def test_blind_detectors_leave_bit_error_rate_undefined(self, workspace):
         _, out, write = workspace
         cfg = base_config(out, multiplex={"eta": 0.0, "rounds": 500})
@@ -296,6 +353,12 @@ class TestSweepCommand:
     def test_single_step_exits_2(self, workspace):
         _, out, write = workspace
         assert cli.main(["sweep", write(base_config(out)), "--param", "eta", "--from", "0", "--to", "1", "--steps", "1"]) == 2
+
+    def test_bad_mc_leaves_no_output_directory(self, workspace):
+        _, out, write = workspace
+        argv = ["--param", "eta", "--from", "0", "--to", "1", "--steps", "3", "--mc", "0"]
+        assert cli.main(["sweep", write(base_config(out)), *argv]) == 2
+        assert not out.exists()
 
     def test_reversed_range_exits_2(self, workspace):
         _, out, write = workspace

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestAnalyticPovm:
         with pytest.raises(NumericalGuardError):
             povm_analytic(ReceiverConfig(3.5, -3.5, 16))
 
+    def test_fock_dimension_guard(self):
+        assert h.MAX_FOCK_DIM == 301  # sqrt(300!) ~ 1e307, sqrt(301!) overflows
+        povm_analytic(ReceiverConfig(1.0, -1.0, h.MAX_FOCK_DIM))
+        for dim in (h.MAX_FOCK_DIM + 1, 10**20):
+            # raised before anything dim-sized is allocated or overflows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalGuardError, match="Fock dimension guard"):
+                    povm_analytic(ReceiverConfig(1.0, -1.0, dim))
+
     def test_inconclusive_element_is_scaled_coherent_projector(self):
         # :Q1 Q2: = exp(-|a1-a2|^2/4) |mu><mu| with mu the midpoint
         a1, a2 = 1.0 + 0.3j, -0.8 + 0.1j
@@ -144,9 +155,10 @@ class TestAncillaPovm:
             assert np.max(np.abs(reduced.matrix - analytic[outcome].matrix)) <= 1e-8
 
     def test_workspace_guard(self):
-        cfg = ReceiverConfig(0.5, -0.5, 66)
-        with pytest.raises(NumericalGuardError):
-            povm_ancilla(cfg)
+        # checked before the adequacy guard allocates anything dim-sized
+        for dim in (66, 10**20):
+            with pytest.raises(NumericalGuardError, match="two-mode workspace guard"):
+                povm_ancilla(ReceiverConfig(0.5, -0.5, dim))
 
     def test_isometry_guard(self, monkeypatch):
         def leaky_columns(t, dim):

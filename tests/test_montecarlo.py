@@ -169,6 +169,23 @@ class TestGoodnessOfFit:
             tallies = run_trials(cfg, [1] * n, RngStream(1000 + seed))
             assert chi_square_pvalue(tallies[1], dist) > 1e-3
 
+    def test_matches_scipy_chisquare_exactly(self):
+        from scipy import stats
+
+        gen = np.random.default_rng(7)
+        for live in (4, 3, 2, 1):
+            for _ in range(25):
+                probs = np.zeros(4)
+                probs[:live] = gen.dirichlet(np.ones(live))
+                counts = np.zeros(4, dtype=int)
+                counts[:live] = gen.multinomial(int(gen.integers(1, 5000)), probs[:live])
+                tally = TrialTally(dict(zip(OUTCOME_ORDER, counts.tolist())), int(counts.sum()))
+                kept = clean_distribution(probs)
+                mask = kept > 0.0
+                expected = stats.chisquare(counts[mask], kept[mask] * tally.n_trials).pvalue
+                # one live category leaves no degree of freedom: NaN on both sides
+                np.testing.assert_array_equal(chi_square_pvalue(tally, probs), expected)
+
     def test_forbidden_category_yields_zero(self):
         t = TrialTally(dict(zip(OUTCOME_ORDER, (10, 10, 1, 0))), 21)
         assert chi_square_pvalue(t, [0.5, 0.5, 0.0, 0.0]) == 0.0

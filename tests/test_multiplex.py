@@ -90,7 +90,9 @@ class TestConfig:
             warnings.simplefilter("always")
             cfg = make_config(T=0.3)
         assert cfg.outside_weak_splitting_regime
-        assert any("T=0.3" in str(w.message) for w in caught)
+        [warning] = caught
+        assert "T=0.3" in str(warning.message)
+        assert warning.filename == __file__  # the caller, not the dataclass __init__
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cfg = make_config(T=0.2)
