@@ -25,19 +25,13 @@ from .hilbert import (
     NumericalGuardError,
     TruncatedOperator,
     TruncatedState,
-    beam_splitter_unitary,
     coherent_state,
-    default_dim,
-    displacement_operator,
     expectation,
     normally_ordered_exponential,
     normally_ordered_gaussian,
     overlap,
-    tensor,
-    vacuum_expectation,
-    vacuum_state,
 )
-from .montecarlo import RngStream, TrialTally, run_trials, sample_outcome
+from .montecarlo import RngStream, TrialTally, run_trials
 from .multiplex import (
     BalanceReport,
     DetectorAmplitudes,

@@ -270,9 +270,9 @@ def write_record(base: Path, record: dict, fmt: str) -> Path:
     return path
 
 
-def dump_operator(path: Path, dim: int, modes: int, matrix: np.ndarray) -> None:
-    """Dense matrix text dump: 'dim m modes k' then row-major 're im' pairs."""
-    lines = [f"dim {dim} modes {modes}"]
+def dump_operator(path: Path, dim: int, matrix: np.ndarray) -> None:
+    """Dense matrix text dump: 'dim m modes 1' then row-major 're im' pairs."""
+    lines = [f"dim {dim} modes 1"]
     for row in matrix:
         pairs = []
         for z in row:
@@ -314,7 +314,7 @@ def cmd_povm(args) -> int:
         for tag, povm in built.items():
             for outcome in OUTCOME_ORDER:
                 path = out / f"povm_{tag}_{outcome.label}.txt"
-                dump_operator(path, cfg.dim, 1, povm[outcome].matrix)
+                dump_operator(path, cfg.dim, povm[outcome].matrix)
     write_record(
         out / "povm",
         {"metadata": run_metadata("povm", config.raw, None), "results": results},
@@ -446,7 +446,7 @@ def cmd_multiplex(args) -> int:
         result("bit_error_rate", report.bit_error_rate, "multiplex"),
         result("inconclusive_rate_empirical", report.inconclusive_rate_empirical, "multiplex"),
         result("anomalous_count", report.anomalous_count, "multiplex"),
-        result("sifted_bits", int(report.sifted_positions.size), "multiplex"),
+        result("sifted_bits", report.sifted_count, "multiplex"),
     ]
     counts = {o.label: report.counts[o] for o in OUTCOME_ORDER}
     write_record(
@@ -500,7 +500,7 @@ def cmd_sweep(args) -> int:
                 cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
             row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
             if mc is not None:
-                tallies = run_trials(cfg, [1] * mc + [2] * mc, rng.substream(i))
+                tallies = run_trials(cfg, [1] * mc + [2] * mc, RngStream(rng.seed, i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
                 row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]
@@ -516,7 +516,7 @@ def cmd_sweep(args) -> int:
                 _fmt(inconclusive_bound_ratio(cfg)),
             ]
             if mc is not None:
-                report = run_protocol(cfg, rng=RngStream(cfg.seed, stream_id=i))
+                report = run_protocol(cfg, rng=RngStream(cfg.seed, i))
                 row += [_fmt(report.inconclusive_rate_empirical), _fmt(report.sifted_key_rate)]
         rows.append(row)
     write_csv(out / "sweep.csv", header, rows)

@@ -43,7 +43,6 @@ from .hilbert import (
     normally_ordered_exponential,
     normally_ordered_gaussian,
     overlap,
-    tensor,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,10 +80,6 @@ class Outcome(Enum):
     @property
     def d2(self) -> int:
         return self.value[1]
-
-    @staticmethod
-    def classify(d1: int, d2: int) -> "Outcome":
-        return Outcome((int(d1), int(d2)))
 
     @property
     def label(self) -> str:
@@ -232,35 +227,6 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     return _validate_povm(PovmSet(elements, "analytic", dim))
 
 
-def _projection_factors(
-    cfg: ReceiverConfig,
-) -> dict[Outcome, tuple[TruncatedOperator, TruncatedOperator]]:
-    """Single-mode (mode 1, mode 2) factors of each two-mode projection."""
-    dim = cfg.dim
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
-    eye = identity(dim)
-    return {
-        Outcome.INCONCLUSIVE: (p1, p2),
-        Outcome.CONCLUSIVE_1: (p1, eye - p2),
-        Outcome.CONCLUSIVE_2: (eye - p1, p2),
-        Outcome.ANOMALOUS: (eye - p1, eye - p2),
-    }
-
-
-def ancilla_projections(cfg: ReceiverConfig) -> dict[Outcome, TruncatedOperator]:
-    """The four two-mode projections measured behind the beam splitter.
-
-    Mode 1 carries the first output (displaced detection at beta1), mode 2
-    the second.  The four products of |beta_i><beta_i| and their complements
-    form a complete projective measurement on the two-mode space.
-    """
-    return {
-        outcome: tensor(left, right)
-        for outcome, (left, right) in _projection_factors(cfg).items()
-    }
-
-
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     """Brute-force POVM through the explicit two-mode ancilla construction.
 
@@ -272,11 +238,13 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
 
     Only the vacuum-port columns W = U|n,0> enter the reduction, so they are
     built directly on every call (no cache, no full unitary) and the
-    conjugation is evaluated as W^dag B W; the tests check this against the
-    literal conjugate-then-reduce path.  The projections B are built one at a
-    time, so a single dense dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is
-    live at once.  The reduction relies on W being an isometry: an isometry
-    defect max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
+    conjugation is evaluated as W^dag B W; the literal conjugate-then-reduce
+    path lives in tests/oracles.py, and the tests check this against it.  Mode
+    1 carries the first output (displaced detection at beta1), mode 2 the
+    second.  The projections B are built one at a time, so a single dense
+    dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is live at once.  The
+    reduction relies on W being an isometry: an isometry defect
+    max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
     """
     dim = cfg.dim
     if dim > MAX_ANCILLA_DIM:
@@ -290,10 +258,19 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
+    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
+    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
+    eye = identity(dim)
+    factors = {
+        Outcome.INCONCLUSIVE: (p1, p2),
+        Outcome.CONCLUSIVE_1: (p1, eye - p2),
+        Outcome.CONCLUSIVE_2: (eye - p1, p2),
+        Outcome.ANOMALOUS: (eye - p1, eye - p2),
+    }
     elements = {}
-    for outcome, (left, right) in _projection_factors(cfg).items():
-        reduced = w.conj().T @ tensor(left, right).matrix @ w
-        elements[outcome] = TruncatedOperator(dim, 1, reduced)
+    for outcome, (left, right) in factors.items():
+        reduced = w.conj().T @ np.kron(left.matrix, right.matrix) @ w
+        elements[outcome] = TruncatedOperator(dim, reduced)
     return _validate_povm(PovmSet(elements, "ancilla", dim))
 
 

@@ -1,18 +1,16 @@
 """Truncated Fock-space linear algebra for weak coherent light.
 
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
-or two optical modes.  The module provides the handful of objects the receiver
-simulation needs: coherent states, displacement operators, beam-splitter
-unitaries and their vacuum-port columns, normally ordered Gaussian operators,
-tensor products, and partial vacuum expectations.
+optical mode.  The module provides the handful of objects the receiver
+simulation needs: coherent states, normally ordered Gaussian operators, and
+the vacuum-port columns of a beam splitter, the one two-mode object.
 
 Conventions (fixed, do not change silently):
   * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest;
   * beam splitter with power transmission t maps annihilation operators as
         b1 =  sqrt(t)   a + sqrt(1-t) v
         b2 =  sqrt(1-t) a - sqrt(t)   v
-    (real orthogonal, no reflection phases);
-  * displacement D(alpha) = exp(alpha a^dag - conj(alpha) a).
+    (real orthogonal, no reflection phases).
 """
 
 from __future__ import annotations
@@ -26,33 +24,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
-
-__all__ = [
-    "NumericalGuardError",
-    "TruncatedState",
-    "TruncatedOperator",
-    "CoherentResult",
-    "STRUCTURAL_TOL",
-    "CROSS_ORACLE_TOL",
-    "ADEQUACY_MIN_NORM",
-    "MAX_FOCK_DIM",
-    "check_dim",
-    "check_efficiency",
-    "default_dim",
-    "annihilation",
-    "identity",
-    "vacuum_state",
-    "coherent_state",
-    "displacement_operator",
-    "beam_splitter_unitary",
-    "beam_splitter_vacuum_columns",
-    "normally_ordered_gaussian",
-    "normally_ordered_exponential",
-    "tensor",
-    "vacuum_expectation",
-    "expectation",
-    "overlap",
-]
 
 # Structural identities (hermiticity, completeness) must hold to this level;
 # agreement between independent constructions gets one extra decade of slack.
@@ -126,18 +97,6 @@ def _as_amplitude(alpha: complex) -> complex:
     return alpha
 
 
-def default_dim(*alphas: complex) -> int:
-    """Truncation size keeping coherent-state norm loss below ~1e-10.
-
-    Uses dim = max(16, ceil(|a|^2 + 8|a| + 12)) for the largest amplitude in
-    play; generous Poisson-tail headroom for |a| <= 2 at desk-scale cost.
-    """
-    if not alphas:
-        return 16
-    m = max(abs(_as_amplitude(a)) for a in alphas)
-    return max(16, math.ceil(m * m + 8.0 * m + 12.0))
-
-
 def _check_fock_range(dim: int) -> None:
     """Fock-dimension guard: sqrt(k!) must be a finite float for every level
     k < dim, or NumericalGuardError is raised before anything dim-sized is
@@ -166,22 +125,16 @@ def _sqrt_factorials(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedState:
-    """Complex amplitude vector over the truncated Fock basis of 1 or 2 modes."""
+    """Complex amplitude vector over the truncated Fock basis of one mode."""
 
     dim: int
-    modes: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         check_dim(self.dim)
-        if self.modes not in (1, 2):
-            raise ValueError(f"modes must be 1 or 2, got {self.modes}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != self.dim**self.modes:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, "
-                f"expected dim^modes = {self.dim**self.modes}"
-            )
+        if amps.size != self.dim:
+            raise ValueError(f"amplitude vector has length {amps.size}, expected dim = {self.dim}")
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
@@ -190,69 +143,39 @@ class TruncatedState:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Complex matrix on a truncated 1- or 2-mode Fock space.
-
-    ``unitary_defect`` is filled in by the unitary constructors with the
-    measured max-norm of U^dag U - I so callers can see the truncation leak.
-    """
+    """Complex matrix on the truncated Fock space of one mode."""
 
     dim: int
-    modes: int
     matrix: np.ndarray
-    unitary_defect: float | None = None
 
     def __post_init__(self):
         check_dim(self.dim)
-        if self.modes not in (1, 2):
-            raise ValueError(f"modes must be 1 or 2, got {self.modes}")
-        n = self.dim**self.modes
         mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
+        if mat.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix has shape {mat.shape}, expected ({self.dim}, {self.dim})")
         object.__setattr__(self, "matrix", mat)
 
     def _check_compatible(self, other: "TruncatedOperator | TruncatedState"):
-        if self.dim != other.dim or self.modes != other.modes:
-            raise ValueError(
-                f"dimension mismatch: (dim={self.dim}, modes={self.modes}) vs "
-                f"(dim={other.dim}, modes={other.modes})"
-            )
-
-    def dag(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.modes, self.matrix.conj().T)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def is_hermitian(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            self._check_compatible(other)
-            return TruncatedOperator(self.dim, self.modes, self.matrix @ other.matrix)
-        if isinstance(other, TruncatedState):
-            self._check_compatible(other)
-            return TruncatedState(self.dim, self.modes, self.matrix @ other.amplitudes)
-        return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedOperator(self.dim, self.modes, self.matrix + other.matrix)
+        return TruncatedOperator(self.dim, self.matrix + other.matrix)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedOperator(self.dim, self.modes, self.matrix - other.matrix)
-
-    def __rmul__(self, scalar):
-        return TruncatedOperator(self.dim, self.modes, complex(scalar) * self.matrix)
+        return TruncatedOperator(self.dim, self.matrix - other.matrix)
 
 
 class CoherentResult(NamedTuple):
@@ -262,25 +185,9 @@ class CoherentResult(NamedTuple):
     norm: float
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator: a|n> = sqrt(n)|n-1>."""
+def identity(dim: int) -> TruncatedOperator:
     check_dim(dim)
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
-def identity(dim: int, modes: int = 1) -> TruncatedOperator:
-    check_dim(dim)
-    return TruncatedOperator(dim, modes, np.eye(dim**modes, dtype=np.complex128))
-
-
-def vacuum_state(dim: int, modes: int = 1) -> TruncatedState:
-    check_dim(dim)
-    amps = np.zeros(dim**modes, dtype=np.complex128)
-    amps[0] = 1.0
-    return TruncatedState(dim, modes, amps)
+    return TruncatedOperator(dim, np.eye(dim, dtype=np.complex128))
 
 
 def coherent_state(alpha: complex, dim: int) -> CoherentResult:
@@ -292,28 +199,13 @@ def coherent_state(alpha: complex, dim: int) -> CoherentResult:
     """
     alpha = _as_amplitude(alpha)
     check_dim(dim)
+    _check_fock_range(dim)
     amps = np.empty(dim, dtype=np.complex128)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    state = TruncatedState(dim, 1, amps)
+    state = TruncatedState(dim, amps)
     return CoherentResult(state, state.norm())
-
-
-def displacement_operator(alpha: complex, dim: int) -> TruncatedOperator:
-    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space.
-
-    Built by dense matrix exponential of the tridiagonal generator; the
-    resulting truncation leak max|U^dag U - I| is measured and attached to the
-    returned operator rather than hidden.
-    """
-    alpha = _as_amplitude(alpha)
-    check_dim(dim)
-    a = annihilation(dim)
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    mat = expm(gen)
-    defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-    return TruncatedOperator(dim, 1, mat, unitary_defect=defect)
 
 
 def _mixing_angle(power_transmission: float) -> float:
@@ -351,41 +243,14 @@ def _sector_block(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.nd
     return idx, eblock
 
 
-def beam_splitter_unitary(power_transmission: float, dim: int) -> TruncatedOperator:
-    """Two-mode beam-splitter unitary for the fixed real orthogonal convention.
-
-    Heisenberg action: b1 = sqrt(t) a + sqrt(1-t) v,  b2 = sqrt(1-t) a - sqrt(t) v.
-    Equivalently, coherent amplitudes transform by the same 2x2 matrix, so the
-    50:50 case sends |alpha> (x) |0> to |alpha/sqrt2> (x) |alpha/sqrt2>.
-
-    The generator theta*(a^dag v - a v^dag) conserves total photon number, so
-    it is exponentiated sector by sector (cheap), then composed with the
-    parity phase (-1)^(n_v) that supplies the sign of the second output row.
-    Up to that phase and a permutation the unitary is block diagonal, so the
-    max-norm of U^dag U - I is the largest E^T E - I over the sector blocks E.
-    """
-    theta = _mixing_angle(power_transmission)
-    check_dim(dim)
-
-    n = dim * dim
-    u = np.zeros((n, n))
-    defect = 0.0
-    for total in range(2 * dim - 1):
-        idx, eblock = _sector_block(theta, total, dim)
-        u[np.ix_(idx, idx)] = eblock
-        defect = max(defect, float(np.max(np.abs(eblock.T @ eblock - np.eye(idx.size)))))
-
-    mat = (_port_parity(dim)[:, None] * u).astype(np.complex128)
-    return TruncatedOperator(dim, 2, mat, unitary_defect=defect)
-
-
 def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndarray:
     """Columns U|n, 0>, n = 0..dim-1, of the beam splitter: a dim^2 x dim isometry.
 
     |n, 0> is the last state of photon-number sector n, so column n is the last
     column of that sector's block and sectors with total >= dim are never
-    built.  The result equals ``beam_splitter_unitary(t, dim).matrix[:, ::dim]``
-    bit for bit.
+    built.  The generator theta*(a^dag v - a v^dag), cos^2(theta) = t,
+    conserves total photon number, so it is exponentiated sector by sector;
+    the parity phase (-1)^(n_v) supplies the sign of the second output row.
     """
     theta = _mixing_angle(power_transmission)
     check_dim(dim)
@@ -440,7 +305,7 @@ def normally_ordered_exponential(
     right = _exp_creation(ca, dim).T
     diag = np.power(1.0 + cq, np.arange(dim))
     mat = np.exp(c0) * ((left * diag[None, :]) @ right)
-    return TruncatedOperator(dim, 1, mat)
+    return TruncatedOperator(dim, mat)
 
 
 def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> TruncatedOperator:
@@ -452,7 +317,7 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> Truncat
     |alpha><alpha|.  The operator also equals D(alpha) (1-kappa)^n D(alpha)^dag
     with (1-kappa)^n diagonal in photon number; that displaced-diagonal form
     leaks near the top of a truncated basis, so it serves as an independent
-    test oracle rather than as the construction.
+    test oracle (tests/oracles.py) rather than as the construction.
     """
     kappa = _as_real(kappa, "kappa")
     if not 0.0 < kappa <= 1.0:
@@ -468,46 +333,6 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> Truncat
     )
 
 
-def tensor(a, b):
-    """Kronecker composite of two single-mode objects of the same kind.
-
-    Mode ordering: the first factor is mode 1 and its index varies slowest,
-    i.e. the composite basis index is n1 * dim + n2.
-    """
-    if isinstance(a, TruncatedState) and isinstance(b, TruncatedState):
-        if a.dim != b.dim:
-            raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-        if a.modes != 1 or b.modes != 1:
-            raise ValueError("tensor requires single-mode factors")
-        return TruncatedState(a.dim, 2, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, TruncatedOperator) and isinstance(b, TruncatedOperator):
-        if a.dim != b.dim:
-            raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-        if a.modes != 1 or b.modes != 1:
-            raise ValueError("tensor requires single-mode factors")
-        return TruncatedOperator(a.dim, 2, np.kron(a.matrix, b.matrix))
-    raise ValueError("tensor requires two states or two operators")
-
-
-def vacuum_expectation(op: TruncatedOperator, vacuum_mode: int) -> TruncatedOperator:
-    """Partial vacuum expectation <m, 0| op |n, 0> over the designated mode.
-
-    ``vacuum_mode`` names the slot (1 or 2) in which the vacuum is fixed; the
-    result is a single-mode operator on the remaining slot.
-    """
-    if op.modes != 2:
-        raise ValueError("vacuum_expectation requires a two-mode operator")
-    if vacuum_mode not in (1, 2):
-        raise ValueError(f"mode index must be 1 or 2, got {vacuum_mode}")
-    d = op.dim
-    blocks = op.matrix.reshape(d, d, d, d)
-    if vacuum_mode == 2:
-        reduced = blocks[:, 0, :, 0]
-    else:
-        reduced = blocks[0, :, 0, :]
-    return TruncatedOperator(d, 1, reduced.copy())
-
-
 def expectation(op: TruncatedOperator, state: TruncatedState) -> complex:
     """<state| op |state> without normalizing the state."""
     op._check_compatible(state)
@@ -516,9 +341,6 @@ def expectation(op: TruncatedOperator, state: TruncatedState) -> complex:
 
 def overlap(a: TruncatedState, b: TruncatedState) -> complex:
     """Inner product <a|b> of two truncated states."""
-    if a.dim != b.dim or a.modes != b.modes:
-        raise ValueError(
-            f"dimension mismatch: (dim={a.dim}, modes={a.modes}) vs "
-            f"(dim={b.dim}, modes={b.modes})"
-        )
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))

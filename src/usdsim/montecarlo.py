@@ -1,12 +1,11 @@
 """Seeded sampling of detector outcomes and tally statistics.
 
 Outcomes are drawn by inverse CDF over the fixed ordering (00, 01, 10, 11).
-Every draw in the package, ``sample_outcome``, ``run_trials`` and
-``multiplex.run_protocol`` alike, goes through the one sampler
-``_draw_indices``, one uniform per draw.  Probability mass below
-``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized before
-sampling, so outcomes the model forbids (the exact zeros of the ideal
-receiver) never appear as roundoff dust in a tally.
+Every draw in the package, ``run_trials`` and ``multiplex.run_protocol``
+alike, goes through the one sampler ``_draw_indices``, one uniform per draw.
+Probability mass below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution
+renormalized before sampling, so outcomes the model forbids (the exact zeros
+of the ideal receiver) never appear as roundoff dust in a tally.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .discrimination import (
     OUTCOME_ORDER,
@@ -38,7 +36,7 @@ _DISTRIBUTION_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible, splittable random stream.
+    """Reproducible random stream, one of many keyed by a shared seed.
 
     Identical (seed, stream_id) pairs reproduce identical draws bit for bit;
     distinct stream_ids key statistically independent Philox streams.
@@ -55,9 +53,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + int(offset))
 
 
 @dataclass(frozen=True)
@@ -137,18 +132,6 @@ def _outcome_counts(idx: np.ndarray) -> dict[Outcome, int]:
     return {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)}
 
 
-def sample_outcome(dist, rng: "np.random.Generator | RngStream") -> Outcome:
-    """Draw one outcome by inverse CDF over the fixed ordering.
-
-    ``rng`` is normally a live generator; passing an RngStream draws from a
-    fresh generator at that stream's initial state (a one-shot draw).
-    """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    idx = _draw_indices({0: dist}, np.zeros(1, dtype=int), rng.random(1))
-    return OUTCOME_ORDER[idx[0]]
-
-
 def run_trials(
     cfg: ReceiverConfig,
     sent_sequence: Sequence[int] | Iterable[int],
@@ -184,22 +167,3 @@ def three_sigma_band(p: float, n: int) -> tuple[float, float]:
     """Binomial 3-sigma band around expected frequency p for n trials."""
     sigma = np.sqrt(max(p * (1.0 - p), 0.0) / n)
     return (p - 3.0 * sigma, p + 3.0 * sigma)
-
-
-def chi_square_pvalue(tally: TrialTally, dist) -> float:
-    """Goodness-of-fit p-value of a tally against an expected distribution.
-
-    Pearson's statistic sum((observed - expected)^2 / expected) over the live
-    categories, with the chi-square tail at (live - 1) degrees of freedom; a
-    single live category leaves no degree of freedom and yields NaN.
-    Categories the model forbids (zero expected mass) are excluded from the
-    statistic; any observed count there is a model violation and yields 0.
-    """
-    probs = clean_distribution(dist)
-    observed = np.array([tally.counts[o] for o in OUTCOME_ORDER])
-    live = probs > 0.0
-    if np.any(observed[~live] > 0):
-        return 0.0
-    expected = probs[live] * tally.n_trials
-    statistic = np.sum((observed[live] - expected) ** 2 / expected)
-    return float(chdtrc(np.count_nonzero(live) - 1, statistic))

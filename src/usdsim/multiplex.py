@@ -156,11 +156,7 @@ class DetectorAmplitudes:
     amp_d2: complex
 
 
-def propagate_bob(
-    pulses: PulsePair,
-    cfg: MultiplexConfig,
-    tau: float | None = None,
-) -> DetectorAmplitudes:
+def propagate_bob(pulses: PulsePair, cfg: MultiplexConfig) -> DetectorAmplitudes:
     """Exact in-window detector amplitudes for one emitted round.
 
     Both pulses ride the same fiber, so channel loss scales both by
@@ -170,9 +166,7 @@ def propagate_bob(
     so amp_d2 is exactly zero.
     """
     t = cfg.splitter_transmission
-    tau = cfg.bob_bs_transmission if tau is None else _as_real(tau, "tap transmission")
-    if not 0.0 < tau <= 1.0:  # 1/(2-T) rounds to 1 for T within an ulp of 1
-        raise ValueError(f"tap transmission must lie in (0, 1], got {tau}")
+    tau = cfg.bob_bs_transmission
     root_c = math.sqrt(cfg.channel_transmission)
     signal = pulses.signal_amplitude * root_c
     bit1_signal = t * cfg.gamma * root_c  # what the signal would be for bit 1
@@ -198,7 +192,6 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
 class BalanceReport:
     """Click-power balance of the two conclusive events."""
 
-    tau: float
     d1_mean_photons_bit1: float
     d2_mean_photons_bit0: float
 
@@ -207,16 +200,12 @@ class BalanceReport:
         return self.d1_mean_photons_bit1 - self.d2_mean_photons_bit0
 
 
-def balance_check(cfg: MultiplexConfig, tau: float | None = None) -> BalanceReport:
-    """Compare the detected mean photon numbers of the two conclusive events.
-
-    At the derived tap transmission tau = 1/(2-T) the two are equal; any
-    overridden tau reports its imbalance.
-    """
-    amps1 = propagate_bob(alice_emit(1, cfg), cfg, tau=tau)
-    amps0 = propagate_bob(alice_emit(0, cfg), cfg, tau=tau)
+def balance_check(cfg: MultiplexConfig) -> BalanceReport:
+    """Compare the detected mean photon numbers of the two conclusive events;
+    at the derived tap transmission tau = 1/(2-T) the two are equal."""
+    amps1 = propagate_bob(alice_emit(1, cfg), cfg)
+    amps0 = propagate_bob(alice_emit(0, cfg), cfg)
     return BalanceReport(
-        tau=cfg.bob_bs_transmission if tau is None else float(tau),
         d1_mean_photons_bit1=abs(amps1.amp_d1) ** 2,
         d2_mean_photons_bit0=abs(amps0.amp_d2) ** 2,
     )
@@ -249,57 +238,26 @@ def inconclusive_bound_ratio(cfg: MultiplexConfig) -> float:
     return math.exp(exponent) if exponent < _EXP_OVERFLOW else math.inf
 
 
-def _out_of_window_amplitudes(bit: int, cfg: MultiplexConfig) -> dict[str, complex]:
-    """Amplitudes of the discarded (mistimed) pulses at the detectors.
-
-    The early signal can cross Bob's short arm to D2, and the late reference
-    can cross his long arm to both detectors; timing discipline keeps these
-    out of the measurement window.
-    """
-    t = cfg.splitter_transmission
-    tau = cfg.bob_bs_transmission
-    root_c = math.sqrt(cfg.channel_transmission)
-    pulses = alice_emit(bit, cfg)
-    signal = pulses.signal_amplitude * root_c
-    aux = pulses.auxiliary_amplitude * root_c
-    attenuator = -math.sqrt(tau)  # fixed ratio of Bob's short arm
-    return {
-        "d2_early": signal * math.sqrt(t) * attenuator * math.sqrt(t),
-        "d1_late": aux * math.sqrt(1.0 - t) * math.sqrt(1.0 - tau),
-        "d2_late": aux * math.sqrt(1.0 - t) * math.sqrt(tau) * math.sqrt(1.0 - t),
-    }
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KeyReport:
     """Result of a full protocol run."""
 
     rounds: int
-    sent_bits: np.ndarray
-    sifted_positions: np.ndarray
-    sifted_bits: np.ndarray  # Bob's conclusive bits, aligned with positions
+    sifted_count: int  # conclusive rounds, each giving Bob one key bit
     sifted_key_rate: float
     bit_error_rate: float | None  # None when nothing was sifted
     inconclusive_rate_empirical: float
     anomalous_count: int
     counts: dict[Outcome, int]
-    out_of_window_clicks: dict[str, int] | None = None
 
 
-def run_protocol(
-    cfg: MultiplexConfig,
-    rng: RngStream | None = None,
-    out_of_window_diagnostics: bool = False,
-) -> KeyReport:
+def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyReport:
     """Run the whole protocol: emit, propagate, detect, classify, sift.
 
     A D1 click reads bit 1, a D2 click bit 0; no clicks is inconclusive and
     double clicks are anomalous, counted and excluded.  Under the ideal model
     one detector amplitude is exactly zero every round, so the sifted key is
     error free and no anomalous events occur.
-
-    Diagnostics of the mistimed (out-of-window) clicks are sampled from a
-    separate substream so they never perturb the main outcome sequence.
     """
     if rng is None:
         rng = RngStream(cfg.seed)
@@ -313,37 +271,18 @@ def run_protocol(
     }
     idx = _draw_indices(dists, bits, u)
 
-    conclusive_1 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)  # D2: bit 0
-    conclusive_2 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_2)  # D1: bit 1
-    sifted_mask = conclusive_1 | conclusive_2
-    sifted_positions = np.flatnonzero(sifted_mask)
-    bob_bits = np.where(conclusive_2[sifted_mask], 1, 0)
-    n_sifted = sifted_positions.size
-    errors = int(np.count_nonzero(bob_bits != bits[sifted_positions]))
-
     counts = _outcome_counts(idx)
-
-    out_of_window = None
-    if out_of_window_diagnostics:
-        diag_gen = rng.substream(1).generator()
-        out_of_window = {name: 0 for name in ("d2_early", "d1_late", "d2_late")}
-        amps = {bit: _out_of_window_amplitudes(bit, cfg) for bit in (0, 1)}
-        draws = diag_gen.random((cfg.rounds, 3))
-        for j, name in enumerate(("d2_early", "d1_late", "d2_late")):
-            p = np.array(
-                [1.0 - math.exp(-cfg.eta * abs(amps[b][name]) ** 2) for b in (0, 1)]
-            )
-            out_of_window[name] = int(np.count_nonzero(draws[:, j] < p[bits]))
+    n_sifted = counts[Outcome.CONCLUSIVE_1] + counts[Outcome.CONCLUSIVE_2]
+    read_0 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)
+    read_1 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_2)
+    errors = int(np.count_nonzero(read_0 & (bits == 1)) + np.count_nonzero(read_1 & (bits == 0)))
 
     return KeyReport(
         rounds=cfg.rounds,
-        sent_bits=bits,
-        sifted_positions=sifted_positions,
-        sifted_bits=bob_bits,
+        sifted_count=n_sifted,
         sifted_key_rate=n_sifted / cfg.rounds,
         bit_error_rate=errors / n_sifted if n_sifted else None,
         inconclusive_rate_empirical=counts[Outcome.INCONCLUSIVE] / cfg.rounds,
         anomalous_count=counts[Outcome.ANOMALOUS],
         counts=counts,
-        out_of_window_clicks=out_of_window,
     )

@@ -77,16 +77,17 @@ def test_each_command_builds_each_section_once(workspace, monkeypatch):
 
         monkeypatch.setattr(cli, name, counted)
     separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2"]
-    for argv in (
-        ["povm", path, "--construction", "analytic"],
-        ["probs", path],
-        ["simulate", path, "--trials", "10"],
-        ["multiplex", path],
-        ["sweep", path, *separation, "--mc", "10"],
+    for argv, streams in (
+        (["povm", path, "--construction", "analytic"], 1),
+        (["probs", path], 1),
+        (["simulate", path, "--trials", "10"], 1),
+        (["multiplex", path], 1),
+        # the rng section, then one Monte Carlo stream per grid point
+        (["sweep", path, *separation, "--mc", "10"], 3),
     ):
         builds.clear()
         assert cli.main(argv) == 0
-        assert builds == {"ReceiverConfig": 1, "MultiplexConfig": 1, "RngStream": 1}, argv
+        assert builds == {"ReceiverConfig": 1, "MultiplexConfig": 1, "RngStream": streams}, argv
 
 
 class TestConfigLoading:

@@ -12,6 +12,7 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import default_dim
 
 from usdsim.discrimination import (
     OUTCOME_ORDER,
@@ -20,7 +21,7 @@ from usdsim.discrimination import (
     outcome_probabilities,
     povm_analytic,
 )
-from usdsim.hilbert import CROSS_ORACLE_TOL, default_dim
+from usdsim.hilbert import CROSS_ORACLE_TOL
 from usdsim.multiplex import DetectorAmplitudes, click_probabilities
 
 amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from usdsim import discrimination
@@ -10,7 +11,6 @@ from usdsim.discrimination import (
     OUTCOME_ORDER,
     Outcome,
     ReceiverConfig,
-    ancilla_projections,
     closed_form_probabilities,
     inconclusive_rate,
     optimality_check,
@@ -67,10 +67,11 @@ class TestReceiverConfig:
             ReceiverConfig(1e200, -1.0, 16)  # |alpha|^2 overflows
 
     def test_outcome_classification(self):
-        assert Outcome.classify(0, 1) is Outcome.CONCLUSIVE_1
-        assert Outcome.classify(1, 0) is Outcome.CONCLUSIVE_2
-        assert Outcome.classify(0, 0) is Outcome.INCONCLUSIVE
-        assert Outcome.classify(1, 1) is Outcome.ANOMALOUS
+        # the click pattern (d1, d2) is the enum value
+        assert Outcome((0, 1)) is Outcome.CONCLUSIVE_1
+        assert Outcome((1, 0)) is Outcome.CONCLUSIVE_2
+        assert Outcome((0, 0)) is Outcome.INCONCLUSIVE
+        assert Outcome((1, 1)) is Outcome.ANOMALOUS
 
 
 class TestAnalyticPovm:
@@ -101,12 +102,15 @@ class TestAnalyticPovm:
     def test_fock_dimension_guard(self):
         assert h.MAX_FOCK_DIM == 301  # sqrt(300!) ~ 1e307, sqrt(301!) overflows
         povm_analytic(ReceiverConfig(1.0, -1.0, h.MAX_FOCK_DIM))
-        for dim in (h.MAX_FOCK_DIM + 1, 10**20):
-            # raised before anything dim-sized is allocated or overflows
+        for dim in (h.MAX_FOCK_DIM + 1, 2000, 10**20):
+            # raised before anything dim-sized is allocated or overflows; a
+            # bright coherent state would otherwise underflow to norm 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalGuardError, match="Fock dimension guard"):
                     povm_analytic(ReceiverConfig(1.0, -1.0, dim))
+                with pytest.raises(NumericalGuardError, match="Fock dimension guard"):
+                    h.coherent_state(40.0, dim)
 
     def test_inconclusive_element_is_scaled_coherent_projector(self):
         # :Q1 Q2: = exp(-|a1-a2|^2/4) |mu><mu| with mu the midpoint
@@ -124,7 +128,7 @@ class TestAnalyticPovm:
 class TestAncillaPovm:
     def test_two_mode_projections_are_complete(self):
         cfg = ReceiverConfig(0.7, -0.4 + 0.2j, 16)
-        total = sum(p.matrix for p in ancilla_projections(cfg).values())
+        total = sum(oracles.ancilla_projections(cfg).values())
         assert np.max(np.abs(total - np.eye(16 * 16))) <= 1e-12
 
     def test_cross_oracle_agreement(self):
@@ -145,14 +149,11 @@ class TestAncillaPovm:
         # full path: conjugate each two-mode projection by the beam splitter,
         # then take the vacuum expectation over the unused port
         cfg = ReceiverConfig(0.9, -0.6 + 0.4j, 16)
-        u = h.beam_splitter_unitary(0.5, cfg.dim)
         analytic = povm_analytic(cfg)
         fused = povm_ancilla(cfg)
-        for outcome, proj in ancilla_projections(cfg).items():
-            conjugated = u.dag() @ proj @ u
-            reduced = h.vacuum_expectation(conjugated, 2)
-            assert np.max(np.abs(reduced.matrix - fused[outcome].matrix)) <= 1e-12
-            assert np.max(np.abs(reduced.matrix - analytic[outcome].matrix)) <= 1e-8
+        for outcome, reduced in oracles.conjugated_ancilla_povm(cfg).items():
+            assert np.max(np.abs(reduced - fused[outcome].matrix)) <= 1e-12
+            assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
 
     def test_workspace_guard(self):
         # checked before the adequacy guard allocates anything dim-sized

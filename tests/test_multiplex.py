@@ -32,7 +32,7 @@ def make_config(gamma=10.0, T=0.05, eta=1.0, channel=1.0, rounds=1000, seed=0):
     )
 
 
-def network_amplitudes_bruteforce(bit, cfg, tau=None):
+def network_amplitudes_bruteforce(bit, cfg):
     """Independent amplitude propagation by literal 2x2 splitter products.
 
     Every splitter uses the matrix [[sqrt(t), sqrt(1-t)], [sqrt(1-t), -sqrt(t)]]
@@ -46,9 +46,8 @@ def network_amplitudes_bruteforce(bit, cfg, tau=None):
         return np.array([[rt, rr], [rr, -rt]])
 
     t = cfg.splitter_transmission
-    tau = cfg.bob_bs_transmission if tau is None else tau
     m_t = splitter(t)
-    m_tau = splitter(tau)
+    m_tau = splitter(cfg.bob_bs_transmission)
 
     # Alice: split, shutter on the short path, recombine (different slots)
     short0, long0 = m_t @ np.array([cfg.gamma, 0.0])
@@ -249,11 +248,6 @@ class TestBalance:
             derived.detector_mean_photons, abs=1e-12
         )
 
-    def test_override_reports_imbalance(self):
-        report = balance_check(make_config(gamma=10.0, T=0.1), tau=0.5)
-        assert report.tau == 0.5
-        assert abs(report.imbalance) > 1e-3
-
     def test_monotone_in_eta_and_gamma(self):
         rates_eta = [
             round_inconclusive_probability(make_config(eta=e)) for e in np.linspace(0.1, 1.0, 10)
@@ -298,7 +292,7 @@ class TestBoundRatio:
 class TestProtocol:
     def test_blind_detectors_empty_key(self):
         report = run_protocol(make_config(eta=0.0, rounds=500))
-        assert report.sifted_positions.size == 0
+        assert report.sifted_count == 0
         assert report.inconclusive_rate_empirical == 1.0
         assert report.bit_error_rate is None  # undefined, not a perfect key
 
@@ -310,33 +304,22 @@ class TestProtocol:
         p = round_inconclusive_probability(cfg)
         lo, hi = three_sigma_band(p, cfg.rounds)
         assert lo <= report.inconclusive_rate_empirical <= hi
-        assert report.sifted_positions.size == report.sifted_bits.size
+        assert report.sifted_count == (
+            report.counts[Outcome.CONCLUSIVE_1] + report.counts[Outcome.CONCLUSIVE_2]
+        )
         assert report.sifted_key_rate == pytest.approx(
             1.0 - report.inconclusive_rate_empirical, abs=1e-12
         )
 
     def test_sifted_bits_match_alice(self):
         report = run_protocol(make_config(rounds=20_000, seed=3))
-        np.testing.assert_array_equal(
-            report.sifted_bits, report.sent_bits[report.sifted_positions]
-        )
+        assert report.sifted_count > 0
+        assert report.bit_error_rate == 0.0
 
     def test_reproducible(self):
         cfg = make_config(rounds=5000, seed=12)
-        a, b = run_protocol(cfg), run_protocol(cfg)
-        np.testing.assert_array_equal(a.sent_bits, b.sent_bits)
-        np.testing.assert_array_equal(a.sifted_positions, b.sifted_positions)
-        assert a.counts == b.counts
-
-    def test_diagnostics_do_not_disturb_main_stream(self):
-        cfg = make_config(rounds=5000, seed=12)
-        plain = run_protocol(cfg)
-        with_diag = run_protocol(cfg, out_of_window_diagnostics=True)
-        assert plain.counts == with_diag.counts
-        np.testing.assert_array_equal(plain.sent_bits, with_diag.sent_bits)
-        # the mistimed reference pulse is bright: it clicks essentially always
-        assert with_diag.out_of_window_clicks["d1_late"] >= 0.99 * cfg.rounds
-        assert with_diag.out_of_window_clicks["d2_early"] <= cfg.rounds // 100
+        assert run_protocol(cfg) == run_protocol(cfg)
+        assert run_protocol(cfg) != run_protocol(make_config(rounds=5000, seed=13))
 
     def test_lossy_channel_still_error_free(self):
         cfg = make_config(gamma=10.0, T=0.05, eta=0.9, channel=0.6, rounds=50_000, seed=5)
