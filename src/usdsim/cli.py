@@ -378,8 +378,7 @@ def cmd_simulate(args) -> int:
     rng = config.require("rng")
     out = output_dir(config)
     n = args.trials
-    sequence = [1] * n + [2] * n
-    tallies = run_trials(cfg, sequence, rng)
+    tallies = run_trials(cfg, n, rng)
     rows = []
     for sent_value, sent_name, sent in ((1, "alpha1", cfg.alpha1), (2, "alpha2", cfg.alpha2)):
         tally = tallies[sent_value]
@@ -500,7 +499,7 @@ def cmd_sweep(args) -> int:
                 cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
             row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
             if mc is not None:
-                tallies = run_trials(cfg, [1] * mc + [2] * mc, RngStream(rng.seed, i))
+                tallies = run_trials(cfg, mc, RngStream(rng.seed, i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
                 row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]

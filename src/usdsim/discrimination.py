@@ -86,13 +86,9 @@ class Outcome(Enum):
         return f"{self.d1}{self.d2}"
 
 
-#: Fixed outcome ordering (00, 01, 10, 11) used by samplers and writers.
-OUTCOME_ORDER: tuple[Outcome, ...] = (
-    Outcome.INCONCLUSIVE,
-    Outcome.CONCLUSIVE_1,
-    Outcome.CONCLUSIVE_2,
-    Outcome.ANOMALOUS,
-)
+#: Fixed outcome ordering (00, 01, 10, 11) used by samplers and writers: the
+#: definition order of Outcome.
+OUTCOME_ORDER: tuple[Outcome, ...] = tuple(Outcome)
 
 
 def _joint_outcomes(q1: float, q2: float) -> dict[Outcome, float]:
@@ -237,11 +233,11 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         A[m, n] = <m, 0| U^dag B U |n, 0> = (U|m,0>)^dag B (U|n,0>).
 
     Only the vacuum-port columns W = U|n,0> enter the reduction, so they are
-    built directly on every call (no cache, no full unitary) and the
-    conjugation is evaluated as W^dag B W; the literal conjugate-then-reduce
-    path lives in tests/oracles.py, and the tests check this against it.  Mode
-    1 carries the first output (displaced detection at beta1), mode 2 the
-    second.  The projections B are built one at a time, so a single dense
+    built directly on every call and the conjugation is evaluated as
+    W^dag B W; the literal conjugate-then-reduce path lives in
+    tests/oracles.py, and the tests check this against it.  Mode 1 carries
+    the first output (displaced detection at beta1), mode 2 the second.  The
+    projections B are built one at a time, so a single dense
     dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is live at once.  The
     reduction relies on W being an isometry: an isometry defect
     max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.

@@ -1,24 +1,23 @@
 """Seeded sampling of detector outcomes and tally statistics.
 
-Outcomes are drawn by inverse CDF over the fixed ordering (00, 01, 10, 11).
-Every draw in the package, ``run_trials`` and ``multiplex.run_protocol``
-alike, goes through the one sampler ``_draw_indices``, one uniform per draw.
-Probability mass below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution
-renormalized before sampling, so outcomes the model forbids (the exact zeros
-of the ideal receiver) never appear as roundoff dust in a tally.
+Outcomes are drawn by inverse CDF over the fixed ordering (00, 01, 10, 11),
+one uniform per draw.  Every draw in the package, ``run_trials`` and
+``multiplex.run_protocol`` alike, is counted by the one kernel ``_tally``,
+which returns outcome counts and never a per-draw array.  Probability mass
+below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized
+before sampling, so outcomes the model forbids (the exact zeros of the ideal
+receiver) never appear as roundoff dust in a tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .discrimination import (
     OUTCOME_ORDER,
     Outcome,
-    PovmSet,
     ReceiverConfig,
     outcome_probabilities,
     povm_analytic,
@@ -82,19 +81,10 @@ class TrialTally:
         return TrialTally(merged, self.n_trials + other.n_trials)
 
 
-def clean_distribution(dist) -> np.ndarray:
-    """Validate a 4-outcome distribution and zero sub-tolerance mass.
-
-    Accepts a mapping keyed by Outcome or a sequence in the fixed ordering.
-    """
-    if isinstance(dist, Mapping):
-        probs = np.array([float(dist[o]) for o in OUTCOME_ORDER])
-    else:
-        probs = np.asarray(dist, dtype=float).reshape(-1)
-        if probs.size != len(OUTCOME_ORDER):
-            raise ValueError(
-                f"distribution must have {len(OUTCOME_ORDER)} entries, got {probs.size}"
-            )
+def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
+    """Validate a 4-outcome distribution keyed by Outcome and zero
+    sub-tolerance mass; returns the probabilities in OUTCOME_ORDER."""
+    probs = np.array([float(dist[o]) for o in OUTCOME_ORDER])
     if not np.all(np.isfinite(probs)):
         raise ValueError("distribution contains non-finite probabilities")
     if np.any(probs < -SUB_TOLERANCE_MASS):
@@ -105,62 +95,37 @@ def clean_distribution(dist) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _draw_indices(
-    dists: Mapping[Hashable, object], labels: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """The one inverse-CDF sampler; returns indices into OUTCOME_ORDER.
+def _tally(dist: dict[Outcome, float], u: np.ndarray) -> dict[Outcome, int]:
+    """The one inverse-CDF sampler: outcome counts of one draw per uniform.
 
-    Draw i inverts the cumulative cleaned distribution ``dists[labels[i]]``
-    at the uniform ``u[i]``; every label must be a key of ``dists``.  Each
-    distribution is handled on its own boolean mask, so no (n, 4) array is
-    ever built.
+    The draw for ``u[i]`` is the first outcome whose cumulative cleaned
+    probability exceeds it, capped at the last outcome against roundoff in
+    the cumulative sum.
     """
-    cums = {label: np.cumsum(clean_distribution(d)) for label, d in dists.items()}
-    idx = np.empty(u.size, dtype=int)
-    for label, cum in cums.items():
-        mask = labels == label
-        if np.any(mask):
-            idx[mask] = np.minimum(
-                np.searchsorted(cum, u[mask], side="right"), len(OUTCOME_ORDER) - 1
-            )
-    return idx
-
-
-def _outcome_counts(idx: np.ndarray) -> dict[Outcome, int]:
-    """Counts of each outcome among indices into OUTCOME_ORDER."""
-    binned = np.bincount(idx, minlength=len(OUTCOME_ORDER))
+    last = len(OUTCOME_ORDER) - 1
+    idx = np.searchsorted(np.cumsum(clean_distribution(dist)), u, side="right")
+    binned = np.bincount(np.minimum(idx, last, out=idx), minlength=last + 1)
     return {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)}
 
 
-def run_trials(
-    cfg: ReceiverConfig,
-    sent_sequence: Sequence[int] | Iterable[int],
-    rng: RngStream,
-    povm: PovmSet | None = None,
-) -> dict[int, TrialTally]:
-    """Simulate a sequence of sent states (1 or 2) and tally per sent value.
+def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, TrialTally]:
+    """Send each state (1 and 2) ``trials`` times and tally per sent state.
 
-    One uniform draw is consumed per trial in sequence order, so the result
-    is deterministic in (seed, stream_id) and independent of how trials are
-    grouped afterwards.
+    One uniform is drawn per trial, the first ``trials`` for state 1 and the
+    next ``trials`` for state 2, so the result is deterministic in
+    (seed, stream_id).
     """
-    sent = np.asarray(list(sent_sequence), dtype=int)
-    if sent.size == 0:
-        raise ValueError("sent_sequence must be nonempty")
-    if not np.all(np.isin(sent, (1, 2))):
-        raise ValueError("sent_sequence entries must be 1 or 2")
-    if povm is None:
-        povm = povm_analytic(cfg)
+    n = _as_integer(trials, "trials")
+    if n < 1:
+        raise ValueError(f"trials must be >= 1, got {n}")
+    povm = povm_analytic(cfg)
     dists = {
         1: outcome_probabilities(cfg, cfg.alpha1, povm),
         2: outcome_probabilities(cfg, cfg.alpha2, povm),
     }
-    idx = _draw_indices(dists, sent, rng.generator().random(sent.size))
-    tallies = {}
-    for value in (1, 2):
-        mask = sent == value
-        tallies[value] = TrialTally(_outcome_counts(idx[mask]), int(mask.sum()))
-    return tallies
+    u = rng.generator().random(2 * n)
+    halves = {1: u[:n], 2: u[n:]}
+    return {value: TrialTally(_tally(dists[value], halves[value]), n) for value in (1, 2)}
 
 
 def three_sigma_band(p: float, n: int) -> tuple[float, float]:

@@ -28,11 +28,9 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
 from .hilbert import _as_amplitude, _as_integer, _as_real, check_efficiency
-from .montecarlo import RngStream, _draw_indices, _outcome_counts
+from .montecarlo import RngStream, _tally
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
 WEAK_SPLITTING_LIMIT = 0.2
@@ -265,17 +263,17 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyRepor
     bits = gen.integers(0, 2, size=cfg.rounds)
     u = gen.random(cfg.rounds)
 
-    dists = {
-        bit: click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
+    per_bit = {
+        bit: _tally(
+            click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u[bits == bit]
+        )
         for bit in (0, 1)
     }
-    idx = _draw_indices(dists, bits, u)
 
-    counts = _outcome_counts(idx)
+    counts = {o: per_bit[0][o] + per_bit[1][o] for o in OUTCOME_ORDER}
     n_sifted = counts[Outcome.CONCLUSIVE_1] + counts[Outcome.CONCLUSIVE_2]
-    read_0 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)
-    read_1 = idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_2)
-    errors = int(np.count_nonzero(read_0 & (bits == 1)) + np.count_nonzero(read_1 & (bits == 0)))
+    # a D2 click (CONCLUSIVE_1) reads bit 0, a D1 click (CONCLUSIVE_2) bit 1
+    errors = per_bit[1][Outcome.CONCLUSIVE_1] + per_bit[0][Outcome.CONCLUSIVE_2]
 
     return KeyReport(
         rounds=cfg.rounds,

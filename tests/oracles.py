@@ -3,17 +3,21 @@
 Each function here reaches a quantity the library builds another way, so the
 tests can compare the two: dense matrix exponentials where the library uses
 closed forms or per-sector blocks, and the full two-mode conjugation where it
-uses only the vacuum-port columns.  None of them calls the library code it is
-compared with.
+uses only the vacuum-port columns, and a per-draw inverse CDF where the
+library counts whole arrays of draws at once.  None of them calls the library
+code it is compared with.
 """
 
+import collections
+import itertools
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
-from usdsim.discrimination import Outcome
+from usdsim.discrimination import OUTCOME_ORDER, Outcome
 from usdsim.hilbert import normally_ordered_gaussian
+from usdsim.montecarlo import clean_distribution
 
 
 def default_dim(*alphas: complex) -> int:
@@ -107,3 +111,19 @@ def conjugated_ancilla_povm(cfg) -> dict:
         outcome: (u.conj().T @ proj @ u).reshape(d, d, d, d)[:, 0, :, 0]
         for outcome, proj in ancilla_projections(cfg).items()
     }
+
+
+def reference_outcomes(dist: dict, u: np.ndarray) -> list:
+    """The outcome drawn by each uniform in ``u`` from the distribution
+    ``dist``, one draw at a time by literal inverse CDF: the index into
+    OUTCOME_ORDER is the number of cumulative cleaned probabilities at or
+    below the uniform, capped at the last outcome."""
+    cum = list(itertools.accumulate(clean_distribution(dist).tolist()))
+    last = len(OUTCOME_ORDER) - 1
+    return [OUTCOME_ORDER[min(sum(c <= x for c in cum), last)] for x in u.tolist()]
+
+
+def reference_counts(dist: dict, u: np.ndarray) -> dict:
+    """Count of each outcome, zeros included, among ``reference_outcomes``."""
+    drawn = collections.Counter(reference_outcomes(dist, u))
+    return {o: drawn[o] for o in OUTCOME_ORDER}

@@ -131,7 +131,7 @@ def test_criterion_4_monte_carlo_consistency():
     start = time.time()
     cfg = ReceiverConfig(0.8, -0.8, DIM)
     n = 100_000
-    tallies = run_trials(cfg, [1] * n + [2] * n, RngStream(271828))
+    tallies = run_trials(cfg, n, RngStream(271828))
     no_click = math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
     expected = {
         1: {

@@ -1,15 +1,26 @@
 import collections
 import csv
+import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from usdsim import cli
+
+# The benchmark's job definitions and committed artifact hashes, read only.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def base_config(out_dir, **overrides):
@@ -411,3 +422,37 @@ class TestOutputDirectory:
         record = json.loads((out / "multiplex.json").read_text())
         allowed = {"analytic", "ancilla", "montecarlo", "multiplex"}
         assert all(r["source"] in allowed for r in record["results"])
+
+
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
+    """The sampling commands of the benchmark's small CLI calls reproduce the
+    committed artifact bytes; the artifacts embed the numpy and scipy
+    versions, so the hashes hold only for the recorded environment."""
+    golden = workloads.load_golden()
+    versions = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    differ = [
+        f"{name} {version} (hashes made with {golden['environment'][name]})"
+        for name, version in versions.items()
+        if golden["environment"][name] != version
+    ]
+    if differ:
+        pytest.skip("golden hashes belong to another environment: " + ", ".join(differ))
+    expected = workloads.variant_hashes(golden, "cli-calls", variant)
+    jobs = {job.name: job for job in workloads.cli_small(variant)}
+    for name in ("simulate", "multiplex", "sweep-alpha"):
+        job = jobs[name]
+        job_dir = tmp_path / name
+        job_dir.mkdir()
+        for file_name, text in job.files.items():
+            (job_dir / file_name).write_text(text)
+        monkeypatch.chdir(job_dir)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(job_dir / "out"))
+        kind, *argv = job.argv
+        assert kind == "cli"
+        assert cli.main(argv) == 0, name
+        assert workloads.artifact_hashes(job_dir / "out") == expected[name], name

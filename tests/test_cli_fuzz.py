@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,8 @@ def commands(draw):
     return [name, *(arg for option in draw(OPTIONS[name]) for arg in option)]
 
 
+# drawn T above WEAK_SPLITTING_LIMIT warn by design; the warning has its own tests
+@pytest.mark.filterwarnings("ignore:splitter transmission T=.*:UserWarning")
 @settings(
     max_examples=200,
     derandomize=True,

@@ -4,26 +4,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import reference_counts
 from usdsim.discrimination import (
     OUTCOME_ORDER,
     Outcome,
     ReceiverConfig,
     closed_form_probabilities,
+    outcome_probabilities,
     povm_analytic,
 )
 from usdsim.montecarlo import (
     RngStream,
     TrialTally,
-    _draw_indices,
+    _tally,
     clean_distribution,
     run_trials,
     three_sigma_band,
 )
 
 
-def draw(dist, gen, n=1):
-    """Indices into OUTCOME_ORDER of n draws from one distribution."""
-    return _draw_indices({0: dist}, np.zeros(n, dtype=int), gen.random(n))
+def draw(probs, gen, n=1):
+    """Outcome counts of n draws from probabilities listed in OUTCOME_ORDER."""
+    return _tally(dict(zip(OUTCOME_ORDER, probs)), gen.random(n))
 
 
 class TestRngStream:
@@ -51,10 +53,10 @@ class TestRngStream:
 class TestSampling:
     def test_degenerate_distributions(self):
         gen = RngStream(0).generator()
-        for i in range(len(OUTCOME_ORDER)):
+        for i, outcome in enumerate(OUTCOME_ORDER):
             dist = [0.0] * 4
             dist[i] = 1.0
-            assert np.all(draw(dist, gen, 20) == i)
+            assert draw(dist, gen, 20)[outcome] == 20
 
     def test_invalid_distributions(self):
         gen = RngStream(0).generator()
@@ -63,22 +65,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             draw([0.5, 0.6, -0.1, 0.0], gen)
         with pytest.raises(ValueError):
-            draw([1.0, 0.0], gen)
-        with pytest.raises(ValueError):
             draw([float("nan"), 0.5, 0.25, 0.25], gen)
 
     def test_sub_tolerance_mass_is_zeroed(self):
-        probs = clean_distribution([1.0 - 3e-10, 1e-10, 1e-10, 1e-10])
+        probs = clean_distribution(dict(zip(OUTCOME_ORDER, [1.0 - 3e-10, 1e-10, 1e-10, 1e-10])))
         np.testing.assert_array_equal(probs, [1.0, 0.0, 0.0, 0.0])
 
     def test_empirical_frequency_within_three_sigma(self):
         # sent alpha1: conclusive probability is 1 - exp(-|a1-a2|^2/2)
         cfg = ReceiverConfig(1.0, -1.0, 32)
         dist = closed_form_probabilities(cfg, cfg.alpha1)
-        gen = RngStream(2024).generator()
         n = 100_000
-        idx = draw(dist, gen, n)
-        hits = int(np.count_nonzero(idx == OUTCOME_ORDER.index(Outcome.CONCLUSIVE_1)))
+        hits = _tally(dist, RngStream(2024).generator().random(n))[Outcome.CONCLUSIVE_1]
         p = 1.0 - math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         lo, hi = three_sigma_band(p, n)
         assert lo <= hits / n <= hi
@@ -87,34 +85,34 @@ class TestSampling:
 class TestRunTrials:
     def test_pure_sequence_has_no_cross_talk(self):
         cfg = ReceiverConfig(1.0, -1.0, 24)
-        tallies = run_trials(cfg, [1] * 5000, RngStream(5))
-        tally = tallies[1]
-        assert tally.n_trials == 5000
-        assert tally.counts[Outcome.CONCLUSIVE_2] == 0
-        assert tally.counts[Outcome.ANOMALOUS] == 0
-        assert tallies[2].n_trials == 0
+        tallies = run_trials(cfg, 5000, RngStream(5))
+        assert tallies[1].n_trials == tallies[2].n_trials == 5000
+        assert tallies[1].counts[Outcome.CONCLUSIVE_2] == 0
+        assert tallies[2].counts[Outcome.CONCLUSIVE_1] == 0
+        assert tallies[1].counts[Outcome.ANOMALOUS] == tallies[2].counts[Outcome.ANOMALOUS] == 0
 
-    def test_empty_sequence_rejected(self):
+    def test_trial_count_below_one_rejected(self):
         cfg = ReceiverConfig(1.0, -1.0, 16)
-        with pytest.raises(ValueError):
-            run_trials(cfg, [], RngStream(0))
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                run_trials(cfg, trials, RngStream(0))
 
-    def test_bad_sequence_entries_rejected(self):
+    def test_non_integer_trial_count_rejected(self):
         cfg = ReceiverConfig(1.0, -1.0, 16)
-        with pytest.raises(ValueError):
-            run_trials(cfg, [1, 2, 3], RngStream(0))
+        for trials in (2.0, True, "3", None):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                run_trials(cfg, trials, RngStream(0))
 
     def test_mixed_sequence_conclusive_fraction(self):
         cfg = ReceiverConfig(0.8, -0.8, 24)
-        n = 100_000
-        sequence = RngStream(77).generator().integers(1, 3, size=n)
-        tallies = run_trials(cfg, sequence, RngStream(78))
+        n = 50_000
+        tallies = run_trials(cfg, n, RngStream(78))
         merged = tallies[1].merge(tallies[2])
         conclusive = (
             merged.counts[Outcome.CONCLUSIVE_1] + merged.counts[Outcome.CONCLUSIVE_2]
-        ) / n
+        ) / merged.n_trials
         p = 1.0 - math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
-        lo, hi = three_sigma_band(p, n)
+        lo, hi = three_sigma_band(p, merged.n_trials)
         assert lo <= conclusive <= hi
         # conclusive events never contradict the sent state
         assert tallies[1].counts[Outcome.CONCLUSIVE_2] == 0
@@ -122,17 +120,29 @@ class TestRunTrials:
 
     def test_reproducibility(self):
         cfg = ReceiverConfig(0.8, -0.8, 24)
-        seq = [1, 2] * 2000
-        first = run_trials(cfg, seq, RngStream(31, 7))
-        second = run_trials(cfg, seq, RngStream(31, 7))
+        first = run_trials(cfg, 2000, RngStream(31, 7))
+        second = run_trials(cfg, 2000, RngStream(31, 7))
         assert first[1].counts == second[1].counts
         assert first[2].counts == second[2].counts
 
-    def test_accepts_prebuilt_povm(self):
-        cfg = ReceiverConfig(0.5, -0.5, 24)
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(ReceiverConfig(0.8, -0.8, 24), id="ideal"),
+            pytest.param(ReceiverConfig(1.0 + 0.5j, -0.3, 24, eta=0.6), id="eta-0.6"),
+            pytest.param(ReceiverConfig(0.8, -0.8, 24, eta=0.0), id="blind"),
+        ],
+    )
+    def test_matches_reference_sampler(self, cfg):
+        # state 1 takes the first half of the stream's uniforms, state 2 the second
+        n = 3000
+        tallies = run_trials(cfg, n, RngStream(41, 3))
+        u = RngStream(41, 3).generator().random(2 * n)
         povm = povm_analytic(cfg)
-        tallies = run_trials(cfg, [1, 2, 1], RngStream(1), povm=povm)
-        assert tallies[1].n_trials == 2
+        for value, sent, half in ((1, cfg.alpha1, u[:n]), (2, cfg.alpha2, u[n:])):
+            expected = reference_counts(outcome_probabilities(cfg, sent, povm), half)
+            assert tallies[value].counts == expected
+            assert tallies[value].n_trials == n
 
 
 class TestTrialTally:
@@ -166,7 +176,7 @@ class TestGoodnessOfFit:
         live = probs > 0.0
         n = 100_000
         for seed in range(20):
-            tally = run_trials(cfg, [1] * n, RngStream(1000 + seed))[1]
+            tally = run_trials(cfg, n, RngStream(1000 + seed))[1]
             observed = np.array([tally.counts[o] for o in OUTCOME_ORDER])
             assert not np.any(observed[~live])
             assert stats.chisquare(observed[live], probs[live] * n).pvalue > 1e-3

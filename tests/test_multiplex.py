@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from usdsim.discrimination import Outcome, inconclusive_rate
-from usdsim.montecarlo import three_sigma_band
+from oracles import reference_outcomes
+from usdsim.discrimination import OUTCOME_ORDER, Outcome, inconclusive_rate
+from usdsim.montecarlo import RngStream, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
     alice_emit,
@@ -329,3 +330,41 @@ class TestProtocol:
         p = round_inconclusive_probability(cfg)
         lo, hi = three_sigma_band(p, cfg.rounds)
         assert lo <= report.inconclusive_rate_empirical <= hi
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(make_config(T=0.15, rounds=4000, seed=21), id="ideal"),
+            pytest.param(
+                make_config(T=0.15, eta=0.7, channel=0.5, rounds=4000, seed=22), id="lossy"
+            ),
+            pytest.param(make_config(eta=0.0, rounds=500, seed=23), id="blind"),
+        ],
+    )
+    def test_matches_per_round_reference(self, cfg):
+        # the stream gives all the bits first, then one uniform per round
+        gen = RngStream(cfg.seed).generator()
+        bits = gen.integers(0, 2, size=cfg.rounds).tolist()
+        u = gen.random(cfg.rounds)
+        drawn = {
+            bit: reference_outcomes(
+                click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u
+            )
+            for bit in (0, 1)
+        }
+        counts = dict.fromkeys(OUTCOME_ORDER, 0)
+        sifted = errors = 0
+        for i, bit in enumerate(bits):
+            outcome = drawn[bit][i]
+            counts[outcome] += 1
+            if outcome in (Outcome.CONCLUSIVE_1, Outcome.CONCLUSIVE_2):
+                sifted += 1
+                read = 1 if outcome is Outcome.CONCLUSIVE_2 else 0  # a D1 click reads bit 1
+                errors += read != bit
+        report = run_protocol(cfg)
+        assert report.counts == counts
+        assert report.sifted_count == sifted
+        assert report.bit_error_rate == (errors / sifted if sifted else None)
+        assert report.anomalous_count == counts[Outcome.ANOMALOUS]
+        assert report.inconclusive_rate_empirical == counts[Outcome.INCONCLUSIVE] / cfg.rounds
+        assert report.sifted_key_rate == sifted / cfg.rounds
