@@ -40,7 +40,7 @@ from .discrimination import (
     povm_ancilla,
 )
 from .hilbert import _as_real
-from .montecarlo import RNG_ALGORITHM, RngStream, run_trials, three_sigma_band
+from .montecarlo import RNG_ALGORITHM, RngStream, check_draws, run_trials, three_sigma_band
 from .multiplex import (
     MultiplexConfig,
     balance_check,
@@ -105,6 +105,15 @@ def _config_errors(section: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _draw_option(value: int, option: str) -> int:
+    """A --trials or --mc count, checked by the library before any config is
+    read or output written."""
+    try:
+        return check_draws(value, option)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _amplitude(value, key: str) -> complex:
@@ -371,13 +380,11 @@ _SIMULATE_HEADER = [
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    n = _draw_option(args.trials, "--trials")
     config = load_config(args.config)
     cfg = config.require("receiver")
     rng = config.require("rng")
     out = output_dir(config)
-    n = args.trials
     tallies = run_trials(cfg, n, rng)
     rows = []
     for sent_value, sent_name, sent in ((1, "alpha1", cfg.alpha1), (2, "alpha2", cfg.alpha2)):
@@ -470,9 +477,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"--from must be smaller than --to, both finite, got {args.sweep_from}, {args.sweep_to}"
         )
-    mc = args.mc
-    if mc is not None and mc < 1:
-        raise ConfigError(f"--mc must be >= 1, got {mc}")
+    mc = None if args.mc is None else _draw_option(args.mc, "--mc")
     config = load_config(args.config)
     separation = args.param == "alpha_separation"
     if separation:

@@ -7,10 +7,19 @@ which returns outcome counts and never a per-draw array.  Probability mass
 below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized
 before sampling, so outcomes the model forbids (the exact zeros of the ideal
 receiver) never appear as roundoff dust in a tally.
+
+Both samplers stream: they draw at most ``_CHUNK`` uniforms at a time into
+one reused buffer and add up int64 counts, so memory stays flat in the number
+of draws.  The draws are the same, bit for bit, as one unchunked call on the
+same stream would give, because a Philox stream fills an array the same way
+whether it is asked for it whole or in pieces.  A draw count is at most
+``MAX_DRAWS`` (``check_draws``), the limit up to which counts and rates stay
+exact in float64.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,24 @@ RNG_ALGORITHM = "philox4x64"
 SUB_TOLERANCE_MASS = 1e-9
 
 _DISTRIBUTION_SUM_TOL = 1e-9
+
+#: Largest number of draws one call makes: counts and rates built from up to
+#: 2**53 draws are exact in float64.
+MAX_DRAWS = 2**53
+
+# Uniforms drawn per step of a streaming sampler (2 MB of float64).
+_CHUNK = 2**18
+
+
+def check_draws(value, name: str) -> int:
+    """Validate a number of draws (trials per state, protocol rounds): an
+    integer in [1, MAX_DRAWS]."""
+    n = _as_integer(value, name)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > MAX_DRAWS:
+        raise ValueError(f"{name} must be <= MAX_DRAWS = 2**53, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -95,17 +122,43 @@ def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _tally(dist: dict[Outcome, float], u: np.ndarray) -> dict[Outcome, int]:
-    """The one inverse-CDF sampler: outcome counts of one draw per uniform.
+def _uniforms(gen: np.random.Generator, n: int) -> Iterator[np.ndarray]:
+    """The next ``n`` uniforms of ``gen``, at most ``_CHUNK`` at a time, each
+    chunk written over the last in one buffer."""
+    buf = np.empty(min(n, _CHUNK))
+    for start in range(0, n, _CHUNK):
+        yield gen.random(out=buf[: min(_CHUNK, n - start)])
 
-    The draw for ``u[i]`` is the first outcome whose cumulative cleaned
-    probability exceeds it, capped at the last outcome against roundoff in
-    the cumulative sum.
+
+def _tally(
+    dists: Sequence[dict[Outcome, float]],
+    draws: Iterable[tuple[int, np.ndarray, np.ndarray | None]],
+) -> list[dict[Outcome, int]]:
+    """The one inverse-CDF sampler: outcome counts per distribution.
+
+    Each ``(k, u, where)`` in ``draws`` makes one draw from ``dists[k]`` per
+    uniform in ``u``, or per uniform where the boolean mask ``where`` is set.
+    The draw is the first outcome whose cumulative cleaned probability
+    exceeds the uniform, capped at the last outcome against roundoff in the
+    cumulative sum: its index is the number of the first three cumulative
+    probabilities at or below the uniform.  So a count is taken without a
+    per-draw index, from the draws reaching each cumulative probability.
+    Each distribution is cleaned once, before the first draw, and the counts
+    add up in int64 however ``draws`` is chunked.
     """
     last = len(OUTCOME_ORDER) - 1
-    idx = np.searchsorted(np.cumsum(clean_distribution(dist)), u, side="right")
-    binned = np.bincount(np.minimum(idx, last, out=idx), minlength=last + 1)
-    return {o: int(binned[i]) for i, o in enumerate(OUTCOME_ORDER)}
+    edges = [np.cumsum(clean_distribution(dist))[:last] for dist in dists]
+    # reached[k, j]: draws from dists[k] whose outcome index is at least j
+    reached = np.zeros((len(dists), last + 2), dtype=np.int64)
+    for k, u, where in draws:
+        reached[k, 0] += u.size if where is None else np.count_nonzero(where)
+        for j, edge in enumerate(edges[k], start=1):
+            above = u >= edge
+            if where is not None:
+                above &= where
+            reached[k, j] += np.count_nonzero(above)
+    counts = reached[:, :-1] - reached[:, 1:]
+    return [dict(zip(OUTCOME_ORDER, map(int, row))) for row in counts]
 
 
 def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, TrialTally]:
@@ -113,19 +166,16 @@ def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, Tr
 
     One uniform is drawn per trial, the first ``trials`` for state 1 and the
     next ``trials`` for state 2, so the result is deterministic in
-    (seed, stream_id).
+    (seed, stream_id).  The uniforms stream in chunks of ``_CHUNK``, the same
+    draws as one ``random(2 * trials)`` call split in halves; ``trials`` is
+    checked against ``MAX_DRAWS`` before anything is drawn.
     """
-    n = _as_integer(trials, "trials")
-    if n < 1:
-        raise ValueError(f"trials must be >= 1, got {n}")
+    n = check_draws(trials, "trials")
     povm = povm_analytic(cfg)
-    dists = {
-        1: outcome_probabilities(cfg, cfg.alpha1, povm),
-        2: outcome_probabilities(cfg, cfg.alpha2, povm),
-    }
-    u = rng.generator().random(2 * n)
-    halves = {1: u[:n], 2: u[n:]}
-    return {value: TrialTally(_tally(dists[value], halves[value]), n) for value in (1, 2)}
+    dists = [outcome_probabilities(cfg, alpha, povm) for alpha in (cfg.alpha1, cfg.alpha2)]
+    gen = rng.generator()
+    counts = _tally(dists, ((k, u, None) for k in (0, 1) for u in _uniforms(gen, n)))
+    return {value: TrialTally(c, n) for value, c in zip((1, 2), counts)}
 
 
 def three_sigma_band(p: float, n: int) -> tuple[float, float]:

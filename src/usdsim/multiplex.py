@@ -29,8 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
-from .hilbert import _as_amplitude, _as_integer, _as_real, check_efficiency
-from .montecarlo import RngStream, _tally
+from .hilbert import _as_amplitude, _as_real, check_efficiency
+from .montecarlo import RngStream, _tally, _uniforms, check_draws
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
 WEAK_SPLITTING_LIMIT = 0.2
@@ -73,9 +73,7 @@ class MultiplexConfig:
         c = _as_real(self.channel_transmission, "channel transmission")
         if not 0.0 < c <= 1.0:
             raise ValueError(f"channel transmission must lie in (0, 1], got {c}")
-        rounds = _as_integer(self.rounds, "rounds")
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        rounds = check_draws(self.rounds, "rounds")
         RngStream(self.seed)  # rejects a seed run_protocol could not use
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "splitter_transmission", t)
@@ -256,19 +254,27 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyRepor
     double clicks are anomalous, counted and excluded.  Under the ideal model
     one detector amplitude is exactly zero every round, so the sifted key is
     error free and no anomalous events occur.
+
+    The stream gives all ``rounds`` bits first, then one uniform per round.
+    Both are read in chunks of ``montecarlo._CHUNK`` rounds by two generators
+    in lockstep, the second placed at the first uniform without drawing the
+    bits (see ``_after_bits``), so memory stays flat in ``rounds`` while every
+    round gets the same bit and uniform as from one unchunked stream.
     """
     if rng is None:
         rng = RngStream(cfg.seed)
-    gen = rng.generator()
-    bits = gen.integers(0, 2, size=cfg.rounds)
-    u = gen.random(cfg.rounds)
+    bit_gen = rng.generator()
+    dists = [
+        click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta) for bit in (0, 1)
+    ]
 
-    per_bit = {
-        bit: _tally(
-            click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u[bits == bit]
-        )
-        for bit in (0, 1)
-    }
+    def draws():
+        for u in _uniforms(_after_bits(rng, cfg.rounds), cfg.rounds):
+            ones = bit_gen.integers(0, 2, size=len(u)).astype(bool)
+            yield 0, u, ~ones
+            yield 1, u, ones
+
+    per_bit = _tally(dists, draws())
 
     counts = {o: per_bit[0][o] + per_bit[1][o] for o in OUTCOME_ORDER}
     n_sifted = counts[Outcome.CONCLUSIVE_1] + counts[Outcome.CONCLUSIVE_2]
@@ -284,3 +290,20 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyRepor
         anomalous_count=counts[Outcome.ANOMALOUS],
         counts=counts,
     )
+
+
+def _after_bits(rng: RngStream, n: int):
+    """A generator on ``rng`` placed where ``integers(0, 2, size=n)`` leaves
+    it, in O(1) time.
+
+    Each bit takes one 32-bit half of a 64-bit Philox output (Lemire's method
+    never rejects for a range of 2, and a spare half is kept for the next
+    32-bit draw), so the bits use ``m = (n + 1) // 2`` outputs, and a 64-bit
+    draw never takes a spare half.  ``advance`` skips blocks of four outputs
+    (Salmon et al., SC'11); ``random_raw`` skips the rest.
+    """
+    gen = rng.generator()
+    m = (n + 1) // 2
+    gen.bit_generator.advance(m // 4)
+    gen.bit_generator.random_raw(m % 4)
+    return gen

@@ -3,9 +3,9 @@
 Each function here reaches a quantity the library builds another way, so the
 tests can compare the two: dense matrix exponentials where the library uses
 closed forms or per-sector blocks, and the full two-mode conjugation where it
-uses only the vacuum-port columns, and a per-draw inverse CDF where the
-library counts whole arrays of draws at once.  None of them calls the library
-code it is compared with.
+uses only the vacuum-port columns, and a per-draw inverse CDF from one
+unchunked stream where the library counts streamed chunks of draws.  None of
+them calls the library code it is compared with.
 """
 
 import collections
@@ -17,7 +17,8 @@ from scipy.linalg import expm
 
 from usdsim.discrimination import OUTCOME_ORDER, Outcome
 from usdsim.hilbert import normally_ordered_gaussian
-from usdsim.montecarlo import clean_distribution
+from usdsim.montecarlo import RngStream, clean_distribution
+from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
 
 def default_dim(*alphas: complex) -> int:
@@ -127,3 +128,28 @@ def reference_counts(dist: dict, u: np.ndarray) -> dict:
     """Count of each outcome, zeros included, among ``reference_outcomes``."""
     drawn = collections.Counter(reference_outcomes(dist, u))
     return {o: drawn[o] for o in OUTCOME_ORDER}
+
+
+def reference_protocol(cfg) -> tuple[dict, int, int]:
+    """Outcome counts, sifted rounds and bit errors of the protocol run with
+    ``cfg``, classified one round at a time.  One unchunked generator on
+    ``RngStream(cfg.seed)`` gives all the bits first, then one uniform per
+    round; a D1 click (CONCLUSIVE_2) reads bit 1, a D2 click bit 0."""
+    gen = RngStream(cfg.seed).generator()
+    bits = gen.integers(0, 2, size=cfg.rounds).tolist()
+    u = gen.random(cfg.rounds)
+    drawn = {
+        bit: reference_outcomes(
+            click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u
+        )
+        for bit in (0, 1)
+    }
+    counts = dict.fromkeys(OUTCOME_ORDER, 0)
+    sifted = errors = 0
+    for i, bit in enumerate(bits):
+        outcome = drawn[bit][i]
+        counts[outcome] += 1
+        if outcome in (Outcome.CONCLUSIVE_1, Outcome.CONCLUSIVE_2):
+            sifted += 1
+            errors += (outcome is Outcome.CONCLUSIVE_2) != bit
+    return counts, sifted, errors

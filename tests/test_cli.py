@@ -58,16 +58,34 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def fresh_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this usdsim, so an escaping
     exception shows up as a traceback and exit code 1."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
 
 
 def run_fresh(*argv):
     """Run the CLI as a fresh process."""
     return run_python("-m", "usdsim.cli", *argv)
+
+
+def fresh_peak_rss_mb(*argv):
+    """Peak resident memory of a successful fresh CLI process, in MiB, read
+    from the child's own resource usage with os.wait4."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "usdsim.cli", *argv],
+        env=fresh_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, argv
+    return usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def test_import_leaves_out_scipy_stats():
@@ -405,6 +423,50 @@ class TestSweepCommand:
         assert float(rows[2][2]) == 0.0  # the quantum bound exp(-1250)
         ratios = [float(r[3]) for r in rows[1:]]
         assert math.log(ratios[1]) == pytest.approx(100.0 * math.log(ratios[0]), rel=1e-10)
+
+
+class TestDrawCounts:
+    def test_counts_above_the_draw_cap_exit_2(self, workspace):
+        # rounds, --trials, and --mc on both sweep branches (the protocol and
+        # the trials), all in one fresh interpreter: a count that reached an
+        # allocation would end it with a traceback, or never let it finish
+        tmp_path, out, write = workspace
+        path = write(base_config(out))
+        argvs = []
+        for value in (2**53 + 1, 10**20):
+            big = tmp_path / f"rounds-{value}.json"
+            big.write_text(json.dumps(base_config(out, multiplex={"rounds": value})))
+            argvs.append(["multiplex", str(big)])
+            argvs.append(["simulate", path, "--trials", str(value)])
+            for param in ("T", "alpha_separation"):
+                grid = ["--param", param, "--from", "0.01", "--to", "0.1", "--steps", "2"]
+                argvs.append(["sweep", path, *grid, "--mc", str(value)])
+        proc = run_python(
+            "-c",
+            "import json, sys; from usdsim import cli; "
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))",
+            json.dumps(argvs),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2] * len(argvs)
+        errors = proc.stderr.splitlines()
+        assert len(errors) == len(argvs)
+        assert all(e.startswith("config error") and "MAX_DRAWS" in e for e in errors), errors
+        assert not out.exists()
+
+    def test_peak_memory_is_flat_in_rounds_and_trials(self, workspace):
+        # both samplers stream their draws, so 40x the rounds or 200x the
+        # trials leave the peak resident memory where it was
+        _, out, write = workspace
+        peaks = {}
+        for rounds in (100_000, 4_000_000):
+            path = write(base_config(out, multiplex={"rounds": rounds}))
+            peaks["multiplex", rounds] = fresh_peak_rss_mb("multiplex", path)
+        path = write(base_config(out))
+        for trials in (10_000, 2_000_000):
+            peaks["simulate", trials] = fresh_peak_rss_mb("simulate", path, "--trials", str(trials))
+        assert abs(peaks["multiplex", 4_000_000] - peaks["multiplex", 100_000]) < 16.0, peaks
+        assert abs(peaks["simulate", 2_000_000] - peaks["simulate", 10_000]) < 16.0, peaks
 
 
 class TestOutputDirectory:

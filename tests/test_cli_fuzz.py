@@ -26,8 +26,12 @@ EXTREMES = [
 ]
 
 # dim, rounds, seeds, --trials, --steps and --mc all draw from small ranges, so
-# no example allocates much memory
+# no example allocates much memory; rounds, --trials and --mc also draw counts
+# just past the draw cap MAX_DRAWS = 2**53 and far beyond it, which must exit 2
+# before anything is allocated
 small_ints = st.integers(min_value=-1, max_value=24)
+past_cap = st.sampled_from([2**53 + 1, 10**20])
+draw_counts = small_ints | past_cap
 reals = st.one_of(st.sampled_from(EXTREMES), st.floats())
 scalars = st.one_of(st.none(), st.booleans(), small_ints, reals, st.text(max_size=4))
 junk = st.one_of(
@@ -58,7 +62,7 @@ valid_configs = st.fixed_dictionaries(
                 "gamma": pairs(-20.0, 20.0),
                 "T": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 "eta": unit,
-                "rounds": st.integers(1, 24),
+                "rounds": st.integers(1, 24) | past_cap,
             },
             optional={"channel_transmission": st.floats(0.0, 1.0, exclude_min=True)},
         ),
@@ -111,13 +115,13 @@ OPTIONS = {
         flag("--param", st.sampled_from(cli.SWEEP_PARAMS)),
         grid_ranges.map(lambda ends: [f"--from={ends[0]!r}", f"--to={ends[1]!r}"]),
         flag("--steps", small_ints),
-        optional(flag("--mc", small_ints)),
+        optional(flag("--mc", draw_counts)),
     ),
     "povm": st.tuples(
         optional(flag("--construction", st.sampled_from(["analytic", "ancilla", "both"]))),
         optional(st.just(["--dump"])),
     ),
-    "simulate": st.tuples(flag("--trials", small_ints)),
+    "simulate": st.tuples(flag("--trials", draw_counts)),
     "probs": st.just(()),
     "multiplex": st.just(()),
 }

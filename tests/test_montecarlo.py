@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from oracles import reference_counts
+from usdsim import montecarlo
 from usdsim.discrimination import (
     OUTCOME_ORDER,
     Outcome,
@@ -14,9 +15,11 @@ from usdsim.discrimination import (
     povm_analytic,
 )
 from usdsim.montecarlo import (
+    MAX_DRAWS,
     RngStream,
     TrialTally,
     _tally,
+    check_draws,
     clean_distribution,
     run_trials,
     three_sigma_band,
@@ -25,7 +28,21 @@ from usdsim.montecarlo import (
 
 def draw(probs, gen, n=1):
     """Outcome counts of n draws from probabilities listed in OUTCOME_ORDER."""
-    return _tally(dict(zip(OUTCOME_ORDER, probs)), gen.random(n))
+    [counts] = _tally([dict(zip(OUTCOME_ORDER, probs))], [(0, gen.random(n), None)])
+    return counts
+
+
+def assert_matches_reference_sampler(cfg, n):
+    """run_trials' tallies equal the per-draw reference sampler's counts of
+    one unchunked stream: state 1 takes its first n uniforms, state 2 the
+    next n."""
+    tallies = run_trials(cfg, n, RngStream(41, 3))
+    u = RngStream(41, 3).generator().random(2 * n)
+    povm = povm_analytic(cfg)
+    for value, sent, half in ((1, cfg.alpha1, u[:n]), (2, cfg.alpha2, u[n:])):
+        expected = reference_counts(outcome_probabilities(cfg, sent, povm), half)
+        assert tallies[value].counts == expected
+        assert tallies[value].n_trials == n
 
 
 class TestRngStream:
@@ -76,7 +93,8 @@ class TestSampling:
         cfg = ReceiverConfig(1.0, -1.0, 32)
         dist = closed_form_probabilities(cfg, cfg.alpha1)
         n = 100_000
-        hits = _tally(dist, RngStream(2024).generator().random(n))[Outcome.CONCLUSIVE_1]
+        [counts] = _tally([dist], [(0, RngStream(2024).generator().random(n), None)])
+        hits = counts[Outcome.CONCLUSIVE_1]
         p = 1.0 - math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         lo, hi = three_sigma_band(p, n)
         assert lo <= hits / n <= hi
@@ -102,6 +120,13 @@ class TestRunTrials:
         for trials in (2.0, True, "3", None):
             with pytest.raises(ValueError, match="trials must be an integer"):
                 run_trials(cfg, trials, RngStream(0))
+
+    def test_trial_count_above_the_draw_cap_rejected(self):
+        cfg = ReceiverConfig(1.0, -1.0, 16)
+        for trials in (MAX_DRAWS + 1, 10**20):
+            with pytest.raises(ValueError, match="trials must be <= MAX_DRAWS"):
+                run_trials(cfg, trials, RngStream(0))
+        assert check_draws(MAX_DRAWS, "trials") == MAX_DRAWS
 
     def test_mixed_sequence_conclusive_fraction(self):
         cfg = ReceiverConfig(0.8, -0.8, 24)
@@ -134,15 +159,15 @@ class TestRunTrials:
         ],
     )
     def test_matches_reference_sampler(self, cfg):
-        # state 1 takes the first half of the stream's uniforms, state 2 the second
-        n = 3000
-        tallies = run_trials(cfg, n, RngStream(41, 3))
-        u = RngStream(41, 3).generator().random(2 * n)
-        povm = povm_analytic(cfg)
-        for value, sent, half in ((1, cfg.alpha1, u[:n]), (2, cfg.alpha2, u[n:])):
-            expected = reference_counts(outcome_probabilities(cfg, sent, povm), half)
-            assert tallies[value].counts == expected
-            assert tallies[value].n_trials == n
+        assert_matches_reference_sampler(cfg, 3000)
+
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
+    def test_chunks_match_reference_sampler(self, chunk, monkeypatch):
+        # 3001 trials per state: every chunk size here above 1 leaves a
+        # partial last chunk before state 2's uniforms begin
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        assert_matches_reference_sampler(ReceiverConfig(1.0 + 0.5j, -0.3, 24, eta=0.6), 3001)
 
 
 class TestTrialTally:

@@ -1,12 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_outcomes
-from usdsim.discrimination import OUTCOME_ORDER, Outcome, inconclusive_rate
-from usdsim.montecarlo import RngStream, three_sigma_band
+from oracles import reference_protocol
+from usdsim import montecarlo
+from usdsim.discrimination import Outcome, inconclusive_rate
+from usdsim.montecarlo import MAX_DRAWS, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
     alice_emit,
@@ -31,6 +35,19 @@ def make_config(gamma=10.0, T=0.05, eta=1.0, channel=1.0, rounds=1000, seed=0):
         rounds=rounds,
         seed=seed,
     )
+
+
+def assert_matches_per_round_reference(cfg):
+    """run_protocol's report equals the per-round classification of the same
+    stream, exactly."""
+    counts, sifted, errors = reference_protocol(cfg)
+    report = run_protocol(cfg)
+    assert report.counts == counts
+    assert report.sifted_count == sifted
+    assert report.bit_error_rate == (errors / sifted if sifted else None)
+    assert report.anomalous_count == counts[Outcome.ANOMALOUS]
+    assert report.inconclusive_rate_empirical == counts[Outcome.INCONCLUSIVE] / cfg.rounds
+    assert report.sifted_key_rate == sifted / cfg.rounds
 
 
 def network_amplitudes_bruteforce(bit, cfg):
@@ -342,29 +359,33 @@ class TestProtocol:
         ],
     )
     def test_matches_per_round_reference(self, cfg):
-        # the stream gives all the bits first, then one uniform per round
-        gen = RngStream(cfg.seed).generator()
-        bits = gen.integers(0, 2, size=cfg.rounds).tolist()
-        u = gen.random(cfg.rounds)
-        drawn = {
-            bit: reference_outcomes(
-                click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u
-            )
-            for bit in (0, 1)
-        }
-        counts = dict.fromkeys(OUTCOME_ORDER, 0)
-        sifted = errors = 0
-        for i, bit in enumerate(bits):
-            outcome = drawn[bit][i]
-            counts[outcome] += 1
-            if outcome in (Outcome.CONCLUSIVE_1, Outcome.CONCLUSIVE_2):
-                sifted += 1
-                read = 1 if outcome is Outcome.CONCLUSIVE_2 else 0  # a D1 click reads bit 1
-                errors += read != bit
-        report = run_protocol(cfg)
-        assert report.counts == counts
-        assert report.sifted_count == sifted
-        assert report.bit_error_rate == (errors / sifted if sifted else None)
-        assert report.anomalous_count == counts[Outcome.ANOMALOUS]
-        assert report.inconclusive_rate_empirical == counts[Outcome.INCONCLUSIVE] / cfg.rounds
-        assert report.sifted_key_rate == sifted / cfg.rounds
+        assert_matches_per_round_reference(cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 5, 7, 8, 4001])
+    def test_chunks_match_per_round_reference(self, rounds, chunk, monkeypatch):
+        # the bits take (rounds + 1) // 2 Philox outputs; these rounds cover
+        # every offset of the first uniform within a block of four outputs
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        assert_matches_per_round_reference(
+            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds, seed=rounds)
+        )
+
+    def test_rounds_above_the_draw_cap_rejected(self):
+        for rounds in (MAX_DRAWS + 1, 10**20):
+            with pytest.raises(ValueError, match="MAX_DRAWS"):
+                make_config(rounds=rounds)
+        assert make_config(rounds=MAX_DRAWS).rounds == MAX_DRAWS
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    rounds=st.integers(1, 3000),
+    chunk=st.integers(1, 97),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_any_chunking_matches_per_round_reference(rounds, chunk, seed):
+    with mock.patch.object(montecarlo, "_CHUNK", chunk):
+        assert_matches_per_round_reference(
+            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds, seed=seed)
+        )
