@@ -38,7 +38,6 @@ from .multiplex import (
     KeyReport,
     MultiplexConfig,
     MultiplexDerived,
-    PulsePair,
     alice_emit,
     balance_check,
     click_probabilities,

@@ -79,6 +79,9 @@ class Config:
     """A loaded config file: each section present built once, by the library
     constructor it feeds, and the raw JSON that run metadata hashes.
 
+    ``rng`` is seed 0 when the file has no 'rng' section, which the multiplex
+    commands allow; ``require('rng')`` still refuses it.
+
     ``format`` serializes run records: 'json' or flat 'csv' rows; inherently
     tabular artifacts (the simulate table, sweep grids) are CSV regardless.
     """
@@ -86,16 +89,15 @@ class Config:
     raw: dict
     receiver: ReceiverConfig | None
     multiplex: MultiplexConfig | None
-    rng: RngStream | None
+    rng: RngStream
     format: str
     path: str
 
     def require(self, section: str):
         """The built section, or a config error naming the missing section."""
-        value = getattr(self, section)
-        if value is None:
+        if section not in self.raw:
             raise ConfigError(f"config is missing the '{section}' section")
-        return value
+        return getattr(self, section)
 
 
 @contextmanager
@@ -148,10 +150,9 @@ def load_config(path: str | Path) -> Config:
             if missing:
                 raise ConfigError(f"missing key '{missing[0]}' in '{section}'")
 
-    rng = receiver = multiplex = None
-    if "rng" in raw:
-        with _config_errors("rng"):
-            rng = RngStream(raw["rng"]["seed"])
+    with _config_errors("rng"):
+        rng = RngStream(raw["rng"]["seed"] if "rng" in raw else 0)
+    receiver = multiplex = None
     if "receiver" in raw:
         sec = raw["receiver"]
         with _config_errors("receiver"):
@@ -170,7 +171,6 @@ def load_config(path: str | Path) -> Config:
                 eta=sec["eta"],
                 channel_transmission=sec.get("channel_transmission", 1.0),
                 rounds=sec["rounds"],
-                seed=rng.seed if rng is not None else 0,
             )
     output = raw.get("output", {})
     fmt = output.get("format", "json")
@@ -226,12 +226,22 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
     }
 
 
+def _create(path: Path, newline: str | None = None):
+    """``path`` opened for writing text; a file the system refuses to open is
+    a config error that names it."""
+    try:
+        return path.open("w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _create(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -288,7 +298,8 @@ def dump_operator(path: Path, dim: int, matrix: np.ndarray) -> None:
             pairs.append(_fmt(z.real))
             pairs.append(_fmt(z.imag))
         lines.append(" ".join(pairs))
-    path.write_text("\n".join(lines) + "\n")
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def result(name: str, value, source: str) -> dict:
@@ -436,7 +447,7 @@ def cmd_multiplex(args) -> int:
     cfg = config.require("multiplex")
     out = output_dir(config)
     derived = derived_constants(cfg)
-    report = run_protocol(cfg)
+    report = run_protocol(cfg, config.rng)
     balance = balance_check(cfg)
     results = [
         result("alice_signal_amp", derived.alice_signal_amp, "multiplex"),
@@ -458,7 +469,7 @@ def cmd_multiplex(args) -> int:
     write_record(
         out / "multiplex",
         {
-            "metadata": run_metadata("multiplex", config.raw, cfg.seed),
+            "metadata": run_metadata("multiplex", config.raw, config.rng.seed),
             "results": results,
             "counts": counts,
         },
@@ -482,7 +493,8 @@ def cmd_sweep(args) -> int:
     separation = args.param == "alpha_separation"
     if separation:
         base = config.require("receiver")
-        rng = config.require("rng") if mc is not None else None
+        if mc is not None:
+            config.require("rng")
     else:
         base = config.require("multiplex")
         rounds = {} if mc is None else {"rounds": mc}
@@ -504,7 +516,7 @@ def cmd_sweep(args) -> int:
                 cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
             row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
             if mc is not None:
-                tallies = run_trials(cfg, mc, RngStream(rng.seed, i))
+                tallies = run_trials(cfg, mc, RngStream(config.rng.seed, i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
                 row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]
@@ -520,7 +532,7 @@ def cmd_sweep(args) -> int:
                 _fmt(inconclusive_bound_ratio(cfg)),
             ]
             if mc is not None:
-                report = run_protocol(cfg, rng=RngStream(cfg.seed, i))
+                report = run_protocol(cfg, RngStream(config.rng.seed, i))
                 row += [_fmt(report.inconclusive_rate_empirical), _fmt(report.sifted_key_rate)]
         rows.append(row)
     write_csv(out / "sweep.csv", header, rows)

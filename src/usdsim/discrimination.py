@@ -33,13 +33,11 @@ from .hilbert import (
     NumericalGuardError,
     TruncatedOperator,
     _as_amplitude,
-    _check_fock_range,
     beam_splitter_vacuum_columns,
     check_dim,
     check_efficiency,
     coherent_state,
     expectation,
-    identity,
     normally_ordered_exponential,
     normally_ordered_gaussian,
     overlap,
@@ -138,7 +136,6 @@ class PovmSet:
     """The four positive operators of the receiver, keyed by outcome."""
 
     elements: dict[Outcome, TruncatedOperator]
-    construction: str  # "analytic" | "ancilla"
     dim: int
 
     def __getitem__(self, outcome: Outcome) -> TruncatedOperator:
@@ -176,9 +173,8 @@ def _validate_povm(povm: PovmSet) -> PovmSet:
 
 
 def _check_adequacy(cfg: ReceiverConfig) -> None:
-    _check_fock_range(cfg.dim)
     for name, alpha in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
-        achieved = coherent_state(alpha, cfg.dim).norm
+        achieved = coherent_state(alpha, cfg.dim).norm()
         if achieved < ADEQUACY_MIN_NORM:
             raise NumericalGuardError(
                 f"truncation adequacy guard: coherent state for {name} reaches "
@@ -210,17 +206,19 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     """
     _check_adequacy(cfg)
     dim = cfg.dim
-    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim)
-    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim)
-    q12 = _q_product(cfg.alpha1, cfg.alpha2, dim)
-    eye = identity(dim)
+    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim).matrix
+    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim).matrix
+    q12 = _q_product(cfg.alpha1, cfg.alpha2, dim).matrix
+    eye = np.eye(dim, dtype=np.complex128)
     elements = {
         Outcome.INCONCLUSIVE: q12,
         Outcome.CONCLUSIVE_1: q1 - q12,
         Outcome.CONCLUSIVE_2: q2 - q12,
         Outcome.ANOMALOUS: eye - q1 - q2 + q12,
     }
-    return _validate_povm(PovmSet(elements, "analytic", dim))
+    return _validate_povm(
+        PovmSet({o: TruncatedOperator(dim, m) for o, m in elements.items()}, dim)
+    )
 
 
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
@@ -254,20 +252,20 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
-    eye = identity(dim)
+    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim).matrix
+    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim).matrix
+    eye = np.eye(dim, dtype=np.complex128)
     factors = {
         Outcome.INCONCLUSIVE: (p1, p2),
         Outcome.CONCLUSIVE_1: (p1, eye - p2),
         Outcome.CONCLUSIVE_2: (eye - p1, p2),
         Outcome.ANOMALOUS: (eye - p1, eye - p2),
     }
-    elements = {}
-    for outcome, (left, right) in factors.items():
-        reduced = w.conj().T @ np.kron(left.matrix, right.matrix) @ w
-        elements[outcome] = TruncatedOperator(dim, reduced)
-    return _validate_povm(PovmSet(elements, "ancilla", dim))
+    elements = {
+        outcome: TruncatedOperator(dim, w.conj().T @ np.kron(left, right) @ w)
+        for outcome, (left, right) in factors.items()
+    }
+    return _validate_povm(PovmSet(elements, dim))
 
 
 def outcome_probabilities(
@@ -285,7 +283,7 @@ def outcome_probabilities(
     """
     if povm.dim != cfg.dim:
         raise ValueError(f"POVM dim {povm.dim} does not match config dim {cfg.dim}")
-    state = coherent_state(sent, cfg.dim).state
+    state = coherent_state(sent, cfg.dim)
     raw = {}
     for outcome in OUTCOME_ORDER:
         value = expectation(povm[outcome], state)
@@ -360,8 +358,6 @@ class OptimalityReport:
     numeric_inconclusive: float
     quantum_bound: float
     gap: float
-    eta: float
-    dim: int
 
 
 def optimality_check(cfg: ReceiverConfig, povm: PovmSet) -> OptimalityReport:
@@ -375,13 +371,6 @@ def optimality_check(cfg: ReceiverConfig, povm: PovmSet) -> OptimalityReport:
     p1 = outcome_probabilities(cfg, cfg.alpha1, povm)[Outcome.INCONCLUSIVE]
     p2 = outcome_probabilities(cfg, cfg.alpha2, povm)[Outcome.INCONCLUSIVE]
     numeric = 0.5 * (p1 + p2)
-    s1 = coherent_state(cfg.alpha1, cfg.dim).state
-    s2 = coherent_state(cfg.alpha2, cfg.dim).state
+    s1, s2 = coherent_state(cfg.alpha1, cfg.dim), coherent_state(cfg.alpha2, cfg.dim)
     bound = abs(overlap(s1, s2))
-    return OptimalityReport(
-        numeric_inconclusive=numeric,
-        quantum_bound=bound,
-        gap=numeric - bound,
-        eta=cfg.eta,
-        dim=cfg.dim,
-    )
+    return OptimalityReport(numeric_inconclusive=numeric, quantum_bound=bound, gap=numeric - bound)

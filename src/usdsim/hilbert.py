@@ -19,7 +19,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -155,47 +154,19 @@ class TruncatedOperator:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({self.dim}, {self.dim})")
         object.__setattr__(self, "matrix", mat)
 
-    def _check_compatible(self, other: "TruncatedOperator | TruncatedState"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedOperator):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedOperator(self.dim, self.matrix + other.matrix)
 
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedOperator):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedOperator(self.dim, self.matrix - other.matrix)
-
-
-class CoherentResult(NamedTuple):
-    """A truncated coherent state together with the norm it achieved."""
-
-    state: TruncatedState
-    norm: float
-
-
-def identity(dim: int) -> TruncatedOperator:
-    check_dim(dim)
-    return TruncatedOperator(dim, np.eye(dim, dtype=np.complex128))
-
-
-def coherent_state(alpha: complex, dim: int) -> CoherentResult:
+def coherent_state(alpha: complex, dim: int) -> TruncatedState:
     """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!).
 
     The amplitudes are built by the stable recurrence c_n = c_{n-1} a/sqrt(n).
-    Truncation may lose norm; the achieved norm is returned so callers can
-    decide whether the basis was large enough.
+    Truncation may lose norm; callers read the achieved ``norm()`` to decide
+    whether the basis was large enough.
     """
     alpha = _as_amplitude(alpha)
     check_dim(dim)
@@ -204,8 +175,7 @@ def coherent_state(alpha: complex, dim: int) -> CoherentResult:
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    state = TruncatedState(dim, amps)
-    return CoherentResult(state, state.norm())
+    return TruncatedState(dim, amps)
 
 
 def _mixing_angle(power_transmission: float) -> float:
@@ -222,24 +192,21 @@ def _port_parity(dim: int) -> np.ndarray:
 
 
 def _sector_block(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices and exponentiated generator of one photon-number sector.
+    """Basis indices and exponentiated generator of one photon-number sector
+    with total < dim.
 
-    The sector holds |n1, total - n1> for the n1 that fit in the truncation,
-    ordered by increasing n1, so for total < dim its last state is |total, 0>.
+    The sector holds |n1, total - n1> for n1 = 0..total, in that order, so its
+    last state is |total, 0>.
     """
-    lo = max(0, total - dim + 1)
-    hi = min(total, dim - 1)
-    size = hi - lo + 1
+    size = total + 1
     block = np.zeros((size, size))
-    for i in range(size - 1):
-        n1 = lo + i
-        n2 = total - n1
+    for n1 in range(total):
         # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
-        w = theta * math.sqrt((n1 + 1) * n2)
-        block[i + 1, i] = w
-        block[i, i + 1] = -w
+        w = theta * math.sqrt((n1 + 1) * (total - n1))
+        block[n1 + 1, n1] = w
+        block[n1, n1 + 1] = -w
     eblock = expm(block) if size > 1 else np.ones((1, 1))
-    idx = np.array([(lo + i) * dim + (total - lo - i) for i in range(size)])
+    idx = np.array([n1 * dim + (total - n1) for n1 in range(size)])
     return idx, eblock
 
 
@@ -335,7 +302,8 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> Truncat
 
 def expectation(op: TruncatedOperator, state: TruncatedState) -> complex:
     """<state| op |state> without normalizing the state."""
-    op._check_compatible(state)
+    if op.dim != state.dim:
+        raise ValueError(f"dimension mismatch: {op.dim} vs {state.dim}")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 

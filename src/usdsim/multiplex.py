@@ -38,15 +38,6 @@ WEAK_SPLITTING_LIMIT = 0.2
 _EXP_OVERFLOW = math.log(sys.float_info.max)
 
 
-def bob_bs_transmission(splitter_transmission: float) -> float:
-    """Power transmission 1/(2-T) of Bob's tap splitter that balances the
-    two conclusive click rates; at T = 0 this is an exact 50:50 splitter."""
-    t = _as_real(splitter_transmission, "splitter transmission")
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"splitter transmission must lie in [0, 1), got {t}")
-    return 1.0 / (2.0 - t)
-
-
 @dataclass(frozen=True)
 class MultiplexConfig:
     """Protocol parameters for the fiber scheme.
@@ -62,7 +53,6 @@ class MultiplexConfig:
     eta: float
     channel_transmission: float = 1.0
     rounds: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         g = _as_amplitude(self.gamma)
@@ -74,7 +64,6 @@ class MultiplexConfig:
         if not 0.0 < c <= 1.0:
             raise ValueError(f"channel transmission must lie in (0, 1], got {c}")
         rounds = check_draws(self.rounds, "rounds")
-        RngStream(self.seed)  # rejects a seed run_protocol could not use
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "splitter_transmission", t)
         object.__setattr__(self, "eta", eta)
@@ -90,20 +79,13 @@ class MultiplexConfig:
 
     @property
     def bob_bs_transmission(self) -> float:
-        return bob_bs_transmission(self.splitter_transmission)
+        """Power transmission tau = 1/(2-T) of Bob's tap splitter, which
+        balances the two conclusive click rates."""
+        return 1.0 / (2.0 - self.splitter_transmission)
 
     @property
     def outside_weak_splitting_regime(self) -> bool:
         return self.splitter_transmission > WEAK_SPLITTING_LIMIT
-
-
-@dataclass(frozen=True)
-class PulsePair:
-    """One emitted round: weak signal in the early slot, strong reference in
-    the late slot."""
-
-    signal_amplitude: complex
-    auxiliary_amplitude: complex
 
 
 @dataclass(frozen=True)
@@ -132,16 +114,14 @@ def derived_constants(cfg: MultiplexConfig) -> MultiplexDerived:
     )
 
 
-def alice_emit(bit: int, cfg: MultiplexConfig) -> PulsePair:
-    """Alice's output for one bit: shutter closed (vacuum signal) for 0,
-    the weak pulse T*gamma for 1; the reference pulse is bit-independent."""
+def alice_emit(bit: int, cfg: MultiplexConfig) -> complex:
+    """Alice's early-slot signal amplitude for one bit: 0 (shutter closed,
+    vacuum) for bit 0, the weak pulse T*gamma for bit 1.  The late reference
+    pulse (1-T)*gamma is the same for both bits; ``derived_constants`` holds
+    it."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    t = cfg.splitter_transmission
-    return PulsePair(
-        signal_amplitude=bit * t * cfg.gamma,
-        auxiliary_amplitude=(1.0 - t) * cfg.gamma,
-    )
+    return bit * cfg.splitter_transmission * cfg.gamma
 
 
 @dataclass(frozen=True)
@@ -152,10 +132,11 @@ class DetectorAmplitudes:
     amp_d2: complex
 
 
-def propagate_bob(pulses: PulsePair, cfg: MultiplexConfig) -> DetectorAmplitudes:
-    """Exact in-window detector amplitudes for one emitted round.
+def propagate_bob(signal_amplitude: complex, cfg: MultiplexConfig) -> DetectorAmplitudes:
+    """Exact in-window detector amplitudes for one emitted round, given
+    Alice's early-slot signal amplitude (``alice_emit``).
 
-    Both pulses ride the same fiber, so channel loss scales both by
+    Signal and reference ride the same fiber, so channel loss scales both by
     sqrt(channel_transmission) and the fixed attenuation ratio in Bob's short
     arm keeps the destructive interference at D2 exact: for bit 1 the signal
     contribution and the reference leak are the same floating-point product,
@@ -164,7 +145,7 @@ def propagate_bob(pulses: PulsePair, cfg: MultiplexConfig) -> DetectorAmplitudes
     t = cfg.splitter_transmission
     tau = cfg.bob_bs_transmission
     root_c = math.sqrt(cfg.channel_transmission)
-    signal = pulses.signal_amplitude * root_c
+    signal = signal_amplitude * root_c
     bit1_signal = t * cfg.gamma * root_c  # what the signal would be for bit 1
     leak = bit1_signal * (1.0 - t) * math.sqrt(tau)
     return DetectorAmplitudes(
@@ -247,7 +228,7 @@ class KeyReport:
     counts: dict[Outcome, int]
 
 
-def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyReport:
+def run_protocol(cfg: MultiplexConfig, rng: RngStream) -> KeyReport:
     """Run the whole protocol: emit, propagate, detect, classify, sift.
 
     A D1 click reads bit 1, a D2 click bit 0; no clicks is inconclusive and
@@ -255,14 +236,12 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream | None = None) -> KeyRepor
     one detector amplitude is exactly zero every round, so the sifted key is
     error free and no anomalous events occur.
 
-    The stream gives all ``rounds`` bits first, then one uniform per round.
+    ``rng`` gives all ``rounds`` bits first, then one uniform per round.
     Both are read in chunks of ``montecarlo._CHUNK`` rounds by two generators
     in lockstep, the second placed at the first uniform without drawing the
     bits (see ``_after_bits``), so memory stays flat in ``rounds`` while every
     round gets the same bit and uniform as from one unchunked stream.
     """
-    if rng is None:
-        rng = RngStream(cfg.seed)
     bit_gen = rng.generator()
     dists = [
         click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta) for bit in (0, 1)

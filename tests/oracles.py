@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 from usdsim.discrimination import OUTCOME_ORDER, Outcome
 from usdsim.hilbert import normally_ordered_gaussian
-from usdsim.montecarlo import RngStream, clean_distribution
+from usdsim.montecarlo import clean_distribution
 from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
 
@@ -130,12 +130,12 @@ def reference_counts(dist: dict, u: np.ndarray) -> dict:
     return {o: drawn[o] for o in OUTCOME_ORDER}
 
 
-def reference_protocol(cfg) -> tuple[dict, int, int]:
+def reference_protocol(cfg, rng) -> tuple[dict, int, int]:
     """Outcome counts, sifted rounds and bit errors of the protocol run with
-    ``cfg``, classified one round at a time.  One unchunked generator on
-    ``RngStream(cfg.seed)`` gives all the bits first, then one uniform per
-    round; a D1 click (CONCLUSIVE_2) reads bit 1, a D2 click bit 0."""
-    gen = RngStream(cfg.seed).generator()
+    ``cfg`` on the stream ``rng``, classified one round at a time.  One
+    unchunked generator on ``rng`` gives all the bits first, then one uniform
+    per round; a D1 click (CONCLUSIVE_2) reads bit 1, a D2 click bit 0."""
+    gen = rng.generator()
     bits = gen.integers(0, 2, size=cfg.rounds).tolist()
     u = gen.random(cfg.rounds)
     drawn = {

@@ -95,14 +95,14 @@ def test_criterion_2_closed_form_probabilities():
     no_click = math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)  # = exp(-2)
     worst = 0.0
     for sent in (cfg.alpha1, cfg.alpha2):
-        state, _ = h.coherent_state(sent, DIM)
+        state = h.coherent_state(sent, DIM)
         p00 = h.expectation(povm[Outcome.INCONCLUSIVE], state).real
         p11 = h.expectation(povm[Outcome.ANOMALOUS], state).real
         worst = max(worst, abs(p00 - no_click))
         assert p00 == pytest.approx(no_click, abs=1e-8)
         assert abs(p11) <= 1e-9
-    s1, _ = h.coherent_state(cfg.alpha1, DIM)
-    s2, _ = h.coherent_state(cfg.alpha2, DIM)
+    s1 = h.coherent_state(cfg.alpha1, DIM)
+    s2 = h.coherent_state(cfg.alpha2, DIM)
     assert abs(h.expectation(povm[Outcome.CONCLUSIVE_1], s2)) <= 1e-9
     assert abs(h.expectation(povm[Outcome.CONCLUSIVE_2], s1)) <= 1e-9
     print(f"\nACCEPTANCE 2 PASS: inconclusive = exp(-2) within {worst:.2e}, zeros below 1e-9")
@@ -116,8 +116,8 @@ def test_criterion_3_optimality(povm_pairs):
         probs2 = outcome_probabilities(cfg, cfg.alpha2, analytic)
         bound = abs(
             h.overlap(
-                h.coherent_state(cfg.alpha1, DIM).state,
-                h.coherent_state(cfg.alpha2, DIM).state,
+                h.coherent_state(cfg.alpha1, DIM),
+                h.coherent_state(cfg.alpha2, DIM),
             )
         )
         for numeric in (probs1[Outcome.INCONCLUSIVE], probs2[Outcome.INCONCLUSIVE]):
@@ -173,7 +173,6 @@ def test_criterion_5_fiber_closed_forms():
                 splitter_transmission=t,
                 eta=1.0,
                 rounds=100_000,
-                seed=31 * i + j,
             )
             report = balance_check(cfg)
             worst_imbalance = max(worst_imbalance, abs(report.imbalance))
@@ -189,7 +188,7 @@ def test_criterion_5_fiber_closed_forms():
             worst_prob = max(worst_prob, abs(analytic - p_inc))
             assert analytic == pytest.approx(p_inc, abs=1e-12)
 
-            empirical = run_protocol(cfg).inconclusive_rate_empirical
+            empirical = run_protocol(cfg, RngStream(31 * i + j)).inconclusive_rate_empirical
             lo, hi = three_sigma_band(p_inc, cfg.rounds)
             assert lo <= empirical <= hi
     print(
@@ -218,10 +217,8 @@ def test_criterion_6_quantum_limit_approach():
 
 def test_criterion_7_protocol_end_to_end():
     """Full key exchange at gamma=10, T=0.05: error-free sifted key."""
-    cfg = MultiplexConfig(
-        gamma=10.0, splitter_transmission=0.05, eta=1.0, rounds=100_000, seed=314159
-    )
-    report = run_protocol(cfg)
+    cfg = MultiplexConfig(gamma=10.0, splitter_transmission=0.05, eta=1.0, rounds=100_000)
+    report = run_protocol(cfg, RngStream(314159))
     assert report.bit_error_rate == 0.0
     assert report.anomalous_count == 0
     # sifted fraction: 1 - exp(-(1-T)^2 T^2 |gamma|^2 / (2-T))

@@ -425,6 +425,42 @@ class TestSweepCommand:
         assert math.log(ratios[1]) == pytest.approx(100.0 * math.log(ratios[0]), rel=1e-10)
 
 
+class TestRngSection:
+    def test_missing_section_runs_the_protocol_with_seed_0(self, workspace):
+        # multiplex and the T sweep's Monte Carlo columns draw from seed 0
+        # when the config has no 'rng' section; only the config hash differs
+        tmp_path, _, write = workspace
+        grid = ["--param", "T", "--from", "0.01", "--to", "0.2", "--steps", "4", "--mc", "200"]
+        records, sweeps = {}, {}
+        for label in ("seed-0", "no-rng"):
+            out = tmp_path / label
+            cfg = base_config(out, rng={"seed": 0})
+            if label == "no-rng":
+                del cfg["rng"]
+            path = write(cfg)
+            assert cli.main(["multiplex", path]) == 0
+            assert cli.main(["sweep", path, *grid]) == 0
+            records[label] = json.loads((out / "multiplex.json").read_text())
+            sweeps[label] = (out / "sweep.csv").read_bytes()
+        seeded, bare = records["seed-0"], records["no-rng"]
+        assert bare["results"] == seeded["results"]
+        assert bare["counts"] == seeded["counts"]
+        assert bare["metadata"]["seed"] == seeded["metadata"]["seed"] == 0
+        assert bare["metadata"]["config_hash"] != seeded["metadata"]["config_hash"]
+        assert sweeps["no-rng"] == sweeps["seed-0"]
+
+    def test_missing_section_still_required_by_the_trials(self, workspace, capsys):
+        _, out, write = workspace
+        cfg = base_config(out)
+        del cfg["rng"]
+        path = write(cfg)
+        grid = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2"]
+        assert cli.main(["simulate", path, "--trials", "10"]) == 2
+        assert cli.main(["sweep", path, *grid, "--mc", "10"]) == 2
+        assert capsys.readouterr().err.count("missing the 'rng' section") == 2
+        assert cli.main(["sweep", path, *grid]) == 0
+
+
 class TestDrawCounts:
     def test_counts_above_the_draw_cap_exit_2(self, workspace):
         # rounds, --trials, and --mc on both sweep branches (the protocol and
@@ -478,6 +514,32 @@ class TestOutputDirectory:
         assert (override / "probs.json").is_file()
         assert not (out / "probs.json").exists()
 
+    def test_unwritable_artifact_exits_2(self, workspace):
+        # each artifact path is taken by a directory; every writer reports
+        # the file it cannot open, in one fresh interpreter
+        _, out, write = workspace
+        path = write(base_config(out))
+        blocked = [
+            (["probs", path], "probs.json"),
+            (["simulate", path, "--trials", "10"], "simulate.csv"),
+            (["povm", path, "--construction", "analytic", "--dump"], "povm_analytic_00.txt"),
+        ]
+        for _, name in blocked:
+            (out / name).mkdir(parents=True)
+        proc = run_python(
+            "-c",
+            "import json, sys; from usdsim import cli; "
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))",
+            json.dumps([argv for argv, _ in blocked]),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2] * len(blocked)
+        assert "Traceback" not in proc.stderr
+        errors = proc.stderr.splitlines()
+        assert len(errors) == len(blocked)
+        for error, (_, name) in zip(errors, blocked):
+            assert error.startswith("config error: cannot write") and str(out / name) in error
+
     def test_default_label_sources(self, workspace):
         _, out, write = workspace
         assert cli.main(["multiplex", write(base_config(out))]) == 0
@@ -486,11 +548,10 @@ class TestOutputDirectory:
         assert all(r["source"] in allowed for r in record["results"])
 
 
-@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
-def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
-    """The sampling commands of the benchmark's small CLI calls reproduce the
-    committed artifact bytes; the artifacts embed the numpy and scipy
-    versions, so the hashes hold only for the recorded environment."""
+def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
+    """The named jobs of the benchmark's small CLI calls reproduce the
+    committed artifact bytes of ``variant``; the artifacts embed the numpy and
+    scipy versions, so the hashes hold only for the recorded environment."""
     golden = workloads.load_golden()
     versions = {
         "python": platform.python_version(),
@@ -506,7 +567,7 @@ def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
         pytest.skip("golden hashes belong to another environment: " + ", ".join(differ))
     expected = workloads.variant_hashes(golden, "cli-calls", variant)
     jobs = {job.name: job for job in workloads.cli_small(variant)}
-    for name in ("simulate", "multiplex", "sweep-alpha"):
+    for name in names:
         job = jobs[name]
         job_dir = tmp_path / name
         job_dir.mkdir()
@@ -518,3 +579,18 @@ def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
         assert kind == "cli"
         assert cli.main(argv) == 0, name
         assert workloads.artifact_hashes(job_dir / "out") == expected[name], name
+
+
+_SAMPLER_JOBS = ("simulate", "multiplex", "sweep-alpha")
+
+
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
+    assert_jobs_match_golden_hashes(_SAMPLER_JOBS, variant, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+def test_povm_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
+    # every other small CLI job: the POVM builds, probabilities and dumps
+    names = [job.name for job in workloads.cli_small(variant) if job.name not in _SAMPLER_JOBS]
+    assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch)

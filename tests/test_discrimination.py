@@ -81,15 +81,15 @@ class TestAnalyticPovm:
         povm = povm_analytic(cfg)
         target = math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         for sent in (cfg.alpha1, cfg.alpha2):
-            state, _ = h.coherent_state(sent, cfg.dim)
+            state = h.coherent_state(sent, cfg.dim)
             p00 = h.expectation(povm[Outcome.INCONCLUSIVE], state).real
             assert p00 == pytest.approx(target, abs=1e-8)
 
     def test_wrong_conclusive_never_fires(self):
         cfg = ReceiverConfig(1.0, -1.0, 32)
         povm = povm_analytic(cfg)
-        s1, _ = h.coherent_state(cfg.alpha1, cfg.dim)
-        s2, _ = h.coherent_state(cfg.alpha2, cfg.dim)
+        s1 = h.coherent_state(cfg.alpha1, cfg.dim)
+        s2 = h.coherent_state(cfg.alpha2, cfg.dim)
         assert abs(h.expectation(povm[Outcome.CONCLUSIVE_1], s2)) <= 1e-9
         assert abs(h.expectation(povm[Outcome.CONCLUSIVE_2], s1)) <= 1e-9
         assert abs(h.expectation(povm[Outcome.ANOMALOUS], s1)) <= 1e-9
@@ -118,7 +118,7 @@ class TestAnalyticPovm:
         cfg = ReceiverConfig(a1, a2, 32)
         povm = povm_analytic(cfg)
         mu = 0.5 * (a1 + a2)
-        state, _ = h.coherent_state(mu, 32)
+        state = h.coherent_state(mu, 32)
         oracle = math.exp(-0.25 * abs(a1 - a2) ** 2) * np.outer(
             state.amplitudes, state.amplitudes.conj()
         )
@@ -274,8 +274,8 @@ class TestInconclusiveRate:
 
     def test_equals_truncated_overlap_modulus(self):
         a1, a2 = 0.9j, 0.1
-        s1, _ = h.coherent_state(a1, 48)
-        s2, _ = h.coherent_state(a2, 48)
+        s1 = h.coherent_state(a1, 48)
+        s2 = h.coherent_state(a2, 48)
         assert inconclusive_rate(a1, a2) == pytest.approx(abs(h.overlap(s1, s2)), abs=1e-8)
 
     def test_rejects_non_finite(self):

@@ -57,14 +57,9 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            RngStream(-1)
-        with pytest.raises(ValueError):
-            RngStream(2**64)
-        with pytest.raises(ValueError):
-            RngStream(1.5)
-        with pytest.raises(ValueError):
-            RngStream(True)
+        for seed in (-1, 2**64, 1.5, True, "0.5", None):
+            with pytest.raises(ValueError):
+                RngStream(seed)
 
 
 class TestSampling:

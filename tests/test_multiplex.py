@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from oracles import reference_protocol
 from usdsim import montecarlo
 from usdsim.discrimination import Outcome, inconclusive_rate
-from usdsim.montecarlo import MAX_DRAWS, three_sigma_band
+from usdsim.montecarlo import MAX_DRAWS, RngStream, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
     alice_emit,
     balance_check,
-    bob_bs_transmission,
     click_probabilities,
     derived_constants,
     inconclusive_bound_ratio,
@@ -26,22 +25,22 @@ from usdsim.multiplex import (
 )
 
 
-def make_config(gamma=10.0, T=0.05, eta=1.0, channel=1.0, rounds=1000, seed=0):
+def make_config(gamma=10.0, T=0.05, eta=1.0, channel=1.0, rounds=1000):
     return MultiplexConfig(
         gamma=gamma,
         splitter_transmission=T,
         eta=eta,
         channel_transmission=channel,
         rounds=rounds,
-        seed=seed,
     )
 
 
-def assert_matches_per_round_reference(cfg):
+def assert_matches_per_round_reference(cfg, seed):
     """run_protocol's report equals the per-round classification of the same
     stream, exactly."""
-    counts, sifted, errors = reference_protocol(cfg)
-    report = run_protocol(cfg)
+    rng = RngStream(seed)
+    counts, sifted, errors = reference_protocol(cfg, rng)
+    report = run_protocol(cfg, rng)
     assert report.counts == counts
     assert report.sifted_count == sifted
     assert report.bit_error_rate == (errors / sifted if sifted else None)
@@ -100,7 +99,8 @@ class TestConfig:
         assert cfg.bob_bs_transmission == 1.0 / (2.0 - 0.05)
 
     def test_limit_tap_is_balanced(self):
-        assert bob_bs_transmission(0.0) == 0.5
+        # 1/(2-T) rounds to exactly 1/2 at the smallest positive T
+        assert make_config(T=5e-324).bob_bs_transmission == 0.5
 
     def test_weak_splitting_warning(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -128,12 +128,11 @@ class TestConfig:
             dict(rounds=0),
             dict(rounds=2.7),
             dict(rounds=True),
-            dict(seed=-1),
             dict(gamma=float("inf")),
             dict(gamma=1e200),  # |gamma|^2 overflows
             *(
                 {key: junk}
-                for key in ("gamma", "T", "eta", "channel", "rounds", "seed")
+                for key in ("gamma", "T", "eta", "channel", "rounds")
                 for junk in ("0.5", None, True)
             ),
         ):
@@ -143,21 +142,19 @@ class TestConfig:
 
 class TestAliceEmit:
     def test_shutter_closed(self):
-        pulses = alice_emit(0, make_config())
-        assert pulses.signal_amplitude == 0.0
+        assert alice_emit(0, make_config()) == 0.0
 
     def test_weak_pulse_and_overlap(self):
         cfg = make_config(gamma=10.0, T=0.05)
-        pulses = alice_emit(1, cfg)
-        assert pulses.signal_amplitude == pytest.approx(0.5)
+        signal = alice_emit(1, cfg)
+        assert signal == pytest.approx(0.5)
         # overlap of the two emitted states with the vacuum alternative
-        overlap = math.exp(-0.5 * abs(pulses.signal_amplitude) ** 2)
+        overlap = math.exp(-0.5 * abs(signal) ** 2)
         assert overlap == pytest.approx(math.exp(-0.125), abs=1e-15)
         assert derived_constants(cfg).state_overlap == pytest.approx(overlap, abs=1e-15)
 
     def test_reference_pulse(self):
-        pulses = alice_emit(1, make_config(gamma=10.0, T=0.05))
-        assert pulses.auxiliary_amplitude == pytest.approx(9.5)
+        assert derived_constants(make_config(gamma=10.0, T=0.05)).alice_aux_amp == pytest.approx(9.5)
 
     def test_bad_bit(self):
         with pytest.raises(ValueError):
@@ -218,7 +215,7 @@ class TestPropagation:
             cfg = make_config(T=0.9999999999999999, rounds=100)
         assert cfg.bob_bs_transmission == 1.0
         assert propagate_bob(alice_emit(1, cfg), cfg).amp_d1 == 0.0
-        assert run_protocol(cfg).rounds == 100
+        assert run_protocol(cfg, RngStream(0)).rounds == 100
 
 
 class TestClickProbabilities:
@@ -309,14 +306,14 @@ class TestBoundRatio:
 
 class TestProtocol:
     def test_blind_detectors_empty_key(self):
-        report = run_protocol(make_config(eta=0.0, rounds=500))
+        report = run_protocol(make_config(eta=0.0, rounds=500), RngStream(0))
         assert report.sifted_count == 0
         assert report.inconclusive_rate_empirical == 1.0
         assert report.bit_error_rate is None  # undefined, not a perfect key
 
     def test_ideal_run_statistics(self):
-        cfg = make_config(gamma=10.0, T=0.05, eta=1.0, rounds=100_000, seed=99)
-        report = run_protocol(cfg)
+        cfg = make_config(gamma=10.0, T=0.05, eta=1.0, rounds=100_000)
+        report = run_protocol(cfg, RngStream(99))
         assert report.bit_error_rate == 0.0
         assert report.anomalous_count == 0
         p = round_inconclusive_probability(cfg)
@@ -330,18 +327,18 @@ class TestProtocol:
         )
 
     def test_sifted_bits_match_alice(self):
-        report = run_protocol(make_config(rounds=20_000, seed=3))
+        report = run_protocol(make_config(rounds=20_000), RngStream(3))
         assert report.sifted_count > 0
         assert report.bit_error_rate == 0.0
 
     def test_reproducible(self):
-        cfg = make_config(rounds=5000, seed=12)
-        assert run_protocol(cfg) == run_protocol(cfg)
-        assert run_protocol(cfg) != run_protocol(make_config(rounds=5000, seed=13))
+        cfg = make_config(rounds=5000)
+        assert run_protocol(cfg, RngStream(12)) == run_protocol(cfg, RngStream(12))
+        assert run_protocol(cfg, RngStream(12)) != run_protocol(cfg, RngStream(13))
 
     def test_lossy_channel_still_error_free(self):
-        cfg = make_config(gamma=10.0, T=0.05, eta=0.9, channel=0.6, rounds=50_000, seed=5)
-        report = run_protocol(cfg)
+        cfg = make_config(gamma=10.0, T=0.05, eta=0.9, channel=0.6, rounds=50_000)
+        report = run_protocol(cfg, RngStream(5))
         assert report.bit_error_rate == 0.0
         assert report.anomalous_count == 0
         p = round_inconclusive_probability(cfg)
@@ -349,17 +346,15 @@ class TestProtocol:
         assert lo <= report.inconclusive_rate_empirical <= hi
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, seed",
         [
-            pytest.param(make_config(T=0.15, rounds=4000, seed=21), id="ideal"),
-            pytest.param(
-                make_config(T=0.15, eta=0.7, channel=0.5, rounds=4000, seed=22), id="lossy"
-            ),
-            pytest.param(make_config(eta=0.0, rounds=500, seed=23), id="blind"),
+            pytest.param(make_config(T=0.15, rounds=4000), 21, id="ideal"),
+            pytest.param(make_config(T=0.15, eta=0.7, channel=0.5, rounds=4000), 22, id="lossy"),
+            pytest.param(make_config(eta=0.0, rounds=500), 23, id="blind"),
         ],
     )
-    def test_matches_per_round_reference(self, cfg):
-        assert_matches_per_round_reference(cfg)
+    def test_matches_per_round_reference(self, cfg, seed):
+        assert_matches_per_round_reference(cfg, seed)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
     @pytest.mark.parametrize("rounds", [1, 2, 3, 5, 7, 8, 4001])
@@ -368,7 +363,7 @@ class TestProtocol:
         # every offset of the first uniform within a block of four outputs
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         assert_matches_per_round_reference(
-            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds, seed=rounds)
+            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds), rounds
         )
 
     def test_rounds_above_the_draw_cap_rejected(self):
@@ -387,5 +382,5 @@ class TestProtocol:
 def test_any_chunking_matches_per_round_reference(rounds, chunk, seed):
     with mock.patch.object(montecarlo, "_CHUNK", chunk):
         assert_matches_per_round_reference(
-            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds, seed=seed)
+            make_config(T=0.15, eta=0.7, channel=0.5, rounds=rounds), seed
         )
