@@ -24,12 +24,9 @@ from .discrimination import (
 from .hilbert import (
     NumericalGuardError,
     TruncatedOperator,
-    TruncatedState,
     coherent_state,
-    expectation,
     normally_ordered_exponential,
     normally_ordered_gaussian,
-    overlap,
 )
 from .montecarlo import RngStream, TrialTally, run_trials
 from .multiplex import (

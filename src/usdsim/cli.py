@@ -226,11 +226,13 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
     }
 
 
+@contextmanager
 def _create(path: Path, newline: str | None = None):
-    """``path`` opened for writing text; a file the system refuses to open is
-    a config error that names it."""
+    """``path`` opened for writing text; a file the system refuses to open,
+    write or close is a config error that names it."""
     try:
-        return path.open("w", newline=newline)
+        with path.open("w", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -289,17 +291,13 @@ def write_record(base: Path, record: dict, fmt: str) -> Path:
     return path
 
 
-def dump_operator(path: Path, dim: int, matrix: np.ndarray) -> None:
-    """Dense matrix text dump: 'dim m modes 1' then row-major 're im' pairs."""
-    lines = [f"dim {dim} modes 1"]
-    for row in matrix:
-        pairs = []
-        for z in row:
-            pairs.append(_fmt(z.real))
-            pairs.append(_fmt(z.imag))
-        lines.append(" ".join(pairs))
+def dump_operator(path: Path, matrix: np.ndarray) -> None:
+    """Dense matrix text dump: 'dim m modes 1' then row-major 're im' pairs,
+    each number as ``_fmt`` writes it."""
+    dim = len(matrix)
+    pairs = np.stack((matrix.real, matrix.imag), axis=-1).reshape(dim, 2 * dim)
     with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, pairs, fmt="%.17g", header=f"dim {dim} modes 1", comments="")
 
 
 def result(name: str, value, source: str) -> dict:
@@ -334,7 +332,7 @@ def cmd_povm(args) -> int:
         for tag, povm in built.items():
             for outcome in OUTCOME_ORDER:
                 path = out / f"povm_{tag}_{outcome.label}.txt"
-                dump_operator(path, cfg.dim, povm[outcome].matrix)
+                dump_operator(path, povm[outcome].matrix)
     write_record(
         out / "povm",
         {"metadata": run_metadata("povm", config.raw, None), "results": results},

@@ -37,10 +37,8 @@ from .hilbert import (
     check_dim,
     check_efficiency,
     coherent_state,
-    expectation,
     normally_ordered_exponential,
     normally_ordered_gaussian,
-    overlap,
 )
 
 logger = logging.getLogger(__name__)
@@ -136,7 +134,10 @@ class PovmSet:
     """The four positive operators of the receiver, keyed by outcome."""
 
     elements: dict[Outcome, TruncatedOperator]
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.elements[Outcome.INCONCLUSIVE].dim
 
     def __getitem__(self, outcome: Outcome) -> TruncatedOperator:
         return self.elements[outcome]
@@ -174,7 +175,7 @@ def _validate_povm(povm: PovmSet) -> PovmSet:
 
 def _check_adequacy(cfg: ReceiverConfig) -> None:
     for name, alpha in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
-        achieved = coherent_state(alpha, cfg.dim).norm()
+        achieved = np.linalg.norm(coherent_state(alpha, cfg.dim))
         if achieved < ADEQUACY_MIN_NORM:
             raise NumericalGuardError(
                 f"truncation adequacy guard: coherent state for {name} reaches "
@@ -182,7 +183,7 @@ def _check_adequacy(cfg: ReceiverConfig) -> None:
             )
 
 
-def _q_product(alpha1: complex, alpha2: complex, dim: int) -> TruncatedOperator:
+def _q_product(alpha1: complex, alpha2: complex, dim: int) -> np.ndarray:
     """Normally ordered product :Q1 Q2: assembled from the merged exponent.
 
     Normal symbols multiply, so the product's exponent is the sum of the two
@@ -206,9 +207,9 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     """
     _check_adequacy(cfg)
     dim = cfg.dim
-    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim).matrix
-    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim).matrix
-    q12 = _q_product(cfg.alpha1, cfg.alpha2, dim).matrix
+    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim)
+    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim)
+    q12 = _q_product(cfg.alpha1, cfg.alpha2, dim)
     eye = np.eye(dim, dtype=np.complex128)
     elements = {
         Outcome.INCONCLUSIVE: q12,
@@ -216,9 +217,7 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
         Outcome.CONCLUSIVE_2: q2 - q12,
         Outcome.ANOMALOUS: eye - q1 - q2 + q12,
     }
-    return _validate_povm(
-        PovmSet({o: TruncatedOperator(dim, m) for o, m in elements.items()}, dim)
-    )
+    return _validate_povm(PovmSet({o: TruncatedOperator(m) for o, m in elements.items()}))
 
 
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
@@ -252,8 +251,8 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim).matrix
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim).matrix
+    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
+    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
     eye = np.eye(dim, dtype=np.complex128)
     factors = {
         Outcome.INCONCLUSIVE: (p1, p2),
@@ -262,10 +261,10 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         Outcome.ANOMALOUS: (eye - p1, eye - p2),
     }
     elements = {
-        outcome: TruncatedOperator(dim, w.conj().T @ np.kron(left, right) @ w)
+        outcome: TruncatedOperator(w.conj().T @ np.kron(left, right) @ w)
         for outcome, (left, right) in factors.items()
     }
-    return _validate_povm(PovmSet(elements, dim))
+    return _validate_povm(PovmSet(elements))
 
 
 def outcome_probabilities(
@@ -286,7 +285,7 @@ def outcome_probabilities(
     state = coherent_state(sent, cfg.dim)
     raw = {}
     for outcome in OUTCOME_ORDER:
-        value = expectation(povm[outcome], state)
+        value = complex(np.vdot(state, povm[outcome].matrix @ state))
         if abs(value.imag) > 1e-10:
             logger.warning(
                 "imaginary residue %.3e in <%s> expectation exceeds 1e-10",
@@ -372,5 +371,5 @@ def optimality_check(cfg: ReceiverConfig, povm: PovmSet) -> OptimalityReport:
     p2 = outcome_probabilities(cfg, cfg.alpha2, povm)[Outcome.INCONCLUSIVE]
     numeric = 0.5 * (p1 + p2)
     s1, s2 = coherent_state(cfg.alpha1, cfg.dim), coherent_state(cfg.alpha2, cfg.dim)
-    bound = abs(overlap(s1, s2))
+    bound = abs(complex(np.vdot(s1, s2)))
     return OptimalityReport(numeric_inconclusive=numeric, quantum_bound=bound, gap=numeric - bound)

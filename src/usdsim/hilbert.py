@@ -1,9 +1,11 @@
 """Truncated Fock-space linear algebra for weak coherent light.
 
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
-optical mode.  The module provides the handful of objects the receiver
-simulation needs: coherent states, normally ordered Gaussian operators, and
-the vacuum-port columns of a beam splitter, the one two-mode object.
+optical mode, as complex128 numpy arrays whose shape holds dim.  The module
+provides the handful of objects the receiver simulation needs: coherent state
+vectors, normally ordered Gaussian operator matrices, and the vacuum-port
+columns of a beam splitter, the one two-mode object.  ``TruncatedOperator``
+wraps a square matrix as a POVM element and carries its guards.
 
 Conventions (fixed, do not change silently):
   * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest;
@@ -123,36 +125,21 @@ def _sqrt_factorials(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TruncatedState:
-    """Complex amplitude vector over the truncated Fock basis of one mode."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        check_dim(self.dim)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != self.dim:
-            raise ValueError(f"amplitude vector has length {amps.size}, expected dim = {self.dim}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Complex matrix on the truncated Fock space of one mode."""
+    """Complex square matrix on the truncated Fock space of one mode."""
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_dim(self.dim)
         mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({self.dim}, {self.dim})")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix has shape {mat.shape}, expected a square matrix")
+        check_dim(mat.shape[0])
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -161,11 +148,12 @@ class TruncatedOperator:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
 
-def coherent_state(alpha: complex, dim: int) -> TruncatedState:
-    """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!).
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!), n < dim,
+    as a complex128 vector.
 
     The amplitudes are built by the stable recurrence c_n = c_{n-1} a/sqrt(n).
-    Truncation may lose norm; callers read the achieved ``norm()`` to decide
+    Truncation may lose norm; callers read the achieved vector norm to decide
     whether the basis was large enough.
     """
     alpha = _as_amplitude(alpha)
@@ -175,7 +163,7 @@ def coherent_state(alpha: complex, dim: int) -> TruncatedState:
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return TruncatedState(dim, amps)
+    return amps
 
 
 def _mixing_angle(power_transmission: float) -> float:
@@ -252,8 +240,9 @@ def normally_ordered_exponential(
     coeff_quad: complex,
     coeff_const: complex,
     dim: int,
-) -> TruncatedOperator:
-    """Fock matrix of :exp(c0 + cd a^dag + ca a + cq a^dag a):.
+) -> np.ndarray:
+    """Fock matrix of :exp(c0 + cd a^dag + ca a + cq a^dag a):, a complex128
+    dim x dim array.
 
     A normally ordered exponential of this form factors exactly as
 
@@ -271,12 +260,11 @@ def normally_ordered_exponential(
     left = _exp_creation(cd, dim)
     right = _exp_creation(ca, dim).T
     diag = np.power(1.0 + cq, np.arange(dim))
-    mat = np.exp(c0) * ((left * diag[None, :]) @ right)
-    return TruncatedOperator(dim, mat)
+    return np.exp(c0) * ((left * diag[None, :]) @ right)
 
 
-def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> TruncatedOperator:
-    """Matrix of :exp(-kappa (a^dag - conj(alpha)) (a - alpha)):.
+def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> np.ndarray:
+    """Complex128 Fock matrix of :exp(-kappa (a^dag - conj(alpha)) (a - alpha)):.
 
     Expanding the exponent reduces this to ``normally_ordered_exponential``,
     whose triangular assembly reproduces the untruncated matrix elements
@@ -298,17 +286,3 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> Truncat
         -kappa * abs(alpha) ** 2,
         dim,
     )
-
-
-def expectation(op: TruncatedOperator, state: TruncatedState) -> complex:
-    """<state| op |state> without normalizing the state."""
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {state.dim}")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def overlap(a: TruncatedState, b: TruncatedState) -> complex:
-    """Inner product <a|b> of two truncated states."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -91,8 +91,8 @@ def ancilla_projections(cfg) -> dict:
     the second; the products of |beta_i><beta_i| and their complements form a
     complete projective measurement on the two-mode space.
     """
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, cfg.dim).matrix
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, cfg.dim).matrix
+    p1 = normally_ordered_gaussian(1.0, cfg.beta1, cfg.dim)
+    p2 = normally_ordered_gaussian(1.0, cfg.beta2, cfg.dim)
     q1, q2 = np.eye(cfg.dim) - p1, np.eye(cfg.dim) - p2
     return {
         Outcome.INCONCLUSIVE: np.kron(p1, p2),

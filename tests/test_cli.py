@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,14 @@ def test_import_leaves_out_scipy_stats():
     proc = run_python("-c", "import sys, usdsim.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    proc = run_python("-c", example)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_each_command_builds_each_section_once(workspace, monkeypatch):
@@ -215,6 +224,16 @@ class TestPovmCommand:
         # exp(-|a1-a2|^2/4) |<0|mu>|^2 with mu = 0 -> exp(-1)
         assert row0[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert row0[1] == 0.0
+
+    def test_dump_writes_each_number_as_fmt(self, tmp_path):
+        # edge values the golden dump hash does not reach: a negative zero,
+        # the smallest subnormal, a huge value and a non-terminating fraction
+        values = [-0.0, 5e-324, 1e300, 1 / 3]
+        matrix = np.array([[complex(x, y) for y in values] for x in values])
+        path = tmp_path / "op.txt"
+        cli.dump_operator(path, matrix)
+        rows = [" ".join(f"{cli._fmt(z.real)} {cli._fmt(z.imag)}" for z in row) for row in matrix]
+        assert path.read_text() == "\n".join(["dim 4 modes 1", *rows]) + "\n"
 
     def test_csv_record_format(self, workspace):
         _, out, write = workspace
@@ -515,17 +534,26 @@ class TestOutputDirectory:
         assert not (out / "probs.json").exists()
 
     def test_unwritable_artifact_exits_2(self, workspace):
-        # each artifact path is taken by a directory; every writer reports
-        # the file it cannot open, in one fresh interpreter
-        _, out, write = workspace
-        path = write(base_config(out))
-        blocked = [
-            (["probs", path], "probs.json"),
-            (["simulate", path, "--trials", "10"], "simulate.csv"),
-            (["povm", path, "--construction", "analytic", "--dump"], "povm_analytic_00.txt"),
-        ]
-        for _, name in blocked:
-            (out / name).mkdir(parents=True)
+        # each artifact path is taken by a directory, so the open fails, or
+        # links to /dev/full where the system has it, so the write fails;
+        # every writer reports the file, in one fresh interpreter
+        tmp_path, out, write = workspace
+        cases = [(write(base_config(out)), out, Path.mkdir)]
+        if os.path.exists("/dev/full"):
+            full = tmp_path / "full"
+            config = tmp_path / "full.json"
+            config.write_text(json.dumps(base_config(full)))
+            cases.append((str(config), full, lambda p: p.symlink_to("/dev/full")))
+        blocked = []
+        for path, out_dir, block in cases:
+            out_dir.mkdir()
+            for argv, name in (
+                (["probs", path], "probs.json"),
+                (["simulate", path, "--trials", "10"], "simulate.csv"),
+                (["povm", path, "--construction", "analytic", "--dump"], "povm_analytic_00.txt"),
+            ):
+                block(out_dir / name)
+                blocked.append((argv, out_dir / name))
         proc = run_python(
             "-c",
             "import json, sys; from usdsim import cli; "
@@ -537,8 +565,8 @@ class TestOutputDirectory:
         assert "Traceback" not in proc.stderr
         errors = proc.stderr.splitlines()
         assert len(errors) == len(blocked)
-        for error, (_, name) in zip(errors, blocked):
-            assert error.startswith("config error: cannot write") and str(out / name) in error
+        for error, (_, artifact) in zip(errors, blocked):
+            assert error.startswith("config error: cannot write") and str(artifact) in error
 
     def test_default_label_sources(self, workspace):
         _, out, write = workspace

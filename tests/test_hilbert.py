@@ -24,13 +24,13 @@ class TestCoherentState:
         state = h.coherent_state(0.0, 8)
         expected = np.zeros(8)
         expected[0] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
-        assert state.norm() == 1.0
+        assert np.array_equal(state, expected)
+        assert np.linalg.norm(state) == 1.0
 
     def test_norm_against_partial_poisson_sum(self):
         # oracle: norm^2 is the Poisson(|alpha|^2) mass below the cutoff
         state = h.coherent_state(1.0, 32)
-        norm = state.norm()
+        norm = np.linalg.norm(state)
         mass = math.fsum(math.exp(-1.0) / math.factorial(n) for n in range(32))
         assert norm**2 == pytest.approx(mass, abs=1e-14)
         assert norm >= 1.0 - 1e-12
@@ -38,38 +38,32 @@ class TestCoherentState:
     def test_amplitudes_match_reference_expansion(self):
         alpha = 0.7 - 0.4j
         state = h.coherent_state(alpha, 24)
-        np.testing.assert_allclose(
-            state.amplitudes, coherent_amplitudes_reference(alpha, 24), atol=1e-14
-        )
+        np.testing.assert_allclose(state, coherent_amplitudes_reference(alpha, 24), atol=1e-14)
 
     def test_overlap_modulus_matches_closed_form(self):
         a1, a2 = 0.5, -0.5
         s1 = h.coherent_state(a1, 32)
         s2 = h.coherent_state(a2, 32)
-        assert abs(h.overlap(s1, s2)) == pytest.approx(
-            math.exp(-0.5 * abs(a1 - a2) ** 2), abs=1e-10
-        )
+        assert abs(np.vdot(s1, s2)) == pytest.approx(math.exp(-0.5 * abs(a1 - a2) ** 2), abs=1e-10)
 
     def test_overlap_modulus_complex_amplitudes(self):
         a1, a2 = 0.9j, 0.1
         s1 = h.coherent_state(a1, 48)
         s2 = h.coherent_state(a2, 48)
-        assert abs(h.overlap(s1, s2)) == pytest.approx(
-            math.exp(-0.5 * abs(a1 - a2) ** 2), abs=1e-12
-        )
+        assert abs(np.vdot(s1, s2)) == pytest.approx(math.exp(-0.5 * abs(a1 - a2) ** 2), abs=1e-12)
 
     def test_norm_never_exceeds_one(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             alpha = complex(*rng.uniform(-1.5, 1.5, 2))
-            assert h.coherent_state(alpha, 20).norm() <= 1.0 + 1e-12
+            assert np.linalg.norm(h.coherent_state(alpha, 20)) <= 1.0 + 1e-12
 
     def test_adequacy_guard_region(self):
         # |alpha|^2 <= dim/4 keeps the norm within 1e-8 of unity (dim >= 32)
         for dim in (32, 48, 64):
             for frac in (0.25, 0.5, 1.0):
                 alpha = math.sqrt(frac * dim / 4.0)
-                assert h.coherent_state(alpha, dim).norm() >= 1.0 - 1e-8
+                assert np.linalg.norm(h.coherent_state(alpha, dim)) >= 1.0 - 1e-8
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -86,7 +80,7 @@ class TestDisplacement:
         alpha = 0.7 + 0.2j
         moved = oracles.displacement_operator(alpha, 40)[:, 0]  # D(alpha)|0>
         state = h.coherent_state(alpha, 40)
-        assert np.max(np.abs(moved - state.amplitudes)) <= 1e-8
+        assert np.max(np.abs(moved - state)) <= 1e-8
 
     def test_inverse_property(self):
         d = oracles.displacement_operator(1.0, 48)
@@ -110,10 +104,6 @@ class TestDisplacement:
         assert 0.0 <= defect < 1e-6
 
 
-def amplitudes(alpha, dim):
-    return h.coherent_state(alpha, dim).amplitudes
-
-
 def vacuum_port_input(psi):
     """psi (x) |0> on the two-mode basis."""
     return np.kron(psi, np.eye(psi.size)[0])
@@ -131,13 +121,13 @@ class TestBeamSplitter:
     def test_balanced_splitting_of_coherent_input(self):
         # coherent in, vacuum ancilla: both outputs at alpha/sqrt(2)
         dim, alpha = 32, 1.0
-        out = h.beam_splitter_vacuum_columns(0.5, dim) @ amplitudes(alpha, dim)
-        half = amplitudes(alpha / math.sqrt(2.0), dim)
+        out = h.beam_splitter_vacuum_columns(0.5, dim) @ h.coherent_state(alpha, dim)
+        half = h.coherent_state(alpha / math.sqrt(2.0), dim)
         assert np.max(np.abs(out - np.kron(half, half))) <= 1e-8
 
     def test_full_transmission_passes_signal_through(self):
         dim = 24
-        psi = amplitudes(0.8, dim)
+        psi = h.coherent_state(0.8, dim)
         out = h.beam_splitter_vacuum_columns(1.0, dim) @ psi
         assert np.max(np.abs(out - vacuum_port_input(psi))) <= 1e-12
 
@@ -150,9 +140,9 @@ class TestBeamSplitter:
             a = complex(*rng.uniform(-0.7, 0.7, 2))
             v = complex(*rng.uniform(-0.7, 0.7, 2))
             u = oracles.beam_splitter_unitary(t, dim)
-            out = u @ np.kron(amplitudes(a, dim), amplitudes(v, dim))
+            out = u @ np.kron(h.coherent_state(a, dim), h.coherent_state(v, dim))
             c, s = math.sqrt(t), math.sqrt(1.0 - t)
-            want = np.kron(amplitudes(c * a + s * v, dim), amplitudes(s * a - c * v, dim))
+            want = np.kron(h.coherent_state(c * a + s * v, dim), h.coherent_state(s * a - c * v, dim))
             assert np.max(np.abs(out - want)) <= 1e-8
 
     def test_sector_assembly_matches_dense_exponential(self):
@@ -220,19 +210,19 @@ class TestNormallyOrderedGaussian:
         g = h.normally_ordered_gaussian(1.0, 0.0, 8)
         want = np.zeros((8, 8))
         want[0, 0] = 1.0
-        np.testing.assert_array_equal(g.matrix, want)
+        np.testing.assert_array_equal(g, want)
 
     def test_full_kappa_is_rank_one_coherent_projector(self):
         g = h.normally_ordered_gaussian(1.0, 0.8, 32)
         state = h.coherent_state(0.8, 32)
-        outer = np.outer(state.amplitudes, state.amplitudes.conj())
-        assert np.max(np.abs(g.matrix - outer)) <= 1e-12
-        assert np.trace(g.matrix).real == pytest.approx(1.0, abs=1e-8)
+        outer = np.outer(state, state.conj())
+        assert np.max(np.abs(g - outer)) <= 1e-12
+        assert np.trace(g).real == pytest.approx(1.0, abs=1e-8)
 
     def test_half_kappa_coherent_expectation(self):
         q = h.normally_ordered_gaussian(0.5, 1.0, 32)
         probe = h.coherent_state(0.3, 32)
-        value = h.expectation(q, probe)
+        value = np.vdot(probe, q @ probe)
         assert value.real == pytest.approx(math.exp(-0.5 * abs(0.3 - 1.0) ** 2), abs=1e-8)
         assert abs(value.imag) <= 1e-12
 
@@ -241,7 +231,7 @@ class TestNormallyOrderedGaussian:
         for _ in range(8):
             kappa = rng.uniform(0.05, 1.0)
             alpha = complex(*rng.uniform(-1.2, 1.2, 2))
-            g = h.normally_ordered_gaussian(kappa, alpha, 28)
+            g = h.TruncatedOperator(h.normally_ordered_gaussian(kappa, alpha, 28))
             assert g.hermiticity_defect() <= 1e-12
             assert g.min_eigenvalue() >= -1e-10
 
@@ -253,7 +243,7 @@ class TestNormallyOrderedGaussian:
         decay = np.power(1.0 - kappa, np.arange(dim))
         displaced = (d * decay[None, :]) @ d.conj().T
         g = h.normally_ordered_gaussian(kappa, alpha, dim)
-        assert np.max(np.abs(g.matrix - displaced)) <= 1e-8
+        assert np.max(np.abs(g - displaced)) <= 1e-8
 
     def test_kappa_out_of_range(self):
         for bad in (0.0, -0.5, 1.5):
@@ -268,14 +258,14 @@ class TestNormallyOrderedExponential:
         g2 = h.normally_ordered_exponential(
             kappa * alpha, kappa * np.conj(alpha), -kappa, -kappa * abs(alpha) ** 2, 32
         )
-        assert np.max(np.abs(g1.matrix - g2.matrix)) <= 1e-14
+        assert np.max(np.abs(g1 - g2)) <= 1e-14
 
     def test_truncation_is_exact_embedding(self):
         # matrix elements must not depend on dim: growing the basis only adds
         # rows and columns, it never changes the existing block
         args = (0.45 + 0.2j, 0.45 - 0.2j, -0.5, -0.3)
-        small = h.normally_ordered_exponential(*args, 24).matrix
-        large = h.normally_ordered_exponential(*args, 40).matrix
+        small = h.normally_ordered_exponential(*args, 24)
+        large = h.normally_ordered_exponential(*args, 40)
         np.testing.assert_array_equal(small, large[:24, :24])
 
     def test_coherent_kernel_rule(self):
@@ -286,9 +276,9 @@ class TestNormallyOrderedExponential:
         beta, gamma = 0.5 + 0.2j, -0.3 + 0.6j
         sb = h.coherent_state(beta, dim)
         sg = h.coherent_state(gamma, dim)
-        lhs = complex(np.vdot(sb.amplitudes, op.matrix @ sg.amplitudes))
+        lhs = np.vdot(sb, op @ sg)
         symbol = np.exp(c0 + cd * np.conj(beta) + ca * gamma + cq * np.conj(beta) * gamma)
-        rhs = symbol * h.overlap(sb, sg)
+        rhs = symbol * np.vdot(sb, sg)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -300,15 +290,9 @@ class TestTypesAndGuards:
             h.check_dim(2.0)
         with pytest.raises(ValueError, match="integer"):
             h.check_dim(True)
-        with pytest.raises(ValueError):
-            h.TruncatedOperator(1, np.eye(1))
-
-    def test_mixed_dimension_arithmetic_rejected(self):
-        vac8, vac12 = h.coherent_state(0.0, 8), h.coherent_state(0.0, 12)
-        with pytest.raises(ValueError):
-            h.expectation(h.TruncatedOperator(8, np.eye(8)), vac12)
-        with pytest.raises(ValueError):
-            h.overlap(vac8, vac12)
+        for matrix in (np.eye(1), np.zeros((8, 12)), np.zeros(8)):
+            with pytest.raises(ValueError):
+                h.TruncatedOperator(matrix)
 
     def test_default_dim(self):
         assert oracles.default_dim() == 16
@@ -317,7 +301,7 @@ class TestTypesAndGuards:
         # large enough that the norm loss stays below 1e-10 up to |alpha| = 2
         for mag in (0.5, 1.0, 1.5, 2.0):
             dim = oracles.default_dim(mag)
-            assert h.coherent_state(mag, dim).norm() >= 1.0 - 1e-10
+            assert np.linalg.norm(h.coherent_state(mag, dim)) >= 1.0 - 1e-10
 
     def test_sqrt_factorials_consistent_across_log_switch(self):
         values = h._sqrt_factorials(40)
