@@ -110,8 +110,8 @@ def _config_errors(section: str):
 
 
 def _draw_option(value: int, option: str) -> int:
-    """A --trials or --mc count, checked by the library before any config is
-    read or output written."""
+    """A --trials, --mc or --steps count, checked by the library before any
+    config is read or output written."""
     try:
         return check_draws(value, option)
     except ValueError as exc:
@@ -479,9 +479,21 @@ def cmd_multiplex(args) -> int:
 _SWEEP_FIELDS = {"eta": "eta", "T": "splitter_transmission", "gamma_mag": "gamma"}
 
 
+def _grid_point(start: float, stop: float, steps: int, i: int) -> float:
+    """Point i of np.linspace(start, stop, steps), by linspace's own formula,
+    so no grid is ever built whole."""
+    if i == steps - 1:
+        return stop
+    step = (stop - start) / (steps - 1)
+    if step == 0.0:  # linspace's order for a subnormal step
+        return i / (steps - 1) * (stop - start) + start
+    return i * step + start
+
+
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
+    steps = _draw_option(args.steps, "--steps")
     if not (args.sweep_from < args.sweep_to and math.isfinite(args.sweep_to - args.sweep_from)):
         raise ConfigError(
             f"--from must be smaller than --to, both finite, got {args.sweep_from}, {args.sweep_to}"
@@ -498,14 +510,14 @@ def cmd_sweep(args) -> int:
         rounds = {} if mc is None else {"rounds": mc}
         phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
     out = output_dir(config)
-    grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     header = [args.param, "analytic_inconclusive", "analytic_quantum_bound"]
     if not separation:
         header.append("analytic_ratio")
     if mc is not None:
         header += ["mc_inconclusive", "mc_conclusive"]
     rows = []
-    for i, value in enumerate(grid):
+    for i in range(steps):
+        value = _grid_point(args.sweep_from, args.sweep_to, steps, i)
         rejected = _config_errors(f"sweep value {value!r} for {args.param}")
         if separation:
             a1, a2 = -value / 2.0, value / 2.0

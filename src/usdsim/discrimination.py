@@ -9,10 +9,11 @@ inconclusive probability saturates the quantum lower bound |<alpha1|alpha2>|.
 This module builds the measurement's POVM two independent ways:
 
   * ``povm_analytic`` - directly on the signal mode, from normally ordered
-    Gaussian operators Q_i = :exp(-(a^dag - alpha_i*)(a - alpha_i)/2): ;
-  * ``povm_ancilla``  - brute force on the two-mode space: coherent
-    projectors on both beam-splitter outputs, conjugated back through the
-    beam splitter and reduced by a vacuum expectation over the unused port.
+    Gaussian operators Q_i = :exp(-eta (a^dag - alpha_i*)(a - alpha_i)/2): ;
+  * ``povm_ancilla``  - brute force on the two-mode space: the detectors'
+    no-click operators :exp(-eta (b^dag - beta_i*)(b - beta_i)): on both
+    beam-splitter outputs, conjugated back through the beam splitter and
+    reduced by a vacuum expectation over the unused port.
 
 The two constructions serve as oracles for each other and must agree in max
 norm (hilbert.CROSS_ORACLE_TOL) at adequate truncation.
@@ -131,13 +132,14 @@ class ReceiverConfig:
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """The four positive operators of the receiver, keyed by outcome."""
+    """The four positive operators of the receiver ``config``, keyed by outcome."""
 
     elements: dict[Outcome, TruncatedOperator]
+    config: ReceiverConfig
 
     @property
     def dim(self) -> int:
-        return self.elements[Outcome.INCONCLUSIVE].dim
+        return self.config.dim
 
     def __getitem__(self, outcome: Outcome) -> TruncatedOperator:
         return self.elements[outcome]
@@ -183,22 +185,22 @@ def _check_adequacy(cfg: ReceiverConfig) -> None:
             )
 
 
-def _q_product(alpha1: complex, alpha2: complex, dim: int) -> np.ndarray:
+def _q_product(kappa: float, alpha1: complex, alpha2: complex, dim: int) -> np.ndarray:
     """Normally ordered product :Q1 Q2: assembled from the merged exponent.
 
     Normal symbols multiply, so the product's exponent is the sum of the two
     Gaussian exponents; the Fock matrix follows from the same exact triangular
     assembly used for a single Gaussian.
     """
-    mu = 0.5 * (alpha1 + alpha2)
-    const = -0.5 * (abs(alpha1) ** 2 + abs(alpha2) ** 2)
-    return normally_ordered_exponential(mu, np.conj(mu), -1.0, const, dim)
+    mu = kappa * (alpha1 + alpha2)
+    const = -kappa * (abs(alpha1) ** 2 + abs(alpha2) ** 2)
+    return normally_ordered_exponential(mu, np.conj(mu), -2 * kappa, const, dim)
 
 
 def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     """Closed-form POVM on the signal mode.
 
-    With Q_i = :exp(-(a^dag - alpha_i*)(a - alpha_i)/2): the four elements are
+    With Q_i = :exp(-eta (a^dag - alpha_i*)(a - alpha_i)/2): the four elements are
 
         A_00 = :Q1 Q2:                      (no clicks, inconclusive)
         A_01 = :Q1: - :Q1 Q2:               (D2 clicked, state 1)
@@ -207,25 +209,31 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     """
     _check_adequacy(cfg)
     dim = cfg.dim
-    q1 = normally_ordered_gaussian(0.5, cfg.alpha1, dim)
-    q2 = normally_ordered_gaussian(0.5, cfg.alpha2, dim)
-    q12 = _q_product(cfg.alpha1, cfg.alpha2, dim)
+    kappa = 0.5 * cfg.eta
     eye = np.eye(dim, dtype=np.complex128)
+    if kappa == 0.0:  # blind detectors: every Q is I exactly
+        q1 = q2 = q12 = eye
+    else:
+        q1 = normally_ordered_gaussian(kappa, cfg.alpha1, dim)
+        q2 = normally_ordered_gaussian(kappa, cfg.alpha2, dim)
+        q12 = _q_product(kappa, cfg.alpha1, cfg.alpha2, dim)
     elements = {
         Outcome.INCONCLUSIVE: q12,
         Outcome.CONCLUSIVE_1: q1 - q12,
         Outcome.CONCLUSIVE_2: q2 - q12,
         Outcome.ANOMALOUS: eye - q1 - q2 + q12,
     }
-    return _validate_povm(PovmSet({o: TruncatedOperator(m) for o, m in elements.items()}))
+    return _validate_povm(PovmSet({o: TruncatedOperator(m) for o, m in elements.items()}, cfg))
 
 
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     """Brute-force POVM through the explicit two-mode ancilla construction.
 
-    Each two-mode projection B is expressed in the (signal, vacuum-port)
-    modes by conjugation with the 50:50 beam-splitter unitary U and reduced
-    by the vacuum expectation over the unused port:
+    Each two-mode operator B, a product of the detectors' no-click operators
+    :exp(-eta (b^dag - beta_i*)(b - beta_i)): or their complements, is
+    expressed in the (signal, vacuum-port) modes by conjugation with the 50:50
+    beam-splitter unitary U and reduced by the vacuum expectation over the
+    unused port:
 
         A[m, n] = <m, 0| U^dag B U |n, 0> = (U|m,0>)^dag B (U|n,0>).
 
@@ -234,7 +242,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     W^dag B W; the literal conjugate-then-reduce path lives in
     tests/oracles.py, and the tests check this against it.  Mode 1 carries
     the first output (displaced detection at beta1), mode 2 the second.  The
-    projections B are built one at a time, so a single dense
+    operators B are built one at a time, so a single dense
     dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is live at once.  The
     reduction relies on W being an isometry: an isometry defect
     max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
@@ -245,15 +253,18 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
             f"two-mode workspace guard: dim={dim} exceeds the cap {MAX_ANCILLA_DIM}"
         )
     _check_adequacy(cfg)
+    eye = np.eye(dim, dtype=np.complex128)
+    if cfg.eta == 0.0:  # blind detectors: B = I (x) I for no clicks, so A_00 = I exactly
+        blind = {o: TruncatedOperator(0 * eye) for o in OUTCOME_ORDER}
+        return _validate_povm(PovmSet(blind | {Outcome.INCONCLUSIVE: TruncatedOperator(eye)}, cfg))
     w = beam_splitter_vacuum_columns(0.5, dim)
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dim))))
     if not defect <= STRUCTURAL_TOL:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, dim)
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, dim)
-    eye = np.eye(dim, dtype=np.complex128)
+    p1 = normally_ordered_gaussian(cfg.eta, cfg.beta1, dim)
+    p2 = normally_ordered_gaussian(cfg.eta, cfg.beta2, dim)
     factors = {
         Outcome.INCONCLUSIVE: (p1, p2),
         Outcome.CONCLUSIVE_1: (p1, eye - p2),
@@ -264,7 +275,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         outcome: TruncatedOperator(w.conj().T @ np.kron(left, right) @ w)
         for outcome, (left, right) in factors.items()
     }
-    return _validate_povm(PovmSet(elements))
+    return _validate_povm(PovmSet(elements, cfg))
 
 
 def outcome_probabilities(
@@ -272,18 +283,12 @@ def outcome_probabilities(
     sent: complex,
     povm: PovmSet,
 ) -> dict[Outcome, float]:
-    """Outcome distribution for a coherent input of amplitude ``sent``.
-
-    At unit efficiency these are the POVM expectations <sent|A_kl|sent>.
-    Detector inefficiency scales every field amplitude reaching a detector by
-    sqrt(eta), which for coherent light raises each no-click probability to
-    the power eta; the distribution is rebuilt from the two no-click
-    marginals, keeping the exact zeros exact.
-    """
-    if povm.dim != cfg.dim:
-        raise ValueError(f"POVM dim {povm.dim} does not match config dim {cfg.dim}")
+    """Outcome distribution <sent|A_kl|sent> for a coherent input ``sent``,
+    read from a POVM built for ``cfg``: its elements carry the efficiency."""
+    if povm.config != cfg:
+        raise ValueError(f"POVM built for {povm.config} does not match {cfg}")
     state = coherent_state(sent, cfg.dim)
-    raw = {}
+    probs = {}
     for outcome in OUTCOME_ORDER:
         value = complex(np.vdot(state, povm[outcome].matrix @ state))
         if abs(value.imag) > 1e-10:
@@ -292,15 +297,7 @@ def outcome_probabilities(
                 value.imag,
                 outcome.label,
             )
-        raw[outcome] = _clamp_probability(value.real, outcome)
-
-    if cfg.eta == 1.0:
-        probs = dict(raw)
-    else:
-        # no-click marginals for each detector, then eta-scaled products
-        q1 = min(raw[Outcome.INCONCLUSIVE] + raw[Outcome.CONCLUSIVE_1], 1.0)
-        q2 = min(raw[Outcome.INCONCLUSIVE] + raw[Outcome.CONCLUSIVE_2], 1.0)
-        probs = _joint_outcomes(q1**cfg.eta, q2**cfg.eta)
+        probs[outcome] = _clamp_probability(value.real, outcome)
 
     total = sum(probs.values())
     if abs(total - 1.0) > STRUCTURAL_TOL:

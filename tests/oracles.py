@@ -85,14 +85,15 @@ def beam_splitter_unitary(power_transmission: float, dim: int) -> np.ndarray:
 
 
 def ancilla_projections(cfg) -> dict:
-    """The four two-mode projections measured behind the beam splitter.
+    """The four two-mode operators measured behind the beam splitter.
 
     Mode 1 carries the first output (displaced detection at beta1), mode 2
-    the second; the products of |beta_i><beta_i| and their complements form a
-    complete projective measurement on the two-mode space.
+    the second; the products of the no-click operators
+    :exp(-eta (b^dag - beta_i*)(b - beta_i)): and their complements form a
+    complete measurement on the two-mode space, projective at eta = 1.
     """
-    p1 = normally_ordered_gaussian(1.0, cfg.beta1, cfg.dim)
-    p2 = normally_ordered_gaussian(1.0, cfg.beta2, cfg.dim)
+    p1 = normally_ordered_gaussian(cfg.eta, cfg.beta1, cfg.dim)
+    p2 = normally_ordered_gaussian(cfg.eta, cfg.beta2, cfg.dim)
     q1, q2 = np.eye(cfg.dim) - p1, np.eye(cfg.dim) - p2
     return {
         Outcome.INCONCLUSIVE: np.kron(p1, p2),
@@ -103,7 +104,7 @@ def ancilla_projections(cfg) -> dict:
 
 
 def conjugated_ancilla_povm(cfg) -> dict:
-    """The ancilla POVM the literal way: conjugate each two-mode projection
+    """The ancilla POVM the literal way: conjugate each two-mode operator
     by the full 50:50 unitary, then take the vacuum expectation
     <m, 0| . |n, 0> over the unused port."""
     d = cfg.dim

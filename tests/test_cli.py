@@ -15,13 +15,22 @@ import pytest
 import scipy
 
 from usdsim import cli
+from usdsim.discrimination import OUTCOME_ORDER, ReceiverConfig, closed_form_probabilities
+from usdsim.hilbert import coherent_state
 
-# The benchmark's job definitions and committed artifact hashes, read only.
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+# The benchmark's job definitions, committed artifact hashes and environment
+# probe, read only.
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path as ``perfbench_<name>``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _perfbench_module("workloads")
+probe = _perfbench_module("probe")
 
 
 def base_config(out_dir, **overrides):
@@ -235,6 +244,22 @@ class TestPovmCommand:
         rows = [" ".join(f"{cli._fmt(z.real)} {cli._fmt(z.imag)}" for z in row) for row in matrix]
         assert path.read_text() == "\n".join(["dim 4 modes 1", *rows]) + "\n"
 
+    def test_dump_at_reduced_efficiency_matches_closed_forms(self, workspace):
+        # the dumped matrices are the lossy receiver's own POVM
+        _, out, write = workspace
+        cfg = base_config(out, receiver={"eta": 0.6})
+        assert cli.main(["povm", write(cfg), "--construction", "both", "--dump"]) == 0
+        receiver = ReceiverConfig(1.0, -1.0, 32, 0.6)
+        for tag in ("analytic", "ancilla"):
+            for sent in (receiver.alpha1, receiver.alpha2):
+                state = coherent_state(sent, 32)
+                closed = closed_form_probabilities(receiver, sent)
+                for outcome in OUTCOME_ORDER:
+                    pairs = np.loadtxt(out / f"povm_{tag}_{outcome.label}.txt", skiprows=1)
+                    matrix = pairs[:, 0::2] + 1j * pairs[:, 1::2]
+                    value = np.vdot(state, matrix @ state).real
+                    assert abs(value - closed[outcome]) <= 1e-12, (tag, sent, outcome)
+
     def test_csv_record_format(self, workspace):
         _, out, write = workspace
         cfg = base_config(out, output={"format": "csv"})
@@ -399,6 +424,13 @@ class TestSweepCommand:
         for row in rows[1:]:
             assert abs(float(row[4]) - float(row[1])) < 0.05
 
+    def test_grid_points_equal_linspace(self):
+        # the last case has a subnormal step, which linspace computes in
+        # another order
+        for start, stop, steps in ((0.0, 1.0, 11), (0.01, 0.2, 7), (-1.5, 2e154, 3), (0.0, 1e-323, 5)):
+            lazy = [cli._grid_point(start, stop, steps, i) for i in range(steps)]
+            assert np.array_equal(lazy, np.linspace(start, stop, steps)), (start, stop, steps)
+
     def test_single_step_exits_2(self, workspace):
         _, out, write = workspace
         assert cli.main(["sweep", write(base_config(out)), "--param", "eta", "--from", "0", "--to", "1", "--steps", "1"]) == 2
@@ -482,9 +514,10 @@ class TestRngSection:
 
 class TestDrawCounts:
     def test_counts_above_the_draw_cap_exit_2(self, workspace):
-        # rounds, --trials, and --mc on both sweep branches (the protocol and
-        # the trials), all in one fresh interpreter: a count that reached an
-        # allocation would end it with a traceback, or never let it finish
+        # rounds, --trials, --steps, and --mc on both sweep branches (the
+        # protocol and the trials), all in one fresh interpreter: a count that
+        # reached an allocation would end it with a traceback, or never let it
+        # finish
         tmp_path, out, write = workspace
         path = write(base_config(out))
         argvs = []
@@ -493,6 +526,7 @@ class TestDrawCounts:
             big.write_text(json.dumps(base_config(out, multiplex={"rounds": value})))
             argvs.append(["multiplex", str(big)])
             argvs.append(["simulate", path, "--trials", str(value)])
+            argvs.append(["sweep", path, "--param", "eta", "--from", "0.1", "--to", "1", "--steps", str(value)])
             for param in ("T", "alpha_separation"):
                 grid = ["--param", param, "--from", "0.01", "--to", "0.1", "--steps", "2"]
                 argvs.append(["sweep", path, *grid, "--mc", str(value)])
@@ -606,7 +640,15 @@ def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
         kind, *argv = job.argv
         assert kind == "cli"
         assert cli.main(argv) == 0, name
-        assert workloads.artifact_hashes(job_dir / "out") == expected[name], name
+        assert workloads.artifact_hashes(job_dir / "out") == expected[name], openblas_note(name, golden)
+
+
+def openblas_note(name, golden):
+    """Which OpenBLAS builds ran here and which made the golden hashes: the
+    POVM artifacts depend on the kernel, which the version gate cannot see."""
+    runner = [lib.get("config") for lib in probe._openblas_libraries()]
+    recorded = [lib.get("config") for lib in golden["environment"]["openblas"]]
+    return f"{name}: runner OpenBLAS {runner}; golden hashes made with {recorded}"
 
 
 _SAMPLER_JOBS = ("simulate", "multiplex", "sweep-alpha")

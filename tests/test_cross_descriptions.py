@@ -4,12 +4,14 @@ The Fock-space POVM (``povm_analytic`` + ``outcome_probabilities``), the
 closed forms (``closed_form_probabilities``) and the fiber-network click model
 (``click_probabilities`` on the detector amplitudes (sent - alpha_i)/sqrt(2))
 must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
-efficiency and any coherent input.  Examples are derandomized, so every run
-checks the same cases.
+efficiency and any coherent input.  The two POVM constructions, which both
+carry the efficiency, must agree with each other element by element.
+Examples are derandomized, so every run checks the same cases.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import default_dim
@@ -20,8 +22,9 @@ from usdsim.discrimination import (
     closed_form_probabilities,
     outcome_probabilities,
     povm_analytic,
+    povm_ancilla,
 )
-from usdsim.hilbert import CROSS_ORACLE_TOL
+from usdsim.hilbert import CROSS_ORACLE_TOL, coherent_state
 from usdsim.multiplex import DetectorAmplitudes, click_probabilities
 
 amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -31,7 +34,7 @@ amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infini
 def receiver_cases(draw):
     alpha1 = draw(amplitudes)
     alpha2 = draw(amplitudes.filter(lambda a: a != alpha1))
-    # eta = 1 reads the POVM expectations directly, not the no-click marginals
+    # the lossless receiver is drawn explicitly; every eta builds its own POVM
     eta = draw(st.just(1.0) | st.floats(min_value=0.0, max_value=1.0))
     sent = draw(st.sampled_from([alpha1, alpha2]) | amplitudes)
     return alpha1, alpha2, eta, sent
@@ -51,3 +54,31 @@ def test_fock_closed_form_and_fiber_descriptions_agree(case):
     for outcome in OUTCOME_ORDER:
         assert abs(fock[outcome] - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
         assert abs(fiber[outcome] - closed[outcome]) <= 1e-12, outcome
+
+
+@st.composite
+def construction_cases(draw):
+    alpha1 = draw(amplitudes)
+    alpha2 = draw(amplitudes.filter(lambda a: a != alpha1))
+    eta = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+    return alpha1, alpha2, eta
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(construction_cases())
+def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
+    alpha1, alpha2, eta = case
+    cfg = ReceiverConfig(alpha1, alpha2, default_dim(alpha1, alpha2), eta)
+    assert cfg.dim <= 32
+    analytic, ancilla = povm_analytic(cfg), povm_ancilla(cfg)
+    for outcome in OUTCOME_ORDER:
+        gap = np.max(np.abs(analytic[outcome].matrix - ancilla[outcome].matrix))
+        assert gap <= CROSS_ORACLE_TOL, outcome
+    # the elements themselves, not only the probabilities read from them,
+    # describe the receiver at this efficiency
+    for sent in (alpha1, alpha2):
+        state = coherent_state(sent, cfg.dim)
+        closed = closed_form_probabilities(cfg, sent)
+        for outcome in OUTCOME_ORDER:
+            expectation = np.vdot(state, ancilla[outcome].matrix @ state).real
+            assert abs(expectation - closed[outcome]) <= CROSS_ORACLE_TOL, outcome

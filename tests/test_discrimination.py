@@ -144,14 +144,15 @@ class TestAncillaPovm:
                 assert probs_a[outcome] == pytest.approx(probs_b[outcome], abs=1e-8)
 
     def test_reduction_matches_literal_conjugation_path(self):
-        # full path: conjugate each two-mode projection by the beam splitter,
+        # full path: conjugate each two-mode operator by the beam splitter,
         # then take the vacuum expectation over the unused port
-        cfg = ReceiverConfig(0.9, -0.6 + 0.4j, 16)
-        analytic = povm_analytic(cfg)
-        fused = povm_ancilla(cfg)
-        for outcome, reduced in oracles.conjugated_ancilla_povm(cfg).items():
-            assert np.max(np.abs(reduced - fused[outcome].matrix)) <= 1e-12
-            assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
+        for eta in (1.0, 0.6):
+            cfg = ReceiverConfig(0.9, -0.6 + 0.4j, 16, eta)
+            analytic = povm_analytic(cfg)
+            fused = povm_ancilla(cfg)
+            for outcome, reduced in oracles.conjugated_ancilla_povm(cfg).items():
+                assert np.max(np.abs(reduced - fused[outcome].matrix)) <= 1e-12
+                assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
 
     def test_workspace_guard(self):
         # checked before the adequacy guard allocates anything dim-sized
@@ -234,9 +235,11 @@ class TestOutcomeProbabilities:
 
     def test_blind_detectors(self):
         cfg = ReceiverConfig(0.8, -0.8, 32, eta=0.0)
-        probs = outcome_probabilities(cfg, cfg.alpha1, povm_analytic(cfg))
-        assert probs[Outcome.INCONCLUSIVE] == 1.0
-        assert all(probs[o] == 0.0 for o in OUTCOME_ORDER if o is not Outcome.INCONCLUSIVE)
+        for povm in (povm_analytic(cfg), povm_ancilla(cfg)):
+            assert np.array_equal(povm[Outcome.INCONCLUSIVE].matrix, np.eye(32))
+            probs = outcome_probabilities(cfg, cfg.alpha1, povm)
+            assert probs[Outcome.INCONCLUSIVE] == 1.0
+            assert all(probs[o] == 0.0 for o in OUTCOME_ORDER if o is not Outcome.INCONCLUSIVE)
 
     def test_matches_closed_form_at_reduced_efficiency(self):
         cfg = ReceiverConfig(1.0, -1.0, 32, eta=0.7)
@@ -257,10 +260,11 @@ class TestOutcomeProbabilities:
         )
 
     def test_dimension_mismatch_rejected(self):
+        # a POVM answers only for the config it was built for: dim and eta
         povm = povm_analytic(ReceiverConfig(1.0, -1.0, 32))
-        other = ReceiverConfig(1.0, -1.0, 24)
-        with pytest.raises(ValueError):
-            outcome_probabilities(other, 1.0, povm)
+        for other in (ReceiverConfig(1.0, -1.0, 24), ReceiverConfig(1.0, -1.0, 32, eta=0.5)):
+            with pytest.raises(ValueError):
+                outcome_probabilities(other, 1.0, povm)
 
 
 class TestInconclusiveRate:
