@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy  # for scipy.__version__ only; loads no submodule
 
 from . import __version__
 from .discrimination import (

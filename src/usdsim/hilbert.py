@@ -7,6 +7,12 @@ vectors, normally ordered Gaussian operator matrices, and the vacuum-port
 columns of a beam splitter, the one two-mode object.  ``TruncatedOperator``
 wraps a square matrix as a POVM element and carries its guards.
 
+Importing the module loads numpy only.  The factorials sqrt(k!) past k = 30
+come from a port of cephes ``lgam`` (Moshier, *Methods and Programs for
+Mathematical Functions*, 1989), bit for bit scipy.special's log-gamma, and
+``scipy.linalg`` is loaded by the beam-splitter build, which only the ancilla
+POVM reaches.
+
 Conventions (fixed, do not change silently):
   * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest;
   * beam splitter with power transmission t maps annihilation operators as
@@ -23,8 +29,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 # Structural identities (hermiticity, completeness) must hold to this level;
 # agreement between independent constructions gets one extra decade of slack.
@@ -109,8 +113,50 @@ def _check_fock_range(dim: int) -> None:
         )
 
 
+# Stirling-series coefficients of cephes lgam, highest power of 1/x^2 first,
+# and ln sqrt(2 pi) as cephes writes it.
+_LGAM_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(ks: np.ndarray) -> np.ndarray:
+    """ln k! for each k, as cephes lgam evaluates ln Gamma(x) at x = k + 1.
+
+    The Stirling branch of lgam with the same operations in the same order and
+    the libm ``log`` it calls, so every value equals scipy.special's log-gamma
+    bit for bit.  The branch holds for 13 <= x < 1000; ``_check_fock_range``
+    caps k at MAX_FOCK_DIM - 1 = 300 and the caller starts at k = 30, so x lies
+    in [31, 301] and lgam's branches for x < 13 and x >= 1000 are never needed.
+    """
+    out = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        x = float(k) + 1.0
+        q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+        p = 1.0 / (x * x)
+        series = _LGAM_STIRLING[0]
+        for coeff in _LGAM_STIRLING[1:]:
+            series = series * p + coeff
+        out[i] = q + series / x
+    return out
+
+
 def _sqrt_factorials(n: int) -> np.ndarray:
-    """sqrt(k!) for k = 0..n-1; cumulative product, log space for large k."""
+    """sqrt(k!) for k = 0..n-1; cumulative product, log space for large k.
+
+    The log-space values come from ``_log_factorial``, a port of cephes lgam
+    (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+    the routine behind scipy.special's log-gamma.  It is a port, not
+    ``math.lgamma``, because libm's lgamma rounds differently: sqrt(k!) built
+    from it differs in the last bit at 159 of k = 30..300, and every Fock
+    matrix past dim 30 is built from these values.  The port keeps their bits
+    without importing scipy.special.
+    """
     _check_fock_range(n)
     out = np.empty(n)
     acc = 1.0
@@ -120,7 +166,7 @@ def _sqrt_factorials(n: int) -> np.ndarray:
         out[k] = acc
     if n > _LOG_FACTORIAL_SWITCH:
         ks = np.arange(_LOG_FACTORIAL_SWITCH, n)
-        out[_LOG_FACTORIAL_SWITCH:] = np.exp(0.5 * gammaln(ks + 1.0))
+        out[_LOG_FACTORIAL_SWITCH:] = np.exp(0.5 * _log_factorial(ks))
     return out
 
 
@@ -179,9 +225,9 @@ def _port_parity(dim: int) -> np.ndarray:
     return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
 
 
-def _sector_block(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices and exponentiated generator of one photon-number sector
-    with total < dim.
+def _sector_generator(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices and generator block of one photon-number sector with
+    total < dim.
 
     The sector holds |n1, total - n1> for n1 = 0..total, in that order, so its
     last state is |total, 0>.
@@ -193,9 +239,8 @@ def _sector_block(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.nd
         w = theta * math.sqrt((n1 + 1) * (total - n1))
         block[n1 + 1, n1] = w
         block[n1, n1 + 1] = -w
-    eblock = expm(block) if size > 1 else np.ones((1, 1))
     idx = np.array([n1 * dim + (total - n1) for n1 in range(size)])
-    return idx, eblock
+    return idx, block
 
 
 def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndarray:
@@ -207,12 +252,17 @@ def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndar
     conserves total photon number, so it is exponentiated sector by sector;
     the parity phase (-1)^(n_v) supplies the sign of the second output row.
     """
+    # Imported here, not at module level: scipy.linalg takes longer to import
+    # than most CLI commands take to run, and only the ancilla POVM needs it.
+    from scipy.linalg import expm
+
     theta = _mixing_angle(power_transmission)
     check_dim(dim)
 
     w = np.zeros((dim * dim, dim))
     for total in range(dim):
-        idx, eblock = _sector_block(theta, total, dim)
+        idx, block = _sector_generator(theta, total, dim)
+        eblock = expm(block) if total > 0 else np.ones((1, 1))
         w[idx, total] = eblock[:, total]
     return (_port_parity(dim)[:, None] * w).astype(np.complex128)
 

@@ -98,10 +98,34 @@ def fresh_peak_rss_mb(*argv):
     return usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
-def test_import_leaves_out_scipy_stats():
-    proc = run_python("-c", "import sys, usdsim.cli; print('scipy.stats' in sys.modules)")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+_LOADED_SCIPY = (
+    "import json, sys; "
+    "print(json.dumps([m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special') "
+    "if m in sys.modules]))"
+)
+
+
+def test_import_leaves_out_scipy_stats(workspace):
+    proc = run_python("-c", "import usdsim.cli; " + _LOADED_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    # in one fresh process: probs runs without scipy's submodules, then the
+    # ancilla POVM still builds and loads scipy.linalg for its expm
+    _, out, write = workspace
+    path = write(base_config(out))
+    proc = run_python(
+        "-c",
+        "import sys; from usdsim import cli; "
+        f"assert cli.main(['probs', sys.argv[1]]) == 0; {_LOADED_SCIPY}; "
+        f"assert cli.main(['povm', sys.argv[1], '--construction', 'ancilla']) == 0; {_LOADED_SCIPY}",
+        path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_probs, after_ancilla = map(json.loads, proc.stdout.splitlines())
+    assert after_probs == []
+    assert after_ancilla == ["scipy.linalg"]
+    record = json.loads((out / "povm.json").read_text())
+    assert {r["source"] for r in record["results"]} == {"ancilla"}
 
 
 def test_readme_library_example_runs():
@@ -611,8 +635,8 @@ class TestOutputDirectory:
 
 
 def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
-    """The named jobs of the benchmark's small CLI calls reproduce the
-    committed artifact bytes of ``variant``; the artifacts embed the numpy and
+    """The named jobs of the benchmark's CLI calls reproduce the committed
+    artifact bytes of ``variant``; the artifacts embed the numpy and
     scipy versions, so the hashes hold only for the recorded environment."""
     golden = workloads.load_golden()
     versions = {
@@ -628,7 +652,7 @@ def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
     if differ:
         pytest.skip("golden hashes belong to another environment: " + ", ".join(differ))
     expected = workloads.variant_hashes(golden, "cli-calls", variant)
-    jobs = {job.name: job for job in workloads.cli_small(variant)}
+    jobs = {job.name: job for job in workloads.cli_calls(variant)}
     for name in names:
         job = jobs[name]
         job_dir = tmp_path / name
@@ -651,7 +675,10 @@ def openblas_note(name, golden):
     return f"{name}: runner OpenBLAS {runner}; golden hashes made with {recorded}"
 
 
-_SAMPLER_JOBS = ("simulate", "multiplex", "sweep-alpha")
+_SAMPLER_JOBS = (
+    "simulate", "multiplex", "sweep-alpha",
+    "multiplex-1e7", "sweep-T", "simulate-2e6",  # the large cli-calls jobs
+)
 
 
 @pytest.mark.parametrize("variant", range(workloads.VARIANTS))

@@ -4,6 +4,7 @@ import numpy as np
 import oracles
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from usdsim import hilbert as h
 
@@ -307,3 +308,16 @@ class TestTypesAndGuards:
         values = h._sqrt_factorials(40)
         for k in (0, 1, 5, 29, 30, 31, 39):
             assert values[k] == pytest.approx(math.sqrt(math.factorial(k)), rel=1e-12)
+
+    def test_log_factorials_equal_gammaln_bit_for_bit(self):
+        # oracle: the gammaln expression the port replaced, whose bits the
+        # committed artifact hashes record; equality, not a tolerance
+        n = h.MAX_FOCK_DIM
+        ks = np.arange(h._LOG_FACTORIAL_SWITCH, n)
+        assert np.array_equal(h._log_factorial(ks), gammaln(ks + 1.0))
+        ref = np.empty(n)
+        ref[: h._LOG_FACTORIAL_SWITCH] = [
+            math.prod(math.sqrt(j) for j in range(1, k + 1)) for k in range(h._LOG_FACTORIAL_SWITCH)
+        ]
+        ref[h._LOG_FACTORIAL_SWITCH :] = np.exp(0.5 * gammaln(ks + 1.0))
+        assert np.array_equal(h._sqrt_factorials(n), ref)
