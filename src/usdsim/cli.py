@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -242,11 +243,20 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write ``header``, then each row as ``rows`` yields it; if producing a
+    row fails, the partial file is removed before the error propagates."""
     with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        try:
+            writer.writerows(rows)
+        except OSError:
+            raise
+        except BaseException:
+            fh.close()
+            path.unlink()
+            raise
 
 
 def _flat_value(value) -> str:
@@ -515,8 +525,8 @@ def cmd_sweep(args) -> int:
         header.append("analytic_ratio")
     if mc is not None:
         header += ["mc_inconclusive", "mc_conclusive"]
-    rows = []
-    for i in range(steps):
+
+    def grid_row(i: int) -> list[str]:
         value = _grid_point(args.sweep_from, args.sweep_to, steps, i)
         rejected = _config_errors(f"sweep value {value!r} for {args.param}")
         if separation:
@@ -544,8 +554,9 @@ def cmd_sweep(args) -> int:
             if mc is not None:
                 report = run_protocol(cfg, RngStream(config.rng.seed, i))
                 row += [_fmt(report.inconclusive_rate_empirical), _fmt(report.sifted_key_rate)]
-        rows.append(row)
-    write_csv(out / "sweep.csv", header, rows)
+        return row
+
+    write_csv(out / "sweep.csv", header, map(grid_row, range(steps)))
     return 0
 
 

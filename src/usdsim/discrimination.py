@@ -51,8 +51,8 @@ EIGENVALUE_CLAMP = 1e-10
 # Probability clamps larger than this are logged instead of silently absorbed.
 PROBABILITY_CLAMP_LOG = 1e-10
 
-# Two-mode workspaces beyond this per-mode dimension are refused (dim^2 x dim^2
-# intermediates stop being desk-scale).
+# Ancilla reductions beyond this per-mode dimension are refused: their
+# O(dim^5) time stops being desk-scale (their memory is only O(dim^3)).
 MAX_ANCILLA_DIM = 64
 
 
@@ -241,11 +241,16 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     built directly on every call and the conjugation is evaluated as
     W^dag B W; the literal conjugate-then-reduce path lives in
     tests/oracles.py, and the tests check this against it.  Mode 1 carries
-    the first output (displaced detection at beta1), mode 2 the second.  The
-    operators B are built one at a time, so a single dense
-    dim^2 x dim^2 complex matrix (dim^4 * 16 bytes) is live at once.  The
-    reduction relies on W being an isometry: an isometry defect
-    max|W^dag W - I| above STRUCTURAL_TOL raises NumericalGuardError.
+    the first output (displaced detection at beta1), mode 2 the second.  No
+    B = L (x) R is ever built whole: column block c of B is the dim^2 x dim
+    slab kron(L[:, c], R), and the half-product W^dag B is filled one slab
+    at a time before the final product with W, so about 2 dim^3 complex
+    numbers are live at once and the work is O(dim^5).  The slabs split the
+    dense product W^dag B along its columns only, so with single-threaded
+    OpenBLAS the elements are bit for bit those of W^dag kron(L, R) W, and
+    they agree to roundoff otherwise.  The reduction relies on W being an
+    isometry: an isometry defect max|W^dag W - I| above STRUCTURAL_TOL
+    raises NumericalGuardError.
     """
     dim = cfg.dim
     if dim > MAX_ANCILLA_DIM:
@@ -258,7 +263,8 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         blind = {o: TruncatedOperator(0 * eye) for o in OUTCOME_ORDER}
         return _validate_povm(PovmSet(blind | {Outcome.INCONCLUSIVE: TruncatedOperator(eye)}, cfg))
     w = beam_splitter_vacuum_columns(0.5, dim)
-    defect = float(np.max(np.abs(w.conj().T @ w - np.eye(dim))))
+    w_dag = w.conj().T
+    defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
     if not defect <= STRUCTURAL_TOL:
         raise NumericalGuardError(
             f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
@@ -271,10 +277,12 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         Outcome.CONCLUSIVE_2: (eye - p1, p2),
         Outcome.ANOMALOUS: (eye - p1, eye - p2),
     }
-    elements = {
-        outcome: TruncatedOperator(w.conj().T @ np.kron(left, right) @ w)
-        for outcome, (left, right) in factors.items()
-    }
+    half = np.empty((dim, dim * dim), dtype=np.complex128)
+    elements = {}
+    for outcome, (left, right) in factors.items():
+        for c in range(dim):
+            half[:, c * dim : (c + 1) * dim] = w_dag @ np.kron(left[:, c : c + 1], right)
+        elements[outcome] = TruncatedOperator(half @ w)
     return _validate_povm(PovmSet(elements, cfg))
 
 

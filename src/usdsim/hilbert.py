@@ -53,7 +53,8 @@ MAX_FOCK_DIM = next(
 
 class NumericalGuardError(RuntimeError):
     """A numerical guard tripped (Fock dimension, truncation adequacy,
-    workspace caps)."""
+    the ancilla POVM's dimension cap, isometry, POVM structure, probability
+    normalization)."""
 
 
 def _as_integer(value, name: str) -> int:

@@ -2,10 +2,11 @@
 
 Each function here reaches a quantity the library builds another way, so the
 tests can compare the two: dense matrix exponentials where the library uses
-closed forms or per-sector blocks, and the full two-mode conjugation where it
-uses only the vacuum-port columns, and a per-draw inverse CDF from one
-unchunked stream where the library counts streamed chunks of draws.  None of
-them calls the library code it is compared with.
+closed forms or per-sector blocks, the full two-mode conjugation where it
+uses only the vacuum-port columns, the whole dense reduction where it
+streams column slabs, and a per-draw inverse CDF from one unchunked stream
+where the library counts streamed chunks of draws.  None of them calls the
+library code it is compared with.
 """
 
 import collections
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from usdsim.discrimination import OUTCOME_ORDER, Outcome
-from usdsim.hilbert import normally_ordered_gaussian
+from usdsim.hilbert import beam_splitter_vacuum_columns, normally_ordered_gaussian
 from usdsim.montecarlo import clean_distribution
 from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
@@ -112,6 +113,16 @@ def conjugated_ancilla_povm(cfg) -> dict:
     return {
         outcome: (u.conj().T @ proj @ u).reshape(d, d, d, d)[:, 0, :, 0]
         for outcome, proj in ancilla_projections(cfg).items()
+    }
+
+
+def dense_ancilla_povm(cfg) -> dict:
+    """The ancilla POVM by the dense reduction W^dag kron(L, R) W over the
+    vacuum-port columns W, one whole dim^4 * 16-byte two-mode operator per
+    outcome: the product that povm_ancilla evaluates in column slabs."""
+    w = beam_splitter_vacuum_columns(0.5, cfg.dim)
+    return {
+        outcome: w.conj().T @ proj @ w for outcome, proj in ancilla_projections(cfg).items()
     }
 
 

@@ -1,10 +1,8 @@
 import collections
 import csv
-import importlib.util
 import json
 import math
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -12,25 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+from golden_env import openblas_note, version_differences, workloads
 
 from usdsim import cli
 from usdsim.discrimination import OUTCOME_ORDER, ReceiverConfig, closed_form_probabilities
 from usdsim.hilbert import coherent_state
-
-# The benchmark's job definitions, committed artifact hashes and environment
-# probe, read only.
-def _perfbench_module(name):
-    """perfbench/<name>.py, loaded by path as ``perfbench_<name>``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _perfbench_module("workloads")
-probe = _perfbench_module("probe")
 
 
 def base_config(out_dir, **overrides):
@@ -470,8 +454,10 @@ class TestSweepCommand:
         assert cli.main(["sweep", write(base_config(out)), "--param", "eta", "--from", "1", "--to", "0", "--steps", "5"]) == 2
 
     def test_out_of_range_value_exits_2(self, workspace):
+        # the grid's third point, T = 1.5, is rejected after two rows were written
         _, out, write = workspace
         assert cli.main(["sweep", write(base_config(out)), "--param", "T", "--from", "0.5", "--to", "2.0", "--steps", "4"]) == 2
+        assert not (out / "sweep.csv").exists()
 
     def test_rejected_separation_exits_2(self, workspace, capsys):
         _, out, write = workspace
@@ -480,6 +466,7 @@ class TestSweepCommand:
             argv = ["sweep", path, "--param", "alpha_separation", "--from", "0", "--to", to]
             assert cli.main([*argv, "--steps", "3"]) == 2
         assert "sweep value" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_overflowing_separation_sweeps(self, workspace):
         # each |alpha|^2 fits a float but |alpha1 - alpha2|^2 does not
@@ -639,16 +626,7 @@ def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
     artifact bytes of ``variant``; the artifacts embed the numpy and
     scipy versions, so the hashes hold only for the recorded environment."""
     golden = workloads.load_golden()
-    versions = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-    differ = [
-        f"{name} {version} (hashes made with {golden['environment'][name]})"
-        for name, version in versions.items()
-        if golden["environment"][name] != version
-    ]
+    differ = version_differences(golden)
     if differ:
         pytest.skip("golden hashes belong to another environment: " + ", ".join(differ))
     expected = workloads.variant_hashes(golden, "cli-calls", variant)
@@ -665,14 +643,6 @@ def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
         assert kind == "cli"
         assert cli.main(argv) == 0, name
         assert workloads.artifact_hashes(job_dir / "out") == expected[name], openblas_note(name, golden)
-
-
-def openblas_note(name, golden):
-    """Which OpenBLAS builds ran here and which made the golden hashes: the
-    POVM artifacts depend on the kernel, which the version gate cannot see."""
-    runner = [lib.get("config") for lib in probe._openblas_libraries()]
-    recorded = [lib.get("config") for lib in golden["environment"]["openblas"]]
-    return f"{name}: runner OpenBLAS {runner}; golden hashes made with {recorded}"
 
 
 _SAMPLER_JOBS = (

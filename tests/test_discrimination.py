@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 
+import golden_env
 import numpy as np
 import oracles
 import pytest
@@ -153,6 +155,40 @@ class TestAncillaPovm:
             for outcome, reduced in oracles.conjugated_ancilla_povm(cfg).items():
                 assert np.max(np.abs(reduced - fused[outcome].matrix)) <= 1e-12
                 assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
+
+    def test_streamed_reduction_is_bitwise_the_dense_product(self):
+        # the slabs split W^dag kron(L, R) along its columns only, and
+        # OpenBLAS sums each entry over the same k however the columns are
+        # split; so in the recorded single-threaded environment the bits
+        # agree, and elsewhere to roundoff
+        golden = golden_env.workloads.load_golden()
+        exact = not golden_env.version_differences(golden) + golden_env.openblas_differences(golden)
+        rng = np.random.default_rng(20261018)
+        for dim in (*range(2, 33), 40, 48):
+            # amplitudes the truncation holds: |alpha| <= r
+            r = min(1e-3 * dim**2, math.sqrt(dim) / 3)
+            a1, a2 = r * np.sqrt(rng.uniform(0.0, 1.0, 2)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 2))
+            eta = 1.0 if dim % 4 == 0 else 1.0 - rng.uniform(0.0, 1.0)  # in (0, 1]
+            cfg = ReceiverConfig(a1, a2, dim, eta)
+            streamed = povm_ancilla(cfg)
+            for outcome, dense in oracles.dense_ancilla_povm(cfg).items():
+                if exact:
+                    assert streamed[outcome].matrix.tobytes() == dense.tobytes(), (dim, outcome)
+                else:
+                    assert np.max(np.abs(streamed[outcome].matrix - dense)) <= 1e-15, (dim, outcome)
+
+    def test_reduction_never_holds_a_two_mode_operator(self):
+        # one dense kron(L, R) alone is dim^4 * 16 bytes, 41 MB at dim 40
+        dim = 40
+        cfg = ReceiverConfig(0.9, -0.7 + 0.2j, dim, 0.8)
+        povm_ancilla(cfg)  # the first call also loads scipy.linalg
+        tracemalloc.start()
+        try:
+            povm_ancilla(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim**4 * 16 / 4
 
     def test_workspace_guard(self):
         # checked before the adequacy guard allocates anything dim-sized
