@@ -203,8 +203,6 @@ def _fmt(x: float) -> str:
 def _jsonable(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -260,8 +258,6 @@ def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
 
 
 def _flat_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return _fmt(value)
     if value is None:
@@ -275,12 +271,11 @@ def _flat_value(value) -> str:
     return str(value)
 
 
-def write_record(base: Path, record: dict, fmt: str) -> Path:
+def write_record(base: Path, record: dict, fmt: str) -> None:
     """Write a run record as JSON or as flat name,value,source CSV rows."""
     if fmt == "json":
-        path = base.with_suffix(".json")
-        write_json(path, record)
-        return path
+        write_json(base.with_suffix(".json"), record)
+        return
     rows = []
     for key, value in sorted(record["metadata"].items()):
         if isinstance(value, dict):
@@ -296,9 +291,7 @@ def write_record(base: Path, record: dict, fmt: str) -> Path:
         rows.append([f"{stem}.closed_form", _fmt(row["closed_form"]), row["source"]])
     for label, count in record.get("counts", {}).items():
         rows.append([f"counts.{label}", str(count), "multiplex"])
-    path = base.with_suffix(".csv")
-    write_csv(path, ["name", "value", "source"], rows)
-    return path
+    write_csv(base.with_suffix(".csv"), ["name", "value", "source"], rows)
 
 
 def dump_operator(path: Path, matrix: np.ndarray) -> None:
@@ -329,9 +322,7 @@ def cmd_povm(args) -> int:
     for tag in constructions:
         povm = povm_analytic(cfg) if tag == "analytic" else povm_ancilla(cfg)
         built[tag] = povm
-        results.append(result("completeness_residual", povm.completeness_residual(), tag))
-        results.append(result("min_eigenvalue", povm.min_eigenvalue(), tag))
-        results.append(result("hermiticity_defect", povm.max_hermiticity_defect(), tag))
+        results += [result(name, value, tag) for name, value in povm.guards.items()]
     if len(built) == 2:
         discrepancy = max(
             float(np.max(np.abs(built["analytic"][o].matrix - built["ancilla"][o].matrix)))
@@ -460,7 +451,7 @@ def cmd_multiplex(args) -> int:
     results = [
         result("alice_signal_amp", derived.alice_signal_amp, "multiplex"),
         result("alice_aux_amp", derived.alice_aux_amp, "multiplex"),
-        result("tau", derived.tau, "multiplex"),
+        result("tau", cfg.bob_bs_transmission, "multiplex"),
         result("detector_mean_photons", derived.detector_mean_photons, "multiplex"),
         result("state_overlap", derived.state_overlap, "multiplex"),
         result("balance_imbalance", balance.imbalance, "multiplex"),

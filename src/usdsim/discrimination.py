@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -132,47 +133,60 @@ class ReceiverConfig:
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """The four positive operators of the receiver ``config``, keyed by outcome."""
+    """The four positive operators of the receiver ``config``, keyed by outcome.
+
+    Built from four square matrices.  Construction runs the hermiticity,
+    completeness and positivity guards once each, in that order, so no PovmSet
+    exists unvalidated; ``guards`` keeps their values in ``povm``'s order.
+    """
 
     elements: dict[Outcome, TruncatedOperator]
     config: ReceiverConfig
+    guards: MappingProxyType[str, float] = field(init=False)
 
-    @property
-    def dim(self) -> int:
-        return self.config.dim
+    def __post_init__(self):
+        elements = {o: TruncatedOperator(m) for o, m in self.elements.items()}
+        object.__setattr__(self, "elements", elements)
+        # each guard is written so that a NaN fails it
+        herm = self.max_hermiticity_defect()
+        if not herm <= STRUCTURAL_TOL:
+            raise NumericalGuardError(
+                f"hermiticity guard: POVM defect {herm:.3e} exceeds {STRUCTURAL_TOL:.1e}"
+            )
+        residual = self.completeness_residual()
+        if not residual <= STRUCTURAL_TOL:
+            raise NumericalGuardError(
+                f"completeness guard: residual {residual:.3e} exceeds {STRUCTURAL_TOL:.1e}"
+            )
+        min_eig = self.min_eigenvalue()
+        if not min_eig >= -EIGENVALUE_CLAMP:
+            raise NumericalGuardError(
+                f"positivity guard: eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}"
+            )
+        guards = {
+            "completeness_residual": residual,
+            "min_eigenvalue": min_eig,
+            "hermiticity_defect": herm,
+        }
+        object.__setattr__(self, "guards", MappingProxyType(guards))
 
     def __getitem__(self, outcome: Outcome) -> TruncatedOperator:
         return self.elements[outcome]
 
     def completeness_residual(self) -> float:
         total = sum(op.matrix for op in self.elements.values())
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+        return float(np.max(np.abs(total - np.eye(self.config.dim))))
 
     def min_eigenvalue(self) -> float:
-        return min(op.min_eigenvalue() for op in self.elements.values())
+        return min(
+            float(np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))[0])
+            for op in self.elements.values()
+        )
 
     def max_hermiticity_defect(self) -> float:
-        return max(op.hermiticity_defect() for op in self.elements.values())
-
-
-def _validate_povm(povm: PovmSet) -> PovmSet:
-    # each guard is written so that a NaN fails it
-    herm = povm.max_hermiticity_defect()
-    if not herm <= STRUCTURAL_TOL:
-        raise NumericalGuardError(
-            f"hermiticity guard: POVM defect {herm:.3e} exceeds {STRUCTURAL_TOL:.1e}"
+        return max(
+            float(np.max(np.abs(op.matrix - op.matrix.conj().T))) for op in self.elements.values()
         )
-    residual = povm.completeness_residual()
-    if not residual <= STRUCTURAL_TOL:
-        raise NumericalGuardError(
-            f"completeness guard: residual {residual:.3e} exceeds {STRUCTURAL_TOL:.1e}"
-        )
-    min_eig = povm.min_eigenvalue()
-    if not min_eig >= -EIGENVALUE_CLAMP:
-        raise NumericalGuardError(
-            f"positivity guard: eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}"
-        )
-    return povm
 
 
 def _check_adequacy(cfg: ReceiverConfig) -> None:
@@ -211,19 +225,16 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     dim = cfg.dim
     kappa = 0.5 * cfg.eta
     eye = np.eye(dim, dtype=np.complex128)
-    if kappa == 0.0:  # blind detectors: every Q is I exactly
-        q1 = q2 = q12 = eye
-    else:
-        q1 = normally_ordered_gaussian(kappa, cfg.alpha1, dim)
-        q2 = normally_ordered_gaussian(kappa, cfg.alpha2, dim)
-        q12 = _q_product(kappa, cfg.alpha1, cfg.alpha2, dim)
+    q1 = normally_ordered_gaussian(kappa, cfg.alpha1, dim)
+    q2 = normally_ordered_gaussian(kappa, cfg.alpha2, dim)
+    q12 = _q_product(kappa, cfg.alpha1, cfg.alpha2, dim)
     elements = {
         Outcome.INCONCLUSIVE: q12,
         Outcome.CONCLUSIVE_1: q1 - q12,
         Outcome.CONCLUSIVE_2: q2 - q12,
         Outcome.ANOMALOUS: eye - q1 - q2 + q12,
     }
-    return _validate_povm(PovmSet({o: TruncatedOperator(m) for o, m in elements.items()}, cfg))
+    return PovmSet(elements, cfg)
 
 
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
@@ -259,9 +270,12 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         )
     _check_adequacy(cfg)
     eye = np.eye(dim, dtype=np.complex128)
-    if cfg.eta == 0.0:  # blind detectors: B = I (x) I for no clicks, so A_00 = I exactly
-        blind = {o: TruncatedOperator(0 * eye) for o in OUTCOME_ORDER}
-        return _validate_povm(PovmSet(blind | {Outcome.INCONCLUSIVE: TruncatedOperator(eye)}, cfg))
+    if cfg.eta == 0.0:
+        # Blind detectors: B = I (x) I for no clicks, so A_00 = I exactly.  The
+        # reduction below would give W^dag W instead, which differs from I by
+        # roundoff (about 4e-15 from dim 6 on).
+        blind = {o: 0 * eye for o in OUTCOME_ORDER}
+        return PovmSet(blind | {Outcome.INCONCLUSIVE: eye}, cfg)
     w = beam_splitter_vacuum_columns(0.5, dim)
     w_dag = w.conj().T
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
@@ -282,8 +296,8 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     for outcome, (left, right) in factors.items():
         for c in range(dim):
             half[:, c * dim : (c + 1) * dim] = w_dag @ np.kron(left[:, c : c + 1], right)
-        elements[outcome] = TruncatedOperator(half @ w)
-    return _validate_povm(PovmSet(elements, cfg))
+        elements[outcome] = half @ w
+    return PovmSet(elements, cfg)
 
 
 def outcome_probabilities(

@@ -5,7 +5,7 @@ optical mode, as complex128 numpy arrays whose shape holds dim.  The module
 provides the handful of objects the receiver simulation needs: coherent state
 vectors, normally ordered Gaussian operator matrices, and the vacuum-port
 columns of a beam splitter, the one two-mode object.  ``TruncatedOperator``
-wraps a square matrix as a POVM element and carries its guards.
+holds a square matrix as a POVM element, which ``discrimination.PovmSet`` checks.
 
 Importing the module loads numpy only.  The factorials sqrt(k!) past k = 30
 come from a port of cephes ``lgam`` (Moshier, *Methods and Programs for
@@ -184,16 +184,6 @@ class TruncatedOperator:
         check_dim(mat.shape[0])
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!), n < dim,
@@ -319,15 +309,16 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> np.ndar
 
     Expanding the exponent reduces this to ``normally_ordered_exponential``,
     whose triangular assembly reproduces the untruncated matrix elements
-    exactly; at kappa = 1 the result is the coherent projector
-    |alpha><alpha|.  The operator also equals D(alpha) (1-kappa)^n D(alpha)^dag
-    with (1-kappa)^n diagonal in photon number; that displaced-diagonal form
-    leaks near the top of a truncated basis, so it serves as an independent
-    test oracle (tests/oracles.py) rather than as the construction.
+    exactly.  kappa lies in [0, 1]: the result is the identity, bit for bit
+    np.eye, at kappa = 0 and the coherent projector |alpha><alpha| at 1.  The
+    operator also equals D(alpha) (1-kappa)^n D(alpha)^dag with (1-kappa)^n
+    diagonal in photon number; that displaced-diagonal form leaks near the top
+    of a truncated basis, so it serves as an independent test oracle
+    (tests/oracles.py) rather than as the construction.
     """
     kappa = _as_real(kappa, "kappa")
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     alpha = _as_amplitude(alpha)
     check_dim(dim)
     return normally_ordered_exponential(

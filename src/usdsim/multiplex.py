@@ -94,7 +94,6 @@ class MultiplexDerived:
 
     alice_signal_amp: complex  # T * gamma
     alice_aux_amp: complex  # (1 - T) * gamma
-    tau: float  # 1 / (2 - T)
     detector_mean_photons: float  # (1-T)^2 T^2 |gamma|^2 / (2-T)
 
     @property
@@ -109,7 +108,6 @@ def derived_constants(cfg: MultiplexConfig) -> MultiplexDerived:
     return MultiplexDerived(
         alice_signal_amp=t * cfg.gamma,
         alice_aux_amp=(1.0 - t) * cfg.gamma,
-        tau=cfg.bob_bs_transmission,
         detector_mean_photons=(1.0 - t) ** 2 * t * t * g2 / (2.0 - t),
     )
 

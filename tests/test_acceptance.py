@@ -70,17 +70,13 @@ def test_criterion_1_povm_cross_oracle(povm_pairs):
             for o in OUTCOME_ORDER
         )
         worst_cross = max(worst_cross, cross)
-        worst_residual = max(
-            worst_residual,
-            analytic.completeness_residual(),
-            ancilla.completeness_residual(),
-        )
-        worst_eig = min(worst_eig, analytic.min_eigenvalue(), ancilla.min_eigenvalue())
+        residuals = [p.guards["completeness_residual"] for p in (analytic, ancilla)]
+        eigenvalues = [p.guards["min_eigenvalue"] for p in (analytic, ancilla)]
+        worst_residual = max(worst_residual, *residuals)
+        worst_eig = min(worst_eig, *eigenvalues)
         assert cross <= 1e-8
-        assert analytic.completeness_residual() <= 1e-9
-        assert ancilla.completeness_residual() <= 1e-9
-        assert analytic.min_eigenvalue() >= -1e-10
-        assert ancilla.min_eigenvalue() >= -1e-10
+        assert max(residuals) <= 1e-9
+        assert min(eigenvalues) >= -1e-10
     print(
         f"\nACCEPTANCE 1 PASS: {N_PAIRS} pairs, max discrepancy {worst_cross:.2e}, "
         f"max residual {worst_residual:.2e}, min eigenvalue {worst_eig:.2e} "

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden_env import openblas_note, version_differences, workloads
+from golden_env import openblas_note, probe, version_differences, workloads
 
 from usdsim import cli
 from usdsim.discrimination import OUTCOME_ORDER, ReceiverConfig, closed_form_probabilities
@@ -228,6 +228,23 @@ class TestPovmCommand:
             assert values[("completeness_residual", source)] <= 1e-9
             assert values[("min_eigenvalue", source)] >= -1e-10
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
+
+    def test_each_construction_runs_the_guards_once(self, workspace, monkeypatch):
+        # one eigvalsh per element, in the positivity guard, and none in the
+        # report: the command reads the values the POVM measured when built
+        _, out, write = workspace
+        path = write(base_config(out))
+        calls = []
+
+        def counted(matrix, _eigvalsh=np.linalg.eigvalsh):
+            calls.append(matrix.shape)
+            return _eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for construction, expected in (("analytic", 4), ("both", 8)):
+            calls.clear()
+            assert cli.main(["povm", path, "--construction", construction]) == 0
+            assert len(calls) == expected, construction
 
     def test_dump_format_round_trips(self, workspace):
         _, out, write = workspace
@@ -661,3 +678,14 @@ def test_povm_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
     # every other small CLI job: the POVM builds, probabilities and dumps
     names = [job.name for job in workloads.cli_small(variant) if job.name not in _SAMPLER_JOBS]
     assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch)
+
+
+def test_openblas_runs_the_thread_count_the_environment_names():
+    # tests/conftest.py names one thread unless the caller names another; the
+    # POVM artifacts' last bits depend on the count, which the hashes cannot see
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS next to numpy's)
+
+    want = min(int(os.environ["OPENBLAS_NUM_THREADS"]), len(os.sched_getaffinity(0)))
+    libraries = probe._openblas_libraries()
+    assert libraries
+    assert [lib.get("threads") for lib in libraries] == [want] * len(libraries), libraries

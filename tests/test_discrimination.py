@@ -12,6 +12,7 @@ from usdsim import hilbert as h
 from usdsim.discrimination import (
     OUTCOME_ORDER,
     Outcome,
+    PovmSet,
     ReceiverConfig,
     closed_form_probabilities,
     inconclusive_rate,
@@ -217,9 +218,47 @@ class TestPovmInvariants:
         for i, (a1, a2) in enumerate(random_pairs(50, rng)):
             cfg = ReceiverConfig(a1, a2, 24)
             povm = povm_ancilla(cfg) if i % 5 == 0 else povm_analytic(cfg)
-            assert povm.completeness_residual() <= 1e-9
-            assert povm.min_eigenvalue() >= -1e-10
-            assert povm.max_hermiticity_defect() <= 1e-9
+            assert povm.guards["completeness_residual"] <= 1e-9
+            assert povm.guards["min_eigenvalue"] >= -1e-10
+            assert povm.guards["hermiticity_defect"] <= 1e-9
+
+    def test_guards_run_once_and_keep_their_values(self, monkeypatch):
+        calls = []
+        for method in ("completeness_residual", "min_eigenvalue", "max_hermiticity_defect"):
+
+            def counted(self, _method=getattr(PovmSet, method), _name=method):
+                calls.append(_name)
+                return _method(self)
+
+            monkeypatch.setattr(PovmSet, method, counted)
+        cfg = ReceiverConfig(0.7 - 0.2j, -0.4 + 0.5j, 16, eta=0.8)
+        for build in (povm_analytic, povm_ancilla):
+            calls.clear()
+            povm = build(cfg)
+            assert calls == ["max_hermiticity_defect", "completeness_residual", "min_eigenvalue"]
+            assert list(povm.guards) == ["completeness_residual", "min_eigenvalue", "hermiticity_defect"]
+            assert povm.guards["completeness_residual"] == povm.completeness_residual()
+            assert povm.guards["min_eigenvalue"] == povm.min_eigenvalue()
+            assert povm.guards["hermiticity_defect"] == povm.max_hermiticity_defect()
+            with pytest.raises(TypeError):
+                povm.guards["min_eigenvalue"] = 0.0
+
+    def test_hand_built_povm_is_guarded(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1e-6
+        negative = np.diag([-1e-6, 0.0, 0.0, 0.0])
+        nan = np.full((4, 4), np.nan)
+        for elements, message in (
+            ((eye - skew, skew, zero, zero), "hermiticity guard: POVM defect 1.000e-06 exceeds 1.0e-09"),
+            ((nan, zero, zero, zero), "hermiticity guard: POVM defect nan exceeds 1.0e-09"),
+            ((0.5 * eye, zero, zero, zero), "completeness guard: residual 5.000e-01 exceeds 1.0e-09"),
+            ((eye - negative, negative, zero, zero), "positivity guard: eigenvalue -1.000e-06 below -1.0e-10"),
+        ):
+            with pytest.raises(NumericalGuardError) as info:
+                PovmSet(dict(zip(OUTCOME_ORDER, elements)), cfg)
+            assert str(info.value) == message
 
     def test_zero_error_and_never_both_click(self):
         rng = np.random.default_rng(43)

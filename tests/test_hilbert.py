@@ -232,9 +232,9 @@ class TestNormallyOrderedGaussian:
         for _ in range(8):
             kappa = rng.uniform(0.05, 1.0)
             alpha = complex(*rng.uniform(-1.2, 1.2, 2))
-            g = h.TruncatedOperator(h.normally_ordered_gaussian(kappa, alpha, 28))
-            assert g.hermiticity_defect() <= 1e-12
-            assert g.min_eigenvalue() >= -1e-10
+            g = h.normally_ordered_gaussian(kappa, alpha, 28)
+            assert np.max(np.abs(g - g.conj().T)) <= 1e-12
+            assert np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0] >= -1e-10
 
     def test_displaced_diagonal_identity(self):
         # the operator equals D(alpha) (1-kappa)^n D(alpha)^dag once the
@@ -247,9 +247,16 @@ class TestNormallyOrderedGaussian:
         assert np.max(np.abs(g - displaced)) <= 1e-8
 
     def test_kappa_out_of_range(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="kappa"):
                 h.normally_ordered_gaussian(bad, 0.5, 8)
+
+    def test_kappa_zero_is_the_identity_bit_for_bit(self):
+        # a blind detector: the same bytes as np.eye, with no -0.0 anywhere
+        for dim in range(2, 193):
+            eye = np.eye(dim, dtype=np.complex128).tobytes()
+            for alpha in (0.0, 1.1 - 2.3j, -0.7 + 0.2j, -4.0 - 1.0j):
+                assert h.normally_ordered_gaussian(0.0, alpha, dim).tobytes() == eye, (dim, alpha)
 
 
 class TestNormallyOrderedExponential:
