@@ -53,7 +53,8 @@ EIGENVALUE_CLAMP = 1e-10
 PROBABILITY_CLAMP_LOG = 1e-10
 
 # Ancilla reductions beyond this per-mode dimension are refused: their
-# O(dim^5) time stops being desk-scale (their memory is only O(dim^3)).
+# O(dim^5) time stops being desk-scale (their memory is only about 5 dim^3
+# complex numbers, 21 MB at the cap).
 MAX_ANCILLA_DIM = 64
 
 
@@ -135,9 +136,11 @@ class ReceiverConfig:
 class PovmSet:
     """The four positive operators of the receiver ``config``, keyed by outcome.
 
-    Built from four square matrices.  Construction runs the hermiticity,
-    completeness and positivity guards once each, in that order, so no PovmSet
-    exists unvalidated; ``guards`` keeps their values in ``povm``'s order.
+    Built from one ``config.dim`` square matrix per outcome, kept in
+    OUTCOME_ORDER; any other keys or shapes raise ValueError.  Construction
+    then runs the hermiticity, completeness and positivity guards once each, in
+    that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
+    in ``povm``'s order.
     """
 
     elements: dict[Outcome, TruncatedOperator]
@@ -145,7 +148,22 @@ class PovmSet:
     guards: MappingProxyType[str, float] = field(init=False)
 
     def __post_init__(self):
-        elements = {o: TruncatedOperator(m) for o, m in self.elements.items()}
+        missing = ", ".join(o.name for o in OUTCOME_ORDER if o not in self.elements)
+        unexpected = ", ".join(repr(k) for k in self.elements if k not in OUTCOME_ORDER)
+        if missing or unexpected:
+            raise ValueError(
+                f"POVM needs exactly the four outcomes: missing {missing or 'none'}; "
+                f"unexpected {unexpected or 'none'}"
+            )
+        dim = self.config.dim
+        for outcome in OUTCOME_ORDER:
+            shape = np.shape(self.elements[outcome])
+            if shape != (dim, dim):
+                raise ValueError(
+                    f"POVM element {outcome.name} has shape {shape}, expected ({dim}, {dim}) "
+                    f"for dim={dim}"
+                )
+        elements = {o: TruncatedOperator(self.elements[o]) for o in OUTCOME_ORDER}
         object.__setattr__(self, "elements", elements)
         # each guard is written so that a NaN fails it
         herm = self.max_hermiticity_defect()
@@ -254,14 +272,19 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     tests/oracles.py, and the tests check this against it.  Mode 1 carries
     the first output (displaced detection at beta1), mode 2 the second.  No
     B = L (x) R is ever built whole: column block c of B is the dim^2 x dim
-    slab kron(L[:, c], R), and the half-product W^dag B is filled one slab
-    at a time before the final product with W, so about 2 dim^3 complex
-    numbers are live at once and the work is O(dim^5).  The slabs split the
-    dense product W^dag B along its columns only, so with single-threaded
-    OpenBLAS the elements are bit for bit those of W^dag kron(L, R) W, and
-    they agree to roundoff otherwise.  The reduction relies on W being an
-    isometry: an isometry defect max|W^dag W - I| above STRUCTURAL_TOL
-    raises NumericalGuardError.
+    slab kron(L[:, c], R), and the half-product W^dag B is filled one block
+    at a time before the final product with W.  The outcomes come in two
+    pairs that share D1's factor L (P1, then I - P1) and differ in D2's R
+    (P2 or I - P2), so one dim^2 x 2 dim slab L[:, c] (x) [P2 | I - P2] serves
+    both outcomes of a pair: 2 dim products W^dag slab of width 2 dim fill the
+    pair's two half-products.  About 5 dim^3 complex numbers are live at once
+    (W, the two half-products, the slab) and the work is O(dim^5).  W is
+    real, so W^dag is taken as the view W^T rather than a conjugated copy.
+    The slabs split the dense product W^dag B along its columns only, so with
+    single-threaded OpenBLAS the elements are bit for bit those of
+    W^dag kron(L, R) W, and they agree to roundoff otherwise.  The reduction
+    relies on W being an isometry: an isometry defect max|W^dag W - I| above
+    STRUCTURAL_TOL raises NumericalGuardError.
     """
     dim = cfg.dim
     if dim > MAX_ANCILLA_DIM:
@@ -277,7 +300,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         blind = {o: 0 * eye for o in OUTCOME_ORDER}
         return PovmSet(blind | {Outcome.INCONCLUSIVE: eye}, cfg)
     w = beam_splitter_vacuum_columns(0.5, dim)
-    w_dag = w.conj().T
+    w_dag = w.T  # W is real: a view, where w.conj().T would copy dim^3 numbers
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
     if not defect <= STRUCTURAL_TOL:
         raise NumericalGuardError(
@@ -285,18 +308,23 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         )
     p1 = normally_ordered_gaussian(cfg.eta, cfg.beta1, dim)
     p2 = normally_ordered_gaussian(cfg.eta, cfg.beta2, dim)
-    factors = {
-        Outcome.INCONCLUSIVE: (p1, p2),
-        Outcome.CONCLUSIVE_1: (p1, eye - p2),
-        Outcome.CONCLUSIVE_2: (eye - p1, p2),
-        Outcome.ANOMALOUS: (eye - p1, eye - p2),
+    # D1's factor L is shared by each pair of outcomes, D2's R = P2 | I - P2
+    pairs = {
+        (Outcome.INCONCLUSIVE, Outcome.CONCLUSIVE_1): p1,
+        (Outcome.CONCLUSIVE_2, Outcome.ANOMALOUS): eye - p1,
     }
-    half = np.empty((dim, dim * dim), dtype=np.complex128)
+    rights = np.concatenate((p2, eye - p2), axis=1)
+    slab = np.empty((dim, dim, 2 * dim), dtype=np.complex128)
+    halves = np.empty((2, dim, dim * dim), dtype=np.complex128)
     elements = {}
-    for outcome, (left, right) in factors.items():
+    for outcomes, left in pairs.items():
         for c in range(dim):
-            half[:, c * dim : (c + 1) * dim] = w_dag @ np.kron(left[:, c : c + 1], right)
-        elements[outcome] = half @ w
+            # slab[a, b, :] = L[a, c] * rights[b, :], the entries kron(L[:, c], R) holds
+            np.multiply(left[:, c, None, None], rights, out=slab)
+            block = w_dag @ slab.reshape(dim * dim, 2 * dim)
+            halves[:, :, c * dim : (c + 1) * dim] = block.reshape(dim, 2, dim).swapaxes(0, 1)
+        for outcome, half in zip(outcomes, halves):
+            elements[outcome] = half @ w
     return PovmSet(elements, cfg)
 
 

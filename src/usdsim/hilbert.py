@@ -242,6 +242,10 @@ def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndar
     built.  The generator theta*(a^dag v - a v^dag), cos^2(theta) = t,
     conserves total photon number, so it is exponentiated sector by sector;
     the parity phase (-1)^(n_v) supplies the sign of the second output row.
+    The columns are real: they are written into the complex128 result through
+    its ``.real`` view and the parity is applied there in place, so no float
+    copy of the dim^3 array is made.  The bits are those of the real array
+    times the parity, cast to complex, -0.0 from parity * 0.0 included.
     """
     # Imported here, not at module level: scipy.linalg takes longer to import
     # than most CLI commands take to run, and only the ancilla POVM needs it.
@@ -250,12 +254,14 @@ def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndar
     theta = _mixing_angle(power_transmission)
     check_dim(dim)
 
-    w = np.zeros((dim * dim, dim))
+    w = np.zeros((dim * dim, dim), dtype=np.complex128)
+    real = w.real
     for total in range(dim):
         idx, block = _sector_generator(theta, total, dim)
         eblock = expm(block) if total > 0 else np.ones((1, 1))
-        w[idx, total] = eblock[:, total]
-    return (_port_parity(dim)[:, None] * w).astype(np.complex128)
+        real[idx, total] = eblock[:, total]
+    real *= _port_parity(dim)[:, None]
+    return w
 
 
 def _exp_creation(z: complex, dim: int) -> np.ndarray:

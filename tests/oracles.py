@@ -2,9 +2,11 @@
 
 Each function here reaches a quantity the library builds another way, so the
 tests can compare the two: dense matrix exponentials where the library uses
-closed forms or per-sector blocks, the full two-mode conjugation where it
-uses only the vacuum-port columns, the whole dense reduction where it
-streams column slabs, and a per-draw inverse CDF from one unchunked stream
+closed forms or per-sector blocks, a float array cast to complex where it
+fills complex storage in place, the full two-mode conjugation where it uses
+only the vacuum-port columns, the whole dense reduction where it streams
+column slabs, the displaced receiver where it propagates amplitudes through
+the fiber network, and a per-draw inverse CDF from one unchunked stream
 where the library counts streamed chunks of draws.  None of them calls the
 library code it is compared with.
 """
@@ -16,8 +18,12 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from usdsim.discrimination import OUTCOME_ORDER, Outcome
-from usdsim.hilbert import beam_splitter_vacuum_columns, normally_ordered_gaussian
+from usdsim.discrimination import OUTCOME_ORDER, Outcome, ReceiverConfig
+from usdsim.hilbert import (
+    _sector_generator,
+    beam_splitter_vacuum_columns,
+    normally_ordered_gaussian,
+)
 from usdsim.montecarlo import clean_distribution
 from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
@@ -67,6 +73,20 @@ def beam_splitter_generator(power_transmission: float, dim: int) -> np.ndarray:
 def port_parity(dim: int) -> np.ndarray:
     """Phase (-1)^(n_v) on the two-mode basis, n_v the second-mode number."""
     return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
+
+
+def vacuum_columns_reference(power_transmission: float, dim: int) -> np.ndarray:
+    """The vacuum-port columns U|n, 0> as a float array filled sector by
+    sector from the library's generator blocks, times the port parity, then
+    cast to complex128: the assembly that beam_splitter_vacuum_columns
+    replaced by in-place complex storage, bit for bit the same."""
+    t = power_transmission
+    theta = math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
+    w = np.zeros((dim * dim, dim))
+    for total in range(dim):
+        idx, block = _sector_generator(theta, total, dim)
+        w[idx, total] = expm(block)[:, total] if total > 0 else 1.0
+    return (port_parity(dim)[:, None] * w).astype(np.complex128)
 
 
 def beam_splitter_unitary(power_transmission: float, dim: int) -> np.ndarray:
@@ -124,6 +144,21 @@ def dense_ancilla_povm(cfg) -> dict:
     return {
         outcome: w.conj().T @ proj @ w for outcome, proj in ancilla_projections(cfg).items()
     }
+
+
+def fiber_receiver(cfg) -> tuple[ReceiverConfig, tuple[complex, complex]]:
+    """The displaced two-detector receiver that Bob's network is inside the
+    coincidence window, and the amplitude it receives for bit 0 and bit 1.
+
+    Bit 0 arrives as vacuum and bit 1 as s = T gamma sqrt(c), so alpha1 = 0
+    and alpha2 = s.  At the balanced tap tau = 1/(2-T) each detector sees
+    kappa = eta (1-T)^2 / (2-T) of the intensity, which the receiver's
+    kappa = eta'/2 matches at eta' = 2 eta (1-T)^2 / (2-T).
+    """
+    t = cfg.splitter_transmission
+    signal = t * cfg.gamma * math.sqrt(cfg.channel_transmission)
+    eta = 2.0 * cfg.eta * (1.0 - t) ** 2 / (2.0 - t)
+    return ReceiverConfig(0.0, signal, default_dim(signal), eta), (0.0, signal)
 
 
 def reference_outcomes(dist: dict, u: np.ndarray) -> list:

@@ -5,8 +5,11 @@ closed forms (``closed_form_probabilities``) and the fiber-network click model
 (``click_probabilities`` on the detector amplitudes (sent - alpha_i)/sqrt(2))
 must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
 efficiency and any coherent input.  The two POVM constructions, which both
-carry the efficiency, must agree with each other element by element.
-Examples are derandomized, so every run checks the same cases.
+carry the efficiency, must agree with each other element by element.  The
+fiber network itself (``propagate_bob`` on what ``alice_emit`` sends) must be
+the displaced receiver that ``oracles.fiber_receiver`` maps it to, and its
+closed-form bound and inconclusive rate must be that receiver's.  Examples
+are derandomized, so every run checks the same cases.
 """
 
 import math
@@ -14,18 +17,29 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import default_dim
+from oracles import default_dim, fiber_receiver
 
 from usdsim.discrimination import (
     OUTCOME_ORDER,
+    Outcome,
     ReceiverConfig,
     closed_form_probabilities,
+    inconclusive_rate,
     outcome_probabilities,
     povm_analytic,
     povm_ancilla,
 )
 from usdsim.hilbert import CROSS_ORACLE_TOL, coherent_state
-from usdsim.multiplex import DetectorAmplitudes, click_probabilities
+from usdsim.multiplex import (
+    WEAK_SPLITTING_LIMIT,
+    DetectorAmplitudes,
+    MultiplexConfig,
+    alice_emit,
+    click_probabilities,
+    propagate_bob,
+    quantum_bound,
+    round_inconclusive_probability,
+)
 
 amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -82,3 +96,38 @@ def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
         for outcome in OUTCOME_ORDER:
             expectation = np.vdot(state, ancilla[outcome].matrix @ state).real
             assert abs(expectation - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
+
+
+@st.composite
+def multiplex_configs(draw):
+    # T inside the weak-splitting regime (a larger T warns); gamma chosen so
+    # the signal T gamma sqrt(c) reaching Bob is nonzero with modulus <= 2,
+    # which keeps the mapped receiver's default_dim <= 32
+    t = draw(st.floats(min_value=1e-6, max_value=WEAK_SPLITTING_LIMIT))
+    c = draw(st.floats(min_value=1e-6, max_value=1.0))
+    signal = draw(
+        st.complex_numbers(
+            min_magnitude=1e-3, max_magnitude=1.99, allow_nan=False, allow_infinity=False
+        )
+    )
+    eta = draw(st.just(1.0) | st.floats(min_value=0.0, max_value=1.0))
+    return MultiplexConfig(signal / (t * math.sqrt(c)), t, eta, c)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multiplex_configs())
+def test_fiber_network_is_the_displaced_receiver(cfg):
+    receiver, sent_by_bit = fiber_receiver(cfg)
+    assert 0.0 < abs(sent_by_bit[1]) <= 2.0 and receiver.dim <= 32
+    analytic, ancilla = povm_analytic(receiver), povm_ancilla(receiver)
+    for bit, sent in enumerate(sent_by_bit):
+        fiber = click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
+        closed = closed_form_probabilities(receiver, sent)
+        fock = [outcome_probabilities(receiver, sent, povm) for povm in (analytic, ancilla)]
+        for outcome in OUTCOME_ORDER:
+            assert abs(fiber[outcome] - closed[outcome]) <= 1e-12, (bit, outcome)
+            for probs in fock:
+                assert abs(fiber[outcome] - probs[outcome]) <= CROSS_ORACLE_TOL, (bit, outcome)
+    assert abs(quantum_bound(cfg) - inconclusive_rate(*sent_by_bit)) <= 1e-15
+    bit1_inconclusive = closed_form_probabilities(receiver, sent_by_bit[1])[Outcome.INCONCLUSIVE]
+    assert abs(round_inconclusive_probability(cfg) - bit1_inconclusive) <= 1e-15

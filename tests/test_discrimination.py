@@ -158,28 +158,39 @@ class TestAncillaPovm:
                 assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
 
     def test_streamed_reduction_is_bitwise_the_dense_product(self):
-        # the slabs split W^dag kron(L, R) along its columns only, and
-        # OpenBLAS sums each entry over the same k however the columns are
-        # split; so in the recorded single-threaded environment the bits
-        # agree, and elsewhere to roundoff
+        # the slabs L[:, c] (x) [R | R'] of a pair of outcomes sharing L split
+        # W^dag kron(L, R) and W^dag kron(L, R') along their columns only,
+        # and OpenBLAS sums each entry over the same k however the columns
+        # are split; so in the recorded single-threaded environment the bits
+        # agree, and elsewhere to roundoff.  Real and zero amplitudes give
+        # factors with exact zeros, whose sign a re-layout of the products
+        # can flip.
         golden = golden_env.workloads.load_golden()
         exact = not golden_env.version_differences(golden) + golden_env.openblas_differences(golden)
         rng = np.random.default_rng(20261018)
+        cases = []
         for dim in (*range(2, 33), 40, 48):
             # amplitudes the truncation holds: |alpha| <= r
             r = min(1e-3 * dim**2, math.sqrt(dim) / 3)
             a1, a2 = r * np.sqrt(rng.uniform(0.0, 1.0, 2)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 2))
             eta = 1.0 if dim % 4 == 0 else 1.0 - rng.uniform(0.0, 1.0)  # in (0, 1]
-            cfg = ReceiverConfig(a1, a2, dim, eta)
+            cases.append(ReceiverConfig(a1, a2, dim, eta))
+        for dim in (2, 3, 5, 6, 10, 17, 24, 32):
+            r = min(1e-3 * dim**2, math.sqrt(dim) / 3)
+            for a1, a2 in ((0.0, r), (0.0, 1j * r), (0.6 * r, -r)):
+                cases += [ReceiverConfig(a1, a2, dim, eta) for eta in (1.0, 0.7)]
+        for cfg in cases:
             streamed = povm_ancilla(cfg)
             for outcome, dense in oracles.dense_ancilla_povm(cfg).items():
                 if exact:
-                    assert streamed[outcome].matrix.tobytes() == dense.tobytes(), (dim, outcome)
+                    assert streamed[outcome].matrix.tobytes() == dense.tobytes(), (cfg, outcome)
                 else:
-                    assert np.max(np.abs(streamed[outcome].matrix - dense)) <= 1e-15, (dim, outcome)
+                    assert np.max(np.abs(streamed[outcome].matrix - dense)) <= 1e-15, (cfg, outcome)
 
     def test_reduction_never_holds_a_two_mode_operator(self):
-        # one dense kron(L, R) alone is dim^4 * 16 bytes, 41 MB at dim 40
+        # one dense kron(L, R) alone is dim^4 * 16 bytes, 41 MB at dim 40;
+        # the streamed reduction holds about 5 dim^3 complex numbers (W, two
+        # half-products, one slab), 5.1 MB
         dim = 40
         cfg = ReceiverConfig(0.9, -0.7 + 0.2j, dim, 0.8)
         povm_ancilla(cfg)  # the first call also loads scipy.linalg
@@ -190,6 +201,7 @@ class TestAncillaPovm:
         finally:
             tracemalloc.stop()
         assert peak < dim**4 * 16 / 4
+        assert peak <= 6 * dim**3 * 16
 
     def test_workspace_guard(self):
         # checked before the adequacy guard allocates anything dim-sized
@@ -259,6 +271,39 @@ class TestPovmInvariants:
             with pytest.raises(NumericalGuardError) as info:
                 PovmSet(dict(zip(OUTCOME_ORDER, elements)), cfg)
             assert str(info.value) == message
+
+    def test_missing_outcome_is_rejected(self):
+        # the guards alone would pass this one-element set (residual 0.0)
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        message = (
+            "POVM needs exactly the four outcomes: "
+            "missing CONCLUSIVE_1, CONCLUSIVE_2, ANOMALOUS; unexpected none"
+        )
+        with pytest.raises(ValueError, match=message):
+            PovmSet({Outcome.INCONCLUSIVE: np.eye(4)}, cfg)
+
+    def test_unexpected_key_is_rejected(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        elements = {o: np.zeros((4, 4)) for o in OUTCOME_ORDER}
+        elements[Outcome.INCONCLUSIVE] = np.eye(4)
+        with pytest.raises(ValueError, match="missing none; unexpected 'extra'"):
+            PovmSet(elements | {"extra": np.eye(4)}, cfg)
+
+    def test_element_of_another_dim_is_rejected(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        elements = {o: np.eye(3) / 4 for o in OUTCOME_ORDER}
+        message = r"POVM element INCONCLUSIVE has shape \(3, 3\), expected \(4, 4\) for dim=4"
+        with pytest.raises(ValueError, match=message):
+            PovmSet(elements, cfg)
+        elements = {o: np.zeros((4, 4)) for o in OUTCOME_ORDER}
+        elements[Outcome.ANOMALOUS] = np.eye(4)[:, :3]
+        with pytest.raises(ValueError, match=r"ANOMALOUS has shape \(4, 3\), expected \(4, 4\)"):
+            PovmSet(elements, cfg)
+
+    def test_elements_are_kept_in_outcome_order(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        reverse = {o: np.eye(4) * (o is Outcome.INCONCLUSIVE) for o in reversed(OUTCOME_ORDER)}
+        assert list(PovmSet(reverse, cfg).elements) == list(OUTCOME_ORDER)
 
     def test_zero_error_and_never_both_click(self):
         rng = np.random.default_rng(43)

@@ -169,6 +169,16 @@ class TestBeamSplitter:
                 unitary = oracles.beam_splitter_unitary(t, dim)
                 assert np.max(np.abs(w - unitary[:, ::dim])) <= 1e-13
 
+    def test_vacuum_columns_keep_the_float_assembly_bits(self):
+        # complex storage filled through .real, parity applied in place: the
+        # same bytes as the real array times the parity cast to complex, the
+        # -0.0 of parity * 0.0 included; the ancilla POVM's golden bits rest
+        # on these
+        for t in (0.0, 0.3, 0.5, 1.0):
+            for dim in range(2, 65):
+                want = oracles.vacuum_columns_reference(t, dim)
+                assert h.beam_splitter_vacuum_columns(t, dim).tobytes() == want.tobytes(), (t, dim)
+
     def test_vacuum_columns_binomial_closed_form(self):
         # oracle: U|n,0> = sum_k sqrt(C(n,k)) t^(k/2) (1-t)^((n-k)/2) |k, n-k>
         dim = 12
