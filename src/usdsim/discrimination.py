@@ -17,6 +17,16 @@ This module builds the measurement's POVM two independent ways:
 
 The two constructions serve as oracles for each other and must agree in max
 norm (hilbert.CROSS_ORACLE_TOL) at adequate truncation.
+
+Two-mode conventions (fixed, do not change silently), used by the ancilla
+construction only:
+  * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest; mode 1
+    is the signal a, then the output b1 (D1), mode 2 the vacuum port v, then
+    the output b2 (D2);
+  * the 50:50 beam splitter maps annihilation operators as
+        b1 = (a + v) / sqrt(2)
+        b2 = (a - v) / sqrt(2)
+    (real orthogonal, no reflection phases).
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from .hilbert import (
     NumericalGuardError,
     TruncatedOperator,
     _as_amplitude,
-    beam_splitter_vacuum_columns,
     check_dim,
     check_efficiency,
     coherent_state,
@@ -255,6 +264,58 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
     return PovmSet(elements, cfg)
 
 
+def _port_parity(dim: int) -> np.ndarray:
+    """Phase (-1)^(n2) on the two-mode basis, n2 the second-mode number."""
+    return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
+
+
+def _sector_generator(total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices and generator block of one photon-number sector with
+    total < dim.
+
+    The sector holds |n1, total - n1> for n1 = 0..total, in that order, so its
+    last state is |total, 0>.
+    """
+    theta = math.pi / 4  # the 50:50 splitter: cos^2(theta) = 1/2
+    size = total + 1
+    block = np.zeros((size, size))
+    for n1 in range(total):
+        # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
+        w = theta * math.sqrt((n1 + 1) * (total - n1))
+        block[n1 + 1, n1] = w
+        block[n1, n1 + 1] = -w
+    idx = np.array([n1 * dim + (total - n1) for n1 in range(size)])
+    return idx, block
+
+
+def vacuum_port_columns(dim: int) -> np.ndarray:
+    """Columns W = U|n, 0>, n = 0..dim-1, of the 50:50 beam splitter U: a
+    dim^2 x dim isometry whose rows follow the two-mode index n1 * dim + n2.
+
+    |n, 0> is the last state of photon-number sector n, so column n is the last
+    column of that sector's block and sectors with total >= dim are never
+    built.  The generator theta*(a^dag v - a v^dag), theta = pi/4, conserves
+    total photon number, so it is exponentiated sector by sector; the parity
+    phase (-1)^(n2) supplies the sign of the second output row.  The columns
+    are real: they are written into the complex128 result through its
+    ``.real`` view and the parity is applied there in place, so no float copy
+    of the dim^3 array is made.  The bits are those of the real array times
+    the parity, cast to complex, -0.0 from parity * 0.0 included.
+    """
+    # Imported here, not at module level: scipy.linalg takes longer to import
+    # than most CLI commands take to run, and only the ancilla POVM needs it.
+    from scipy.linalg import expm
+
+    w = np.zeros((dim * dim, dim), dtype=np.complex128)
+    real = w.real
+    for total in range(dim):
+        idx, block = _sector_generator(total, dim)
+        eblock = expm(block) if total > 0 else np.ones((1, 1))
+        real[idx, total] = eblock[:, total]
+    real *= _port_parity(dim)[:, None]
+    return w
+
+
 def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     """Brute-force POVM through the explicit two-mode ancilla construction.
 
@@ -266,14 +327,15 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
 
         A[m, n] = <m, 0| U^dag B U |n, 0> = (U|m,0>)^dag B (U|n,0>).
 
-    Only the vacuum-port columns W = U|n,0> enter the reduction, so they are
-    built directly on every call and the conjugation is evaluated as
-    W^dag B W; the literal conjugate-then-reduce path lives in
+    Only the vacuum-port columns W = U|n,0> enter the reduction, so
+    ``vacuum_port_columns`` builds them on every call and the conjugation is
+    evaluated as W^dag B W; the literal conjugate-then-reduce path lives in
     tests/oracles.py, and the tests check this against it.  Mode 1 carries
     the first output (displaced detection at beta1), mode 2 the second.  No
     B = L (x) R is ever built whole: column block c of B is the dim^2 x dim
-    slab kron(L[:, c], R), and the half-product W^dag B is filled one block
-    at a time before the final product with W.  The outcomes come in two
+    slab kron(L[:, c], R), whose rows follow W's two-mode index
+    n1 * dim + n2, and the half-product W^dag B is filled one block at a
+    time before the final product with W.  The outcomes come in two
     pairs that share D1's factor L (P1, then I - P1) and differ in D2's R
     (P2 or I - P2), so one dim^2 x 2 dim slab L[:, c] (x) [P2 | I - P2] serves
     both outcomes of a pair: 2 dim products W^dag slab of width 2 dim fill the
@@ -299,7 +361,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         # roundoff (about 4e-15 from dim 6 on).
         blind = {o: 0 * eye for o in OUTCOME_ORDER}
         return PovmSet(blind | {Outcome.INCONCLUSIVE: eye}, cfg)
-    w = beam_splitter_vacuum_columns(0.5, dim)
+    w = vacuum_port_columns(dim)
     w_dag = w.T  # W is real: a view, where w.conj().T would copy dim^3 numbers
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
     if not defect <= STRUCTURAL_TOL:

@@ -1,24 +1,17 @@
-"""Truncated Fock-space linear algebra for weak coherent light.
+"""Truncated Fock-space linear algebra for weak coherent light on one mode.
 
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
 optical mode, as complex128 numpy arrays whose shape holds dim.  The module
-provides the handful of objects the receiver simulation needs: coherent state
-vectors, normally ordered Gaussian operator matrices, and the vacuum-port
-columns of a beam splitter, the one two-mode object.  ``TruncatedOperator``
-holds a square matrix as a POVM element, which ``discrimination.PovmSet`` checks.
+provides the single-mode objects the receiver simulation needs: coherent
+state vectors, normally ordered Gaussian operator matrices, and the
+validators the other modules share.  ``TruncatedOperator`` holds a square
+matrix as a POVM element, which ``discrimination.PovmSet`` checks.  The
+receiver's one two-mode object, its beam splitter, lives in
+``discrimination``.
 
 Importing the module loads numpy only.  The factorials sqrt(k!) past k = 30
 come from a port of cephes ``lgam`` (Moshier, *Methods and Programs for
-Mathematical Functions*, 1989), bit for bit scipy.special's log-gamma, and
-``scipy.linalg`` is loaded by the beam-splitter build, which only the ancilla
-POVM reaches.
-
-Conventions (fixed, do not change silently):
-  * two-mode basis index = n1 * dim + n2, i.e. mode 1 varies slowest;
-  * beam splitter with power transmission t maps annihilation operators as
-        b1 =  sqrt(t)   a + sqrt(1-t) v
-        b2 =  sqrt(1-t) a - sqrt(t)   v
-    (real orthogonal, no reflection phases).
+Mathematical Functions*, 1989).
 """
 
 from __future__ import annotations
@@ -130,10 +123,10 @@ def _log_factorial(ks: np.ndarray) -> np.ndarray:
     """ln k! for each k, as cephes lgam evaluates ln Gamma(x) at x = k + 1.
 
     The Stirling branch of lgam with the same operations in the same order and
-    the libm ``log`` it calls, so every value equals scipy.special's log-gamma
-    bit for bit.  The branch holds for 13 <= x < 1000; ``_check_fock_range``
-    caps k at MAX_FOCK_DIM - 1 = 300 and the caller starts at k = 30, so x lies
-    in [31, 301] and lgam's branches for x < 13 and x >= 1000 are never needed.
+    the libm ``log`` it calls, so every value is lgam's, bit for bit.  The
+    branch holds for 13 <= x < 1000; ``_check_fock_range`` caps k at
+    MAX_FOCK_DIM - 1 = 300 and the caller starts at k = 30, so x lies in
+    [31, 301] and lgam's branches for x < 13 and x >= 1000 are never needed.
     """
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
@@ -151,12 +144,11 @@ def _sqrt_factorials(n: int) -> np.ndarray:
     """sqrt(k!) for k = 0..n-1; cumulative product, log space for large k.
 
     The log-space values come from ``_log_factorial``, a port of cephes lgam
-    (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989),
-    the routine behind scipy.special's log-gamma.  It is a port, not
-    ``math.lgamma``, because libm's lgamma rounds differently: sqrt(k!) built
-    from it differs in the last bit at 159 of k = 30..300, and every Fock
-    matrix past dim 30 is built from these values.  The port keeps their bits
-    without importing scipy.special.
+    (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989).
+    It is a port, not ``math.lgamma``, because libm's lgamma rounds
+    differently: sqrt(k!) built from it differs in the last bit at 159 of
+    k = 30..300, and every Fock matrix past dim 30 is built from these
+    values.  The port keeps their bits with numpy alone.
     """
     _check_fock_range(n)
     out = np.empty(n)
@@ -201,67 +193,6 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
-
-
-def _mixing_angle(power_transmission: float) -> float:
-    """Beam-splitter angle theta with cos^2(theta) = t, after validating t."""
-    t = _as_real(power_transmission, "power transmission")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"power transmission must lie in [0, 1], got {t}")
-    return math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
-
-
-def _port_parity(dim: int) -> np.ndarray:
-    """Phase (-1)^(n_v) on the two-mode basis, n_v the second-mode number."""
-    return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
-
-
-def _sector_generator(theta: float, total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices and generator block of one photon-number sector with
-    total < dim.
-
-    The sector holds |n1, total - n1> for n1 = 0..total, in that order, so its
-    last state is |total, 0>.
-    """
-    size = total + 1
-    block = np.zeros((size, size))
-    for n1 in range(total):
-        # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
-        w = theta * math.sqrt((n1 + 1) * (total - n1))
-        block[n1 + 1, n1] = w
-        block[n1, n1 + 1] = -w
-    idx = np.array([n1 * dim + (total - n1) for n1 in range(size)])
-    return idx, block
-
-
-def beam_splitter_vacuum_columns(power_transmission: float, dim: int) -> np.ndarray:
-    """Columns U|n, 0>, n = 0..dim-1, of the beam splitter: a dim^2 x dim isometry.
-
-    |n, 0> is the last state of photon-number sector n, so column n is the last
-    column of that sector's block and sectors with total >= dim are never
-    built.  The generator theta*(a^dag v - a v^dag), cos^2(theta) = t,
-    conserves total photon number, so it is exponentiated sector by sector;
-    the parity phase (-1)^(n_v) supplies the sign of the second output row.
-    The columns are real: they are written into the complex128 result through
-    its ``.real`` view and the parity is applied there in place, so no float
-    copy of the dim^3 array is made.  The bits are those of the real array
-    times the parity, cast to complex, -0.0 from parity * 0.0 included.
-    """
-    # Imported here, not at module level: scipy.linalg takes longer to import
-    # than most CLI commands take to run, and only the ancilla POVM needs it.
-    from scipy.linalg import expm
-
-    theta = _mixing_angle(power_transmission)
-    check_dim(dim)
-
-    w = np.zeros((dim * dim, dim), dtype=np.complex128)
-    real = w.real
-    for total in range(dim):
-        idx, block = _sector_generator(theta, total, dim)
-        eblock = expm(block) if total > 0 else np.ones((1, 1))
-        real[idx, total] = eblock[:, total]
-    real *= _port_parity(dim)[:, None]
-    return w
 
 
 def _exp_creation(z: complex, dim: int) -> np.ndarray:

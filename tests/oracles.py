@@ -18,12 +18,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from usdsim.discrimination import OUTCOME_ORDER, Outcome, ReceiverConfig
-from usdsim.hilbert import (
-    _sector_generator,
-    beam_splitter_vacuum_columns,
-    normally_ordered_gaussian,
-)
+from usdsim.discrimination import OUTCOME_ORDER, Outcome, ReceiverConfig, vacuum_port_columns
+from usdsim.hilbert import normally_ordered_gaussian
 from usdsim.montecarlo import clean_distribution
 from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
@@ -77,15 +73,25 @@ def port_parity(dim: int) -> np.ndarray:
 
 def vacuum_columns_reference(power_transmission: float, dim: int) -> np.ndarray:
     """The vacuum-port columns U|n, 0> as a float array filled sector by
-    sector from the library's generator blocks, times the port parity, then
-    cast to complex128: the assembly that beam_splitter_vacuum_columns
-    replaced by in-place complex storage, bit for bit the same."""
+    sector, times the port parity, then cast to complex128.
+
+    Each sector |n1, total - n1>, n1 = 0..total, gets its own generator block
+    with the entries theta*sqrt((n1+1)(total-n1)) the library writes, so at
+    t = 1/2 (theta = pi/4 exactly) the result pins the bits of
+    ``vacuum_port_columns``, which fills complex storage in place instead.
+    """
     t = power_transmission
     theta = math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
     w = np.zeros((dim * dim, dim))
-    for total in range(dim):
-        idx, block = _sector_generator(theta, total, dim)
-        w[idx, total] = expm(block)[:, total] if total > 0 else 1.0
+    w[0, 0] = 1.0
+    for total in range(1, dim):
+        block = np.zeros((total + 1, total + 1))
+        for n1 in range(total):
+            entry = theta * math.sqrt((n1 + 1) * (total - n1))
+            block[n1 + 1, n1] = entry
+            block[n1, n1 + 1] = -entry
+        rows = [n1 * dim + (total - n1) for n1 in range(total + 1)]
+        w[rows, total] = expm(block)[:, total]
     return (port_parity(dim)[:, None] * w).astype(np.complex128)
 
 
@@ -139,8 +145,12 @@ def conjugated_ancilla_povm(cfg) -> dict:
 def dense_ancilla_povm(cfg) -> dict:
     """The ancilla POVM by the dense reduction W^dag kron(L, R) W over the
     vacuum-port columns W, one whole dim^4 * 16-byte two-mode operator per
-    outcome: the product that povm_ancilla evaluates in column slabs."""
-    w = beam_splitter_vacuum_columns(0.5, cfg.dim)
+    outcome: the product that povm_ancilla evaluates in column slabs.
+
+    W is the library's ``vacuum_port_columns`` on purpose: this oracle pins
+    the reduction given W, so it shares W's bits with povm_ancilla; W itself
+    is pinned by ``vacuum_columns_reference``."""
+    w = vacuum_port_columns(cfg.dim)
     return {
         outcome: w.conj().T @ proj @ w for outcome, proj in ancilla_projections(cfg).items()
     }

@@ -7,17 +7,20 @@ must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
 efficiency and any coherent input.  The two POVM constructions, which both
 carry the efficiency, must agree with each other element by element.  The
 fiber network itself (``propagate_bob`` on what ``alice_emit`` sends) must be
-the displaced receiver that ``oracles.fiber_receiver`` maps it to, and its
-closed-form bound and inconclusive rate must be that receiver's.  Examples
-are derandomized, so every run checks the same cases.
+the displaced receiver that ``oracles.fiber_receiver`` maps it to, its
+closed-form bound and inconclusive rate must be that receiver's, and the
+outcome counts ``run_protocol`` draws must follow that receiver's
+distribution.  Examples are derandomized, so every run checks the same cases.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import default_dim, fiber_receiver
+from scipy import stats
 
 from usdsim.discrimination import (
     OUTCOME_ORDER,
@@ -30,6 +33,7 @@ from usdsim.discrimination import (
     povm_ancilla,
 )
 from usdsim.hilbert import CROSS_ORACLE_TOL, coherent_state
+from usdsim.montecarlo import RngStream
 from usdsim.multiplex import (
     WEAK_SPLITTING_LIMIT,
     DetectorAmplitudes,
@@ -39,6 +43,7 @@ from usdsim.multiplex import (
     propagate_bob,
     quantum_bound,
     round_inconclusive_probability,
+    run_protocol,
 )
 
 amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -131,3 +136,35 @@ def test_fiber_network_is_the_displaced_receiver(cfg):
     assert abs(quantum_bound(cfg) - inconclusive_rate(*sent_by_bit)) <= 1e-15
     bit1_inconclusive = closed_form_probabilities(receiver, sent_by_bit[1])[Outcome.INCONCLUSIVE]
     assert abs(round_inconclusive_probability(cfg) - bit1_inconclusive) <= 1e-15
+
+
+# a two-sided binomial tail below this is a 5-sigma event
+_FIVE_SIGMA_TAIL = math.erfc(5.0 / math.sqrt(2.0))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(multiplex_configs(), st.integers(0, 2**64 - 1))
+def test_protocol_counts_follow_the_displaced_receiver(cfg, stream_id):
+    # each round sends bit 0 or 1 with probability 1/2, so each outcome's
+    # count is binomial in the mixture of the mapped receiver's two
+    # distributions.  The band is the exact binomial tail at the 5-sigma
+    # level: the normal band is far too narrow where n p or n (1 - p) is
+    # small (one miss at p = 1 - 8.8e-7, n = 20000, is "7.4 sigma" but has
+    # probability 1.7%).  Over 30 examples x 4 outcomes a 5-sigma band
+    # fails by chance with probability about 7e-5; 3 sigma would fail on
+    # some fixed seed set about 28% of the time.
+    cfg = dataclasses.replace(cfg, rounds=20_000)
+    receiver, sent_by_bit = fiber_receiver(cfg)
+    report = run_protocol(cfg, RngStream(0, stream_id))
+    per_bit = [closed_form_probabilities(receiver, sent) for sent in sent_by_bit]
+    n = cfg.rounds
+    for outcome in OUTCOME_ORDER:
+        p = 0.5 * (per_bit[0][outcome] + per_bit[1][outcome])
+        count = report.counts[outcome]
+        if p == 0.0:
+            assert count == 0, outcome
+        else:
+            tail = min(stats.binom.cdf(count, n, p), stats.binom.sf(count - 1, n, p))
+            assert 2.0 * tail >= _FIVE_SIGMA_TAIL, (outcome, count, n * p)
+    assert report.anomalous_count == 0
+    assert report.bit_error_rate in (0.0, None)

@@ -210,10 +210,12 @@ class TestAncillaPovm:
                 povm_ancilla(ReceiverConfig(0.5, -0.5, dim))
 
     def test_isometry_guard(self, monkeypatch):
-        def leaky_columns(t, dim):
-            return h.beam_splitter_vacuum_columns(t, dim) * (1 + 1e-6)
+        columns = discrimination.vacuum_port_columns
 
-        monkeypatch.setattr(discrimination, "beam_splitter_vacuum_columns", leaky_columns)
+        def leaky_columns(dim):
+            return columns(dim) * (1 + 1e-6)
+
+        monkeypatch.setattr(discrimination, "vacuum_port_columns", leaky_columns)
         with pytest.raises(NumericalGuardError, match="isometry guard"):
             povm_ancilla(ReceiverConfig(0.5, -0.5, 16))
 

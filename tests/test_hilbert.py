@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from usdsim import hilbert as h
+from usdsim.discrimination import vacuum_port_columns
 
 
 def coherent_amplitudes_reference(alpha, dim):
@@ -111,26 +112,21 @@ def vacuum_port_input(psi):
 
 
 class TestBeamSplitter:
-    # U (psi (x) |0>) = W psi for the vacuum-port columns W = U|n, 0>
+    # U (psi (x) |0>) = W psi for the vacuum-port columns W = U|n, 0> of the
+    # receiver's 50:50 splitter (discrimination.vacuum_port_columns); the
+    # general-t splitter lives in tests/oracles.py only
 
     def test_vacuum_invariance(self):
         vac = np.eye(10)[0]
-        for t in (0.0, 0.3, 0.5, 1.0):
-            out = h.beam_splitter_vacuum_columns(t, 10) @ vac
-            assert np.max(np.abs(out - vacuum_port_input(vac))) <= 1e-12
+        out = vacuum_port_columns(10) @ vac
+        assert np.max(np.abs(out - vacuum_port_input(vac))) <= 1e-12
 
     def test_balanced_splitting_of_coherent_input(self):
         # coherent in, vacuum ancilla: both outputs at alpha/sqrt(2)
         dim, alpha = 32, 1.0
-        out = h.beam_splitter_vacuum_columns(0.5, dim) @ h.coherent_state(alpha, dim)
+        out = vacuum_port_columns(dim) @ h.coherent_state(alpha, dim)
         half = h.coherent_state(alpha / math.sqrt(2.0), dim)
         assert np.max(np.abs(out - np.kron(half, half))) <= 1e-8
-
-    def test_full_transmission_passes_signal_through(self):
-        dim = 24
-        psi = h.coherent_state(0.8, dim)
-        out = h.beam_splitter_vacuum_columns(1.0, dim) @ psi
-        assert np.max(np.abs(out - vacuum_port_input(psi))) <= 1e-12
 
     def test_amplitude_map_over_random_inputs(self):
         # coherent (x) coherent maps to coherent (x) coherent with the 2x2 matrix
@@ -156,41 +152,32 @@ class TestBeamSplitter:
     def test_unitarity(self):
         assert oracles.unitary_defect(oracles.beam_splitter_unitary(0.5, 24)) <= 1e-11
 
-    def test_transmission_out_of_range(self):
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                h.beam_splitter_vacuum_columns(bad, 8)
-
     def test_vacuum_columns_are_unitary_columns(self):
-        for t in (0.0, 0.3, 0.5, 1.0):
-            for dim in (2, 5, 16, 32):
-                w = h.beam_splitter_vacuum_columns(t, dim)
-                assert w.dtype == np.complex128
-                unitary = oracles.beam_splitter_unitary(t, dim)
-                assert np.max(np.abs(w - unitary[:, ::dim])) <= 1e-13
+        for dim in (2, 5, 16, 32):
+            w = vacuum_port_columns(dim)
+            assert w.dtype == np.complex128
+            unitary = oracles.beam_splitter_unitary(0.5, dim)
+            assert np.max(np.abs(w - unitary[:, ::dim])) <= 1e-13
 
     def test_vacuum_columns_keep_the_float_assembly_bits(self):
         # complex storage filled through .real, parity applied in place: the
         # same bytes as the real array times the parity cast to complex, the
         # -0.0 of parity * 0.0 included; the ancilla POVM's golden bits rest
         # on these
-        for t in (0.0, 0.3, 0.5, 1.0):
-            for dim in range(2, 65):
-                want = oracles.vacuum_columns_reference(t, dim)
-                assert h.beam_splitter_vacuum_columns(t, dim).tobytes() == want.tobytes(), (t, dim)
+        for dim in range(2, 65):
+            want = oracles.vacuum_columns_reference(0.5, dim)
+            assert vacuum_port_columns(dim).tobytes() == want.tobytes(), dim
 
     def test_vacuum_columns_binomial_closed_form(self):
-        # oracle: U|n,0> = sum_k sqrt(C(n,k)) t^(k/2) (1-t)^((n-k)/2) |k, n-k>
-        dim = 12
-        for t in (0.3, 0.5, 0.85):
+        # oracle: U|n,0> = sum_a sqrt(C(n,a) / 2^n) |a, n-a> at t = 1/2, every
+        # amplitude positive under the port parity
+        for dim in range(2, 65):
             want = np.zeros((dim * dim, dim))
             for n in range(dim):
-                for k in range(n + 1):
-                    want[k * dim + (n - k), n] = (
-                        math.sqrt(math.comb(n, k)) * t ** (k / 2) * (1 - t) ** ((n - k) / 2)
-                    )
-            w = h.beam_splitter_vacuum_columns(t, dim)
-            assert np.max(np.abs(w - want)) <= 1e-13
+                for a in range(n + 1):
+                    want[a * dim + (n - a), n] = math.sqrt(math.comb(n, a) / 2**n)
+            w = vacuum_port_columns(dim)
+            assert np.max(np.abs(w - want)) <= 1e-14, dim
 
 
 def exp_creation_loop_reference(z, dim):
