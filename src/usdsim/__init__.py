@@ -30,15 +30,12 @@ from .hilbert import (
 )
 from .montecarlo import RngStream, TrialTally, run_trials
 from .multiplex import (
-    BalanceReport,
     DetectorAmplitudes,
     KeyReport,
     MultiplexConfig,
-    MultiplexDerived,
     alice_emit,
-    balance_check,
+    balance_imbalance,
     click_probabilities,
-    derived_constants,
     propagate_bob,
     quantum_bound,
     round_inconclusive_probability,

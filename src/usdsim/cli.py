@@ -44,8 +44,8 @@ from .hilbert import _as_real
 from .montecarlo import RNG_ALGORITHM, RngStream, check_draws, run_trials, three_sigma_band
 from .multiplex import (
     MultiplexConfig,
-    balance_check,
-    derived_constants,
+    alice_emit,
+    balance_imbalance,
     inconclusive_bound_ratio,
     quantum_bound,
     round_inconclusive_probability,
@@ -445,16 +445,14 @@ def cmd_multiplex(args) -> int:
     config = load_config(args.config)
     cfg = config.require("multiplex")
     out = output_dir(config)
-    derived = derived_constants(cfg)
     report = run_protocol(cfg, config.rng)
-    balance = balance_check(cfg)
     results = [
-        result("alice_signal_amp", derived.alice_signal_amp, "multiplex"),
-        result("alice_aux_amp", derived.alice_aux_amp, "multiplex"),
+        result("alice_signal_amp", alice_emit(1, cfg), "multiplex"),
+        result("alice_aux_amp", cfg.alice_aux_amp, "multiplex"),
         result("tau", cfg.bob_bs_transmission, "multiplex"),
-        result("detector_mean_photons", derived.detector_mean_photons, "multiplex"),
-        result("state_overlap", derived.state_overlap, "multiplex"),
-        result("balance_imbalance", balance.imbalance, "multiplex"),
+        result("detector_mean_photons", cfg.detector_mean_photons, "multiplex"),
+        result("state_overlap", cfg.state_overlap, "multiplex"),
+        result("balance_imbalance", balance_imbalance(cfg), "multiplex"),
         result("round_inconclusive_probability", round_inconclusive_probability(cfg), "multiplex"),
         result("quantum_bound", quantum_bound(cfg), "multiplex"),
         result("rounds", report.rounds, "multiplex"),

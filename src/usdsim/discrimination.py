@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -82,16 +83,9 @@ class Outcome(Enum):
     ANOMALOUS = (1, 1)
 
     @property
-    def d1(self) -> int:
-        return self.value[0]
-
-    @property
-    def d2(self) -> int:
-        return self.value[1]
-
-    @property
     def label(self) -> str:
-        return f"{self.d1}{self.d2}"
+        d1, d2 = self.value
+        return f"{d1}{d2}"
 
 
 #: Fixed outcome ordering (00, 01, 10, 11) used by samplers and writers: the
@@ -149,10 +143,13 @@ class PovmSet:
     OUTCOME_ORDER; any other keys or shapes raise ValueError.  Construction
     then runs the hermiticity, completeness and positivity guards once each, in
     that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
-    in ``povm``'s order.
+    in ``povm``'s order.  ``elements`` is a read-only mapping and each
+    element's matrix a read-only view, so nothing written through a PovmSet
+    can undo its guards.  The view is not a copy: the caller's array keeps its
+    flags, and a caller that keeps it must not write into it.
     """
 
-    elements: dict[Outcome, TruncatedOperator]
+    elements: Mapping[Outcome, TruncatedOperator]
     config: ReceiverConfig
     guards: MappingProxyType[str, float] = field(init=False)
 
@@ -173,7 +170,7 @@ class PovmSet:
                     f"for dim={dim}"
                 )
         elements = {o: TruncatedOperator(self.elements[o]) for o in OUTCOME_ORDER}
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", MappingProxyType(elements))
         # each guard is written so that a NaN fails it
         herm = self.max_hermiticity_defect()
         if not herm <= STRUCTURAL_TOL:

@@ -165,7 +165,8 @@ def _sqrt_factorials(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Complex square matrix on the truncated Fock space of one mode."""
+    """Complex square matrix on the truncated Fock space of one mode, held as
+    a read-only view."""
 
     matrix: np.ndarray
 
@@ -174,6 +175,8 @@ class TruncatedOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix has shape {mat.shape}, expected a square matrix")
         check_dim(mat.shape[0])
+        mat = mat.view()  # read-only without touching the caller's array
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
 

@@ -179,6 +179,13 @@ def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, Tr
 
 
 def three_sigma_band(p: float, n: int) -> tuple[float, float]:
-    """Binomial 3-sigma band around expected frequency p for n trials."""
+    """Binomial 3-sigma band around expected frequency p for n trials.
+
+    This is the normal approximation p +- 3 sqrt(p (1 - p) / n), which is too
+    narrow where n p or n (1 - p) is below about 1: at p = 1e-5 and n = 1000
+    any nonzero count (probability 1.0%, not the nominal 0.27%) lies outside.  An
+    exact binomial band would change the ``within_band`` column of
+    ``simulate.csv``.
+    """
     sigma = np.sqrt(max(p * (1.0 - p), 0.0) / n)
     return (p - 3.0 * sigma, p + 3.0 * sigma)

@@ -69,7 +69,7 @@ class MultiplexConfig:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "channel_transmission", c)
         object.__setattr__(self, "rounds", rounds)
-        if self.outside_weak_splitting_regime:
+        if t > WEAK_SPLITTING_LIMIT:
             warnings.warn(
                 f"splitter transmission T={t} exceeds {WEAK_SPLITTING_LIMIT}; "
                 "the scheme is designed for T << 1",
@@ -84,39 +84,29 @@ class MultiplexConfig:
         return 1.0 / (2.0 - self.splitter_transmission)
 
     @property
-    def outside_weak_splitting_regime(self) -> bool:
-        return self.splitter_transmission > WEAK_SPLITTING_LIMIT
+    def alice_aux_amp(self) -> complex:
+        """Alice's late reference pulse (1-T)*gamma, the same for both bits."""
+        return (1.0 - self.splitter_transmission) * self.gamma
 
-
-@dataclass(frozen=True)
-class MultiplexDerived:
-    """Derived constants of a configuration (unit channel transmission)."""
-
-    alice_signal_amp: complex  # T * gamma
-    alice_aux_amp: complex  # (1 - T) * gamma
-    detector_mean_photons: float  # (1-T)^2 T^2 |gamma|^2 / (2-T)
+    @property
+    def detector_mean_photons(self) -> float:
+        """Mean photon number (1-T)^2 T^2 |gamma|^2 / (2-T) at the one detector
+        that can click (D1 for bit 1, D2 for bit 0), at unit channel
+        transmission."""
+        t = self.splitter_transmission
+        return (1.0 - t) ** 2 * t * t * abs(self.gamma) ** 2 / (2.0 - t)
 
     @property
     def state_overlap(self) -> float:
-        """|<vacuum|signal>| = exp(-T^2 |gamma|^2 / 2)."""
-        return math.exp(-0.5 * abs(self.alice_signal_amp) ** 2)
-
-
-def derived_constants(cfg: MultiplexConfig) -> MultiplexDerived:
-    t = cfg.splitter_transmission
-    g2 = abs(cfg.gamma) ** 2
-    return MultiplexDerived(
-        alice_signal_amp=t * cfg.gamma,
-        alice_aux_amp=(1.0 - t) * cfg.gamma,
-        detector_mean_photons=(1.0 - t) ** 2 * t * t * g2 / (2.0 - t),
-    )
+        """|<vacuum|signal>| = exp(-T^2 |gamma|^2 / 2) of Alice's two
+        early-slot states."""
+        return math.exp(-0.5 * abs(self.splitter_transmission * self.gamma) ** 2)
 
 
 def alice_emit(bit: int, cfg: MultiplexConfig) -> complex:
     """Alice's early-slot signal amplitude for one bit: 0 (shutter closed,
     vacuum) for bit 0, the weak pulse T*gamma for bit 1.  The late reference
-    pulse (1-T)*gamma is the same for both bits; ``derived_constants`` holds
-    it."""
+    pulse is the same for both bits: ``MultiplexConfig.alice_aux_amp``."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     return bit * cfg.splitter_transmission * cfg.gamma
@@ -163,32 +153,17 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
     return _joint_outcomes(no1, no2)
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    """Click-power balance of the two conclusive events."""
-
-    d1_mean_photons_bit1: float
-    d2_mean_photons_bit0: float
-
-    @property
-    def imbalance(self) -> float:
-        return self.d1_mean_photons_bit1 - self.d2_mean_photons_bit0
-
-
-def balance_check(cfg: MultiplexConfig) -> BalanceReport:
-    """Compare the detected mean photon numbers of the two conclusive events;
-    at the derived tap transmission tau = 1/(2-T) the two are equal."""
-    amps1 = propagate_bob(alice_emit(1, cfg), cfg)
-    amps0 = propagate_bob(alice_emit(0, cfg), cfg)
-    return BalanceReport(
-        d1_mean_photons_bit1=abs(amps1.amp_d1) ** 2,
-        d2_mean_photons_bit0=abs(amps0.amp_d2) ** 2,
-    )
+def balance_imbalance(cfg: MultiplexConfig) -> float:
+    """Detected mean photon number of D1 for bit 1 minus that of D2 for bit 0;
+    the derived tap transmission tau = 1/(2-T) makes the two equal."""
+    amp_d1 = propagate_bob(alice_emit(1, cfg), cfg).amp_d1
+    amp_d2 = propagate_bob(alice_emit(0, cfg), cfg).amp_d2
+    return abs(amp_d1) ** 2 - abs(amp_d2) ** 2
 
 
 def round_inconclusive_probability(cfg: MultiplexConfig) -> float:
     """Closed-form per-round no-click probability, channel loss included."""
-    rate = derived_constants(cfg).detector_mean_photons * cfg.channel_transmission
+    rate = cfg.detector_mean_photons * cfg.channel_transmission
     return math.exp(-cfg.eta * rate)
 
 

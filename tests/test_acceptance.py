@@ -24,9 +24,8 @@ from usdsim.montecarlo import RngStream, run_trials, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
     alice_emit,
-    balance_check,
+    balance_imbalance,
     click_probabilities,
-    derived_constants,
     propagate_bob,
     quantum_bound,
     round_inconclusive_probability,
@@ -165,16 +164,17 @@ def test_criterion_5_fiber_closed_forms():
                 eta=1.0,
                 rounds=100_000,
             )
-            report = balance_check(cfg)
-            worst_imbalance = max(worst_imbalance, abs(report.imbalance))
-            assert abs(report.imbalance) <= 1e-12
+            imbalance = balance_imbalance(cfg)
+            worst_imbalance = max(worst_imbalance, abs(imbalance))
+            assert abs(imbalance) <= 1e-12
 
+            amps = propagate_bob(alice_emit(1, cfg), cfg)
+            d1_mean_photons = abs(amps.amp_d1) ** 2
             mean_photons = (1.0 - t) ** 2 * t * t * gamma * gamma / (2.0 - t)
-            worst_energy = max(worst_energy, abs(report.d1_mean_photons_bit1 - mean_photons))
-            assert report.d1_mean_photons_bit1 == pytest.approx(mean_photons, abs=1e-12)
+            worst_energy = max(worst_energy, abs(d1_mean_photons - mean_photons))
+            assert d1_mean_photons == pytest.approx(mean_photons, abs=1e-12)
 
             p_inc = math.exp(-cfg.eta * mean_photons)
-            amps = propagate_bob(alice_emit(1, cfg), cfg)
             analytic = click_probabilities(amps, cfg.eta)[Outcome.INCONCLUSIVE]
             worst_prob = max(worst_prob, abs(analytic - p_inc))
             assert analytic == pytest.approx(p_inc, abs=1e-12)
@@ -217,8 +217,7 @@ def test_criterion_7_protocol_end_to_end():
     sift_expected = 1.0 - math.exp(-((1.0 - t) ** 2) * t * t * g2 / (2.0 - t))
     lo, hi = three_sigma_band(sift_expected, cfg.rounds)
     assert lo <= report.sifted_key_rate <= hi
-    derived = derived_constants(cfg)
-    assert derived.state_overlap == pytest.approx(math.exp(-0.125), abs=1e-15)
+    assert cfg.state_overlap == pytest.approx(math.exp(-0.125), abs=1e-15)
     print(
         f"\nACCEPTANCE 7 PASS: sifted fraction {report.sifted_key_rate:.4f} vs "
         f"{sift_expected:.4f} expected, zero errors, zero double clicks"

@@ -8,7 +8,8 @@ efficiency and any coherent input.  The two POVM constructions, which both
 carry the efficiency, must agree with each other element by element.  The
 fiber network itself (``propagate_bob`` on what ``alice_emit`` sends) must be
 the displaced receiver that ``oracles.fiber_receiver`` maps it to, its
-closed-form bound and inconclusive rate must be that receiver's, and the
+closed-form bound and inconclusive rate must be that receiver's, the
+quantities ``MultiplexConfig`` derives must be the network's, and the
 outcome counts ``run_protocol`` draws must follow that receiver's
 distribution.  Examples are derandomized, so every run checks the same cases.
 """
@@ -39,6 +40,7 @@ from usdsim.multiplex import (
     DetectorAmplitudes,
     MultiplexConfig,
     alice_emit,
+    balance_imbalance,
     click_probabilities,
     propagate_bob,
     quantum_bound,
@@ -136,6 +138,15 @@ def test_fiber_network_is_the_displaced_receiver(cfg):
     assert abs(quantum_bound(cfg) - inconclusive_rate(*sent_by_bit)) <= 1e-15
     bit1_inconclusive = closed_form_probabilities(receiver, sent_by_bit[1])[Outcome.INCONCLUSIVE]
     assert abs(round_inconclusive_probability(cfg) - bit1_inconclusive) <= 1e-15
+    # the derived quantities on MultiplexConfig are the network's own: D1's
+    # bit-1 power, the emitted pair's overlap, and a balanced tap
+    d1_power = abs(propagate_bob(alice_emit(1, cfg), cfg).amp_d1) ** 2
+    c = cfg.channel_transmission
+    assert abs(cfg.detector_mean_photons * c - d1_power) <= 1e-13 * d1_power
+    assert cfg.state_overlap == inconclusive_rate(0, alice_emit(1, cfg))
+    lossless = dataclasses.replace(cfg, channel_transmission=1.0)
+    assert abs(cfg.state_overlap - quantum_bound(lossless)) <= 1e-15
+    assert abs(balance_imbalance(cfg)) <= 1e-13 * d1_power
 
 
 # a two-sided binomial tail below this is a 5-sigma event

@@ -75,6 +75,7 @@ class TestReceiverConfig:
         assert Outcome((1, 0)) is Outcome.CONCLUSIVE_2
         assert Outcome((0, 0)) is Outcome.INCONCLUSIVE
         assert Outcome((1, 1)) is Outcome.ANOMALOUS
+        assert [o.label for o in OUTCOME_ORDER] == ["00", "01", "10", "11"]
 
 
 class TestAnalyticPovm:
@@ -306,6 +307,29 @@ class TestPovmInvariants:
         cfg = ReceiverConfig(0.5, -0.5, 4)
         reverse = {o: np.eye(4) * (o is Outcome.INCONCLUSIVE) for o in reversed(OUTCOME_ORDER)}
         assert list(PovmSet(reverse, cfg).elements) == list(OUTCOME_ORDER)
+
+    def test_elements_cannot_be_replaced(self):
+        # a replaced INCONCLUSIVE of 7 I would skip every guard
+        povm = povm_analytic(ReceiverConfig(0.5, -0.5, 8))
+        with pytest.raises(TypeError):
+            povm.elements[Outcome.INCONCLUSIVE] = 7 * np.eye(8)
+
+    def test_element_matrices_are_read_only(self):
+        povm = povm_analytic(ReceiverConfig(0.5, -0.5, 8))
+        before = povm[Outcome.ANOMALOUS].matrix.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            povm[Outcome.ANOMALOUS].matrix[0, 0] = 5.0
+        assert np.array_equal(povm[Outcome.ANOMALOUS].matrix, before)
+
+    def test_caller_array_stays_writeable_and_uncopied(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        elements = {o: np.zeros((4, 4), dtype=np.complex128) for o in OUTCOME_ORDER}
+        elements[Outcome.INCONCLUSIVE] = np.eye(4, dtype=np.complex128)
+        povm = PovmSet(elements, cfg)
+        for outcome in OUTCOME_ORDER:
+            assert elements[outcome].flags.writeable
+            assert not povm[outcome].matrix.flags.writeable
+            assert np.shares_memory(povm[outcome].matrix, elements[outcome])
 
     def test_zero_error_and_never_both_click(self):
         rng = np.random.default_rng(43)

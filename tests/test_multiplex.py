@@ -14,9 +14,8 @@ from usdsim.montecarlo import MAX_DRAWS, RngStream, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
     alice_emit,
-    balance_check,
+    balance_imbalance,
     click_probabilities,
-    derived_constants,
     inconclusive_bound_ratio,
     propagate_bob,
     quantum_bound,
@@ -105,15 +104,13 @@ class TestConfig:
     def test_weak_splitting_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cfg = make_config(T=0.3)
-        assert cfg.outside_weak_splitting_regime
+            make_config(T=0.3)
         [warning] = caught
         assert "T=0.3" in str(warning.message)
         assert warning.filename == __file__  # the caller, not the dataclass __init__
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cfg = make_config(T=0.2)
-        assert not cfg.outside_weak_splitting_regime
+            make_config(T=0.2)
         assert not caught
 
     def test_range_validation(self):
@@ -151,10 +148,10 @@ class TestAliceEmit:
         # overlap of the two emitted states with the vacuum alternative
         overlap = math.exp(-0.5 * abs(signal) ** 2)
         assert overlap == pytest.approx(math.exp(-0.125), abs=1e-15)
-        assert derived_constants(cfg).state_overlap == pytest.approx(overlap, abs=1e-15)
+        assert cfg.state_overlap == pytest.approx(overlap, abs=1e-15)
 
     def test_reference_pulse(self):
-        assert derived_constants(make_config(gamma=10.0, T=0.05)).alice_aux_amp == pytest.approx(9.5)
+        assert make_config(gamma=10.0, T=0.05).alice_aux_amp == pytest.approx(9.5)
 
     def test_bad_bit(self):
         with pytest.raises(ValueError):
@@ -256,12 +253,10 @@ class TestBalance:
     @pytest.mark.parametrize("T", [0.01, 0.05, 0.1, 0.2])
     @pytest.mark.parametrize("gamma", [5.0, 10.0, 20.0])
     def test_derived_tap_balances_exactly(self, T, gamma):
-        report = balance_check(make_config(gamma=gamma, T=T))
-        assert abs(report.imbalance) <= 1e-12
-        derived = derived_constants(make_config(gamma=gamma, T=T))
-        assert report.d1_mean_photons_bit1 == pytest.approx(
-            derived.detector_mean_photons, abs=1e-12
-        )
+        cfg = make_config(gamma=gamma, T=T)
+        assert abs(balance_imbalance(cfg)) <= 1e-12
+        d1_mean_photons = abs(propagate_bob(alice_emit(1, cfg), cfg).amp_d1) ** 2
+        assert d1_mean_photons == pytest.approx(cfg.detector_mean_photons, abs=1e-12)
 
     def test_monotone_in_eta_and_gamma(self):
         rates_eta = [
