@@ -16,7 +16,10 @@ This module builds the measurement's POVM two independent ways:
     reduced by a vacuum expectation over the unused port.
 
 The two constructions serve as oracles for each other and must agree in max
-norm (hilbert.CROSS_ORACLE_TOL) at adequate truncation.
+norm (hilbert.CROSS_ORACLE_TOL) at adequate truncation.  The module needs
+numpy only: the ancilla construction's beam-splitter columns are read from
+the committed per-sector table ``_sector_columns``, which the first ancilla
+POVM imports.
 
 Two-mode conventions (fixed, do not change silently), used by the ancilla
 construction only:
@@ -144,9 +147,8 @@ class PovmSet:
     then runs the hermiticity, completeness and positivity guards once each, in
     that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
     in ``povm``'s order.  ``elements`` is a read-only mapping and each
-    element's matrix a read-only view, so nothing written through a PovmSet
-    can undo its guards.  The view is not a copy: the caller's array keeps its
-    flags, and a caller that keeps it must not write into it.
+    element's matrix a read-only copy, so nothing written through the PovmSet
+    or into the caller's arrays can undo its guards.
     """
 
     elements: Mapping[Outcome, TruncatedOperator]
@@ -266,49 +268,34 @@ def _port_parity(dim: int) -> np.ndarray:
     return np.where(np.arange(dim * dim) % dim % 2 == 1, -1.0, 1.0)
 
 
-def _sector_generator(total: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices and generator block of one photon-number sector with
-    total < dim.
-
-    The sector holds |n1, total - n1> for n1 = 0..total, in that order, so its
-    last state is |total, 0>.
-    """
-    theta = math.pi / 4  # the 50:50 splitter: cos^2(theta) = 1/2
-    size = total + 1
-    block = np.zeros((size, size))
-    for n1 in range(total):
-        # couples |n1, n2> -> |n1+1, n2-1> with weight theta*sqrt((n1+1) n2)
-        w = theta * math.sqrt((n1 + 1) * (total - n1))
-        block[n1 + 1, n1] = w
-        block[n1, n1 + 1] = -w
-    idx = np.array([n1 * dim + (total - n1) for n1 in range(size)])
-    return idx, block
-
-
 def vacuum_port_columns(dim: int) -> np.ndarray:
     """Columns W = U|n, 0>, n = 0..dim-1, of the 50:50 beam splitter U: a
     dim^2 x dim isometry whose rows follow the two-mode index n1 * dim + n2.
 
-    |n, 0> is the last state of photon-number sector n, so column n is the last
-    column of that sector's block and sectors with total >= dim are never
-    built.  The generator theta*(a^dag v - a v^dag), theta = pi/4, conserves
-    total photon number, so it is exponentiated sector by sector; the parity
-    phase (-1)^(n2) supplies the sign of the second output row.  The columns
-    are real: they are written into the complex128 result through its
-    ``.real`` view and the parity is applied there in place, so no float copy
-    of the dim^3 array is made.  The bits are those of the real array times
-    the parity, cast to complex, -0.0 from parity * 0.0 included.
+    The generator theta*(a^dag v - a v^dag), theta = pi/4, conserves total
+    photon number, so column n lies in sector n, the states |n1, n - n1>,
+    n1 = 0..n, and its entries depend on n only, not on dim.  They come from
+    the committed table ``_sector_columns.SECTOR_COLUMNS`` (the exponential of
+    each sector's generator block, tabulated for the sectors below
+    MAX_ANCILLA_DIM; a larger dim raises ValueError), and the parity phase
+    (-1)^(n2) supplies the sign of the second output row.  The columns are
+    real: they are written into the complex128 result through its ``.real``
+    view and the parity is applied there in place, so no float copy of the
+    dim^3 array is made.  The bits are those of the real array times the
+    parity, cast to complex, -0.0 from parity * 0.0 included.
     """
-    # Imported here, not at module level: scipy.linalg takes longer to import
-    # than most CLI commands take to run, and only the ancilla POVM needs it.
-    from scipy.linalg import expm
+    if dim > MAX_ANCILLA_DIM:
+        raise ValueError(
+            f"vacuum-port columns are tabulated up to dim={MAX_ANCILLA_DIM}, got dim={dim}"
+        )
+    # Imported here, not at module level: only the ancilla POVM reads the table.
+    from ._sector_columns import SECTOR_COLUMNS
 
     w = np.zeros((dim * dim, dim), dtype=np.complex128)
     real = w.real
-    for total in range(dim):
-        idx, block = _sector_generator(total, dim)
-        eblock = expm(block) if total > 0 else np.ones((1, 1))
-        real[idx, total] = eblock[:, total]
+    for total, column in enumerate(SECTOR_COLUMNS[:dim]):
+        n1 = np.arange(total + 1)
+        real[n1 * dim + (total - n1), total] = column
     real *= _port_parity(dim)[:, None]
     return w
 

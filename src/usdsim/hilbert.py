@@ -166,16 +166,15 @@ def _sqrt_factorials(n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
     """Complex square matrix on the truncated Fock space of one mode, held as
-    a read-only view."""
+    a read-only complex128 copy that shares no memory with the caller's array."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix has shape {mat.shape}, expected a square matrix")
         check_dim(mat.shape[0])
-        mat = mat.view()  # read-only without touching the caller's array
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

@@ -57,6 +57,13 @@ def openblas_differences(golden) -> list[str]:
     return differ
 
 
+def is_recorded_environment() -> bool:
+    """Whether the versions, OpenBLAS kernels and thread counts here are those
+    the golden hashes were made with, so bit-for-bit comparisons may hold."""
+    golden = workloads.load_golden()
+    return not version_differences(golden) + openblas_differences(golden)
+
+
 def openblas_note(name, golden):
     """Which OpenBLAS builds ran here and which made the golden hashes: the
     POVM artifacts depend on the kernel, which the version gate cannot see."""

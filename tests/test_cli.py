@@ -67,19 +67,24 @@ def run_fresh(*argv):
     return run_python("-m", "usdsim.cli", *argv)
 
 
+_PEAK_RSS = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
 def fresh_peak_rss_mb(*argv):
     """Peak resident memory of a successful fresh CLI process, in MiB, read
-    from the child's own resource usage with os.wait4."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "usdsim.cli", *argv],
-        env=fresh_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, argv
-    return usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    with os.wait4 by a bare launcher interpreter.  A child's peak also counts
+    the process it was spawned from before its exec, so read from this test
+    process it would be at least the test process's own size."""
+    proc = run_python("-c", _PEAK_RSS, sys.executable, "-m", "usdsim.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, max_rss_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert exit_code == 0, argv
+    return max_rss_kib / 1024.0
 
 
 _LOADED_SCIPY = (
@@ -93,8 +98,8 @@ def test_import_leaves_out_scipy_stats(workspace):
     proc = run_python("-c", "import usdsim.cli; " + _LOADED_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
-    # in one fresh process: probs runs without scipy's submodules, then the
-    # ancilla POVM still builds and loads scipy.linalg for its expm
+    # in one fresh process: probs runs without scipy's submodules, and so
+    # does the ancilla POVM, whose beam-splitter columns are a committed table
     _, out, write = workspace
     path = write(base_config(out))
     proc = run_python(
@@ -107,9 +112,20 @@ def test_import_leaves_out_scipy_stats(workspace):
     assert proc.returncode == 0, proc.stderr
     after_probs, after_ancilla = map(json.loads, proc.stdout.splitlines())
     assert after_probs == []
-    assert after_ancilla == ["scipy.linalg"]
+    assert after_ancilla == []
     record = json.loads((out / "povm.json").read_text())
     assert {r["source"] for r in record["results"]} == {"ancilla"}
+
+
+def test_ancilla_povm_costs_little_memory_over_probs(workspace):
+    # at the README config the ancilla reduction's workspace is about
+    # 5 * 32^3 complex numbers (2.6 MB); loading scipy.linalg for an expm
+    # once put povm --construction both 26 MB above probs
+    _, out, write = workspace
+    path = write(base_config(out))
+    probs = fresh_peak_rss_mb("probs", path)
+    both = fresh_peak_rss_mb("povm", path, "--construction", "both")
+    assert both - probs <= 10.0, (both, probs)
 
 
 def test_readme_library_example_runs():

@@ -166,8 +166,7 @@ class TestAncillaPovm:
         # agree, and elsewhere to roundoff.  Real and zero amplitudes give
         # factors with exact zeros, whose sign a re-layout of the products
         # can flip.
-        golden = golden_env.workloads.load_golden()
-        exact = not golden_env.version_differences(golden) + golden_env.openblas_differences(golden)
+        exact = golden_env.is_recorded_environment()
         rng = np.random.default_rng(20261018)
         cases = []
         for dim in (*range(2, 33), 40, 48):
@@ -194,7 +193,7 @@ class TestAncillaPovm:
         # half-products, one slab), 5.1 MB
         dim = 40
         cfg = ReceiverConfig(0.9, -0.7 + 0.2j, dim, 0.8)
-        povm_ancilla(cfg)  # the first call also loads scipy.linalg
+        povm_ancilla(cfg)  # the first call also imports the sector table
         tracemalloc.start()
         try:
             povm_ancilla(cfg)
@@ -321,7 +320,9 @@ class TestPovmInvariants:
             povm[Outcome.ANOMALOUS].matrix[0, 0] = 5.0
         assert np.array_equal(povm[Outcome.ANOMALOUS].matrix, before)
 
-    def test_caller_array_stays_writeable_and_uncopied(self):
+    def test_caller_array_stays_writeable_and_is_copied(self):
+        # a caller writing 7 I into the array it built INCONCLUSIVE from must
+        # not break the completeness the guards measured
         cfg = ReceiverConfig(0.5, -0.5, 4)
         elements = {o: np.zeros((4, 4), dtype=np.complex128) for o in OUTCOME_ORDER}
         elements[Outcome.INCONCLUSIVE] = np.eye(4, dtype=np.complex128)
@@ -329,7 +330,11 @@ class TestPovmInvariants:
         for outcome in OUTCOME_ORDER:
             assert elements[outcome].flags.writeable
             assert not povm[outcome].matrix.flags.writeable
-            assert np.shares_memory(povm[outcome].matrix, elements[outcome])
+            assert not np.shares_memory(povm[outcome].matrix, elements[outcome])
+        elements[Outcome.INCONCLUSIVE][:] = 7 * np.eye(4)
+        assert povm.completeness_residual() == povm.guards["completeness_residual"] == 0.0
+        assert povm.max_hermiticity_defect() == povm.guards["hermiticity_defect"]
+        assert povm.min_eigenvalue() == povm.guards["min_eigenvalue"]
 
     def test_zero_error_and_never_both_click(self):
         rng = np.random.default_rng(43)

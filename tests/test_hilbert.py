@@ -1,5 +1,6 @@
 import math
 
+import golden_env
 import numpy as np
 import oracles
 import pytest
@@ -7,7 +8,8 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from usdsim import hilbert as h
-from usdsim.discrimination import vacuum_port_columns
+from usdsim._sector_columns import SECTOR_COLUMNS
+from usdsim.discrimination import MAX_ANCILLA_DIM, vacuum_port_columns
 
 
 def coherent_amplitudes_reference(alpha, dim):
@@ -163,10 +165,24 @@ class TestBeamSplitter:
         # complex storage filled through .real, parity applied in place: the
         # same bytes as the real array times the parity cast to complex, the
         # -0.0 of parity * 0.0 included; the ancilla POVM's golden bits rest
-        # on these
+        # on these.  The library reads a committed table and the oracle runs
+        # the local expm, so the bytes agree in the environment the golden
+        # hashes were made in, and elsewhere to roundoff
+        exact = golden_env.is_recorded_environment()
         for dim in range(2, 65):
             want = oracles.vacuum_columns_reference(0.5, dim)
-            assert vacuum_port_columns(dim).tobytes() == want.tobytes(), dim
+            if exact:
+                assert vacuum_port_columns(dim).tobytes() == want.tobytes(), dim
+            else:
+                assert np.max(np.abs(vacuum_port_columns(dim) - want)) <= 1e-14, dim
+
+    def test_sector_table_covers_the_ancilla_cap(self):
+        # one line per sector n < MAX_ANCILLA_DIM, n + 1 entries each; a dim
+        # beyond the table is refused by name, not by an IndexError
+        assert len(SECTOR_COLUMNS) == MAX_ANCILLA_DIM
+        assert [len(column) for column in SECTOR_COLUMNS] == list(range(1, MAX_ANCILLA_DIM + 1))
+        with pytest.raises(ValueError, match=f"up to dim={MAX_ANCILLA_DIM}, got dim=65"):
+            vacuum_port_columns(MAX_ANCILLA_DIM + 1)
 
     def test_vacuum_columns_binomial_closed_form(self):
         # oracle: U|n,0> = sum_a sqrt(C(n,a) / 2^n) |a, n-a> at t = 1/2, every
