@@ -23,7 +23,6 @@ from .discrimination import (
 )
 from .hilbert import (
     NumericalGuardError,
-    TruncatedOperator,
     coherent_state,
     normally_ordered_exponential,
     normally_ordered_gaussian,

@@ -129,10 +129,10 @@ def _amplitude(value, key: str) -> complex:
 
 def load_config(path: str | Path) -> Config:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:  # a missing file, a directory, an unreadable file
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -200,12 +200,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 def config_hash(raw: dict) -> str:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -236,9 +230,16 @@ def _create(path: Path, newline: str | None = None):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _complex_pair(value) -> list[float]:
+    """JSON encoding of a complex result value: its [re, im] pair."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict) -> None:
     with _create(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_complex_pair) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -262,12 +263,8 @@ def _flat_value(value) -> str:
         return _fmt(value)
     if value is None:
         return ""
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return f"{_fmt(value[0])} {_fmt(value[1])}"
+    if isinstance(value, complex):
+        return f"{_fmt(value.real)} {_fmt(value.imag)}"
     return str(value)
 
 
@@ -304,7 +301,7 @@ def dump_operator(path: Path, matrix: np.ndarray) -> None:
 
 
 def result(name: str, value, source: str) -> dict:
-    return {"name": name, "value": _jsonable(value), "source": source}
+    return {"name": name, "value": value, "source": source}
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .hilbert import (
     ADEQUACY_MIN_NORM,
     STRUCTURAL_TOL,
     NumericalGuardError,
-    TruncatedOperator,
     _as_amplitude,
     check_dim,
     check_efficiency,
@@ -138,40 +137,59 @@ class ReceiverConfig:
         return self.alpha2 / math.sqrt(2.0)
 
 
+def _outcome_values(mapping: Mapping, what: str) -> list:
+    """The values of ``mapping`` in OUTCOME_ORDER.  Its keys must be exactly
+    the four outcomes; any other key set raises ValueError naming the missing
+    and the unexpected keys."""
+    missing = ", ".join(o.name for o in OUTCOME_ORDER if o not in mapping)
+    unexpected = ", ".join(repr(k) for k in mapping if k not in OUTCOME_ORDER)
+    if missing or unexpected:
+        raise ValueError(
+            f"{what} needs exactly the four outcomes: missing {missing or 'none'}; "
+            f"unexpected {unexpected or 'none'}"
+        )
+    return [mapping[o] for o in OUTCOME_ORDER]
+
+
+@dataclass(frozen=True, eq=False)
+class _Element:
+    """One POVM element: a read-only complex128 ``matrix``.  The holder exists
+    only because perfbench/fock.py reads ``povm[o].matrix``."""
+
+    matrix: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class PovmSet:
     """The four positive operators of the receiver ``config``, keyed by outcome.
 
-    Built from one ``config.dim`` square matrix per outcome, kept in
-    OUTCOME_ORDER; any other keys or shapes raise ValueError.  Construction
+    Built from a mapping with exactly one ``config.dim`` square array per
+    outcome; any other keys or shapes raise ValueError.  The PovmSet owns its
+    elements: it keeps a read-only complex128 copy of each array, in
+    OUTCOME_ORDER, as ``povm[o].matrix``, so nothing written through the
+    PovmSet or into the caller's arrays can undo its guards.  Construction
     then runs the hermiticity, completeness and positivity guards once each, in
     that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
-    in ``povm``'s order.  ``elements`` is a read-only mapping and each
-    element's matrix a read-only copy, so nothing written through the PovmSet
-    or into the caller's arrays can undo its guards.
+    in ``povm``'s order.  ``elements`` is a read-only mapping.
     """
 
-    elements: Mapping[Outcome, TruncatedOperator]
+    elements: Mapping[Outcome, _Element]
     config: ReceiverConfig
     guards: MappingProxyType[str, float] = field(init=False)
 
     def __post_init__(self):
-        missing = ", ".join(o.name for o in OUTCOME_ORDER if o not in self.elements)
-        unexpected = ", ".join(repr(k) for k in self.elements if k not in OUTCOME_ORDER)
-        if missing or unexpected:
-            raise ValueError(
-                f"POVM needs exactly the four outcomes: missing {missing or 'none'}; "
-                f"unexpected {unexpected or 'none'}"
-            )
         dim = self.config.dim
-        for outcome in OUTCOME_ORDER:
-            shape = np.shape(self.elements[outcome])
+        elements = {}
+        for outcome, array in zip(OUTCOME_ORDER, _outcome_values(self.elements, "POVM")):
+            shape = np.shape(array)
             if shape != (dim, dim):
                 raise ValueError(
                     f"POVM element {outcome.name} has shape {shape}, expected ({dim}, {dim}) "
                     f"for dim={dim}"
                 )
-        elements = {o: TruncatedOperator(self.elements[o]) for o in OUTCOME_ORDER}
+            matrix = np.array(array, dtype=np.complex128)
+            matrix.flags.writeable = False
+            elements[outcome] = _Element(matrix)
         object.__setattr__(self, "elements", MappingProxyType(elements))
         # each guard is written so that a NaN fails it
         herm = self.max_hermiticity_defect()
@@ -196,7 +214,7 @@ class PovmSet:
         }
         object.__setattr__(self, "guards", MappingProxyType(guards))
 
-    def __getitem__(self, outcome: Outcome) -> TruncatedOperator:
+    def __getitem__(self, outcome: Outcome) -> _Element:
         return self.elements[outcome]
 
     def completeness_residual(self) -> float:

@@ -2,12 +2,12 @@
 
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
 optical mode, as complex128 numpy arrays whose shape holds dim.  The module
-provides the single-mode objects the receiver simulation needs: coherent
-state vectors, normally ordered Gaussian operator matrices, and the
-validators the other modules share.  ``TruncatedOperator`` holds a square
-matrix as a POVM element, which ``discrimination.PovmSet`` checks.  The
+provides the single-mode arrays the receiver simulation needs, coherent
+state vectors and normally ordered Gaussian operator matrices, and the
+validators the other modules share; it defines no array type of its own.
+``discrimination.PovmSet`` keeps and checks the POVM elements, and the
 receiver's one two-mode object, its beam splitter, lives in
-``discrimination``.
+``discrimination`` too.
 
 Importing the module loads numpy only.  The factorials sqrt(k!) past k = 30
 come from a port of cephes ``lgam`` (Moshier, *Methods and Programs for
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,22 +160,6 @@ def _sqrt_factorials(n: int) -> np.ndarray:
         ks = np.arange(_LOG_FACTORIAL_SWITCH, n)
         out[_LOG_FACTORIAL_SWITCH:] = np.exp(0.5 * _log_factorial(ks))
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """Complex square matrix on the truncated Fock space of one mode, held as
-    a read-only complex128 copy that shares no memory with the caller's array."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix has shape {mat.shape}, expected a square matrix")
-        check_dim(mat.shape[0])
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
 
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from .discrimination import (
     OUTCOME_ORDER,
     Outcome,
     ReceiverConfig,
+    _outcome_values,
     outcome_probabilities,
     povm_analytic,
 )
@@ -83,35 +84,35 @@ class RngStream:
 
 @dataclass(frozen=True)
 class TrialTally:
-    """Outcome counts for a batch of trials."""
+    """Outcome counts for a batch of trials, keyed by exactly the four
+    outcomes (kept in OUTCOME_ORDER); each count is an integer >= 0, and any
+    other keys or counts raise ValueError.  ``n_trials`` is their sum."""
 
     counts: dict[Outcome, int]
-    n_trials: int
 
     def __post_init__(self):
-        counts = {o: int(self.counts.get(o, 0)) for o in OUTCOME_ORDER}
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("counts must be non-negative")
-        if sum(counts.values()) != self.n_trials:
-            raise ValueError(
-                f"counts sum to {sum(counts.values())}, expected n_trials={self.n_trials}"
-            )
-        object.__setattr__(self, "counts", counts)
+        values = [_as_integer(c, "count") for c in _outcome_values(self.counts, "tally")]
+        if any(c < 0 for c in values):
+            raise ValueError(f"counts must be non-negative, got {values}")
+        object.__setattr__(self, "counts", dict(zip(OUTCOME_ORDER, values)))
+
+    @property
+    def n_trials(self) -> int:
+        return sum(self.counts.values())
 
     def frequency(self, outcome: Outcome) -> float:
-        if self.n_trials == 0:
-            return 0.0
-        return self.counts[outcome] / self.n_trials
+        n = self.n_trials
+        return 0.0 if n == 0 else self.counts[outcome] / n
 
     def merge(self, other: "TrialTally") -> "TrialTally":
-        merged = {o: self.counts[o] + other.counts[o] for o in OUTCOME_ORDER}
-        return TrialTally(merged, self.n_trials + other.n_trials)
+        return TrialTally({o: self.counts[o] + other.counts[o] for o in OUTCOME_ORDER})
 
 
 def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
-    """Validate a 4-outcome distribution keyed by Outcome and zero
-    sub-tolerance mass; returns the probabilities in OUTCOME_ORDER."""
-    probs = np.array([float(dist[o]) for o in OUTCOME_ORDER])
+    """Validate a distribution keyed by exactly the four outcomes (any other
+    key set raises ValueError) and zero sub-tolerance mass; returns the
+    probabilities in OUTCOME_ORDER."""
+    probs = np.array([float(p) for p in _outcome_values(dist, "distribution")])
     if not np.all(np.isfinite(probs)):
         raise ValueError("distribution contains non-finite probabilities")
     if np.any(probs < -SUB_TOLERANCE_MASS):
@@ -175,7 +176,7 @@ def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, Tr
     dists = [outcome_probabilities(cfg, alpha, povm) for alpha in (cfg.alpha1, cfg.alpha2)]
     gen = rng.generator()
     counts = _tally(dists, ((k, u, None) for k in (0, 1) for u in _uniforms(gen, n)))
-    return {value: TrialTally(c, n) for value, c in zip((1, 2), counts)}
+    return {value: TrialTally(c) for value, c in zip((1, 2), counts)}
 
 
 def three_sigma_band(p: float, n: int) -> tuple[float, float]:

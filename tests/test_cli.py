@@ -166,6 +166,19 @@ class TestConfigLoading:
         assert cli.main(["povm", "/nonexistent/config.json"]) == 2
         assert "/nonexistent/config.json" in capsys.readouterr().err
 
+    def test_unreadable_config_exits_2(self, workspace):
+        # a directory, and a file whose read fails (reading /proc/self/mem at
+        # offset 0 is an I/O error), each in a fresh process
+        tmp_path, _, _ = workspace
+        paths = [str(tmp_path)]
+        if os.path.exists("/proc/self/mem"):
+            paths.append("/proc/self/mem")
+        for path in paths:
+            proc = run_fresh("probs", path)
+            assert proc.returncode == 2, (path, proc.stderr)
+            assert f"config error: cannot read config file {path}: " in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def test_invalid_json_exits_2(self, workspace, capsys):
         tmp_path, _, _ = workspace
         path = tmp_path / "bad.json"
@@ -390,6 +403,13 @@ class TestMultiplexCommand:
         rate = math.exp(-(0.95**2) * 0.25 / 1.95)
         assert values["round_inconclusive_probability"] == pytest.approx(rate, abs=1e-12)
         assert record["counts"]["11"] == 0
+        # a complex value is a [re, im] pair in JSON and 're im' in CSV; the
+        # JSON encoder still refuses any other type it cannot write
+        assert cli.main(["multiplex", write(base_config(out, output={"format": "csv"}))]) == 0
+        rows = {r[0]: r[1] for r in read_csv(out / "multiplex.csv")}
+        assert rows["alice_signal_amp"] == "0.5 0"
+        with pytest.raises(TypeError):
+            cli.write_json(out / "unwritable.json", {"value": {1}})
 
     def test_missing_section_exits_2(self, workspace):
         _, out, write = workspace

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -301,6 +302,14 @@ class TestPovmInvariants:
         elements[Outcome.ANOMALOUS] = np.eye(4)[:, :3]
         with pytest.raises(ValueError, match=r"ANOMALOUS has shape \(4, 3\), expected \(4, 4\)"):
             PovmSet(elements, cfg)
+        # a 1 x 1 matrix, a non-square matrix and a vector, each with dim's rows
+        cfg = ReceiverConfig(0.5, -0.5, 8)
+        for matrix in (np.eye(1), np.zeros((8, 12)), np.zeros(8)):
+            elements = {o: np.zeros((8, 8)) for o in OUTCOME_ORDER}
+            elements[Outcome.CONCLUSIVE_2] = matrix
+            message = f"CONCLUSIVE_2 has shape {matrix.shape}, expected (8, 8)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PovmSet(elements, cfg)
 
     def test_elements_are_kept_in_outcome_order(self):
         cfg = ReceiverConfig(0.5, -0.5, 4)

@@ -32,6 +32,11 @@ def draw(probs, gen, n=1):
     return counts
 
 
+def tally(*counts):
+    """A TrialTally of counts listed in OUTCOME_ORDER."""
+    return TrialTally(dict(zip(OUTCOME_ORDER, counts)))
+
+
 def assert_matches_reference_sampler(cfg, n):
     """run_trials' tallies equal the per-draw reference sampler's counts of
     one unchunked stream: state 1 takes its first n uniforms, state 2 the
@@ -82,6 +87,13 @@ class TestSampling:
     def test_sub_tolerance_mass_is_zeroed(self):
         probs = clean_distribution(dict(zip(OUTCOME_ORDER, [1.0 - 3e-10, 1e-10, 1e-10, 1e-10])))
         np.testing.assert_array_equal(probs, [1.0, 0.0, 0.0, 0.0])
+
+    def test_distribution_keys_must_be_exactly_the_four_outcomes(self):
+        dist = dict(zip(OUTCOME_ORDER, [0.25, 0.25, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="missing CONCLUSIVE_2; unexpected none"):
+            clean_distribution({o: p for o, p in dist.items() if o is not Outcome.CONCLUSIVE_2})
+        with pytest.raises(ValueError, match="missing none; unexpected 'extra'"):
+            clean_distribution(dist | {"extra": 0.0})
 
     def test_empirical_frequency_within_three_sigma(self):
         # sent alpha1: conclusive probability is 1 - exp(-|a1-a2|^2/2)
@@ -167,16 +179,25 @@ class TestRunTrials:
 
 class TestTrialTally:
     def test_counts_must_sum(self):
-        with pytest.raises(ValueError):
-            TrialTally({Outcome.INCONCLUSIVE: 3}, 5)
-        with pytest.raises(ValueError):
-            TrialTally({Outcome.INCONCLUSIVE: -1}, -1)
+        # n_trials is the counts' sum, so a negative count cannot hide in it
+        assert tally(3, 0, 1, 0).n_trials == 4
+        with pytest.raises(ValueError, match="non-negative"):
+            tally(-1, 1, 0, 0)
+
+    def test_counts_must_be_integers(self):
+        for count in (2.7, True, "2", None):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                tally(count, 0, 0, 0)
+        assert tally(np.int64(2), 0, 0, 0).counts[Outcome.INCONCLUSIVE] == 2
+
+    def test_keys_must_be_exactly_the_four_outcomes(self):
+        message = "tally needs exactly the four outcomes: missing none; unexpected 'bogus'"
+        with pytest.raises(ValueError, match=message):
+            TrialTally(dict(zip(OUTCOME_ORDER, (1, 0, 0, 0))) | {"bogus": 5})
+        with pytest.raises(ValueError, match="missing ANOMALOUS; unexpected none"):
+            TrialTally(dict(zip(OUTCOME_ORDER[:3], (1, 0, 0))))
 
     def test_merge_is_associative(self):
-        def tally(a, b, c, d):
-            counts = dict(zip(OUTCOME_ORDER, (a, b, c, d)))
-            return TrialTally(counts, a + b + c + d)
-
         x, y, z = tally(1, 2, 3, 4), tally(5, 6, 7, 8), tally(9, 0, 1, 2)
         left = x.merge(y).merge(z)
         right = x.merge(y.merge(z))
@@ -184,8 +205,9 @@ class TestTrialTally:
         assert left.n_trials == right.n_trials
 
     def test_frequency(self):
-        t = TrialTally(dict(zip(OUTCOME_ORDER, (2, 6, 0, 0))), 8)
+        t = tally(2, 6, 0, 0)
         assert t.frequency(Outcome.CONCLUSIVE_1) == 0.75
+        assert tally(0, 0, 0, 0).frequency(Outcome.CONCLUSIVE_1) == 0.0
 
 
 class TestGoodnessOfFit:
