@@ -130,9 +130,13 @@ def _amplitude(value, key: str) -> complex:
 def load_config(path: str | Path) -> Config:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        data = path.read_bytes()
     except OSError as exc:  # a missing file, a directory, an unreadable file
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = json.loads(data.decode())
     except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -322,7 +326,7 @@ def cmd_povm(args) -> int:
         results += [result(name, value, tag) for name, value in povm.guards.items()]
     if len(built) == 2:
         discrepancy = max(
-            float(np.max(np.abs(built["analytic"][o].matrix - built["ancilla"][o].matrix)))
+            float(np.max(np.abs(built["analytic"].elements[o] - built["ancilla"].elements[o])))
             for o in OUTCOME_ORDER
         )
         results.append(result("cross_construction_max_discrepancy", discrepancy, "ancilla"))
@@ -330,7 +334,7 @@ def cmd_povm(args) -> int:
         for tag, povm in built.items():
             for outcome in OUTCOME_ORDER:
                 path = out / f"povm_{tag}_{outcome.label}.txt"
-                dump_operator(path, povm[outcome].matrix)
+                dump_operator(path, povm.elements[outcome])
     write_record(
         out / "povm",
         {"metadata": run_metadata("povm", config.raw, None), "results": results},

@@ -138,9 +138,13 @@ class ReceiverConfig:
 
 
 def _outcome_values(mapping: Mapping, what: str) -> list:
-    """The values of ``mapping`` in OUTCOME_ORDER.  Its keys must be exactly
-    the four outcomes; any other key set raises ValueError naming the missing
-    and the unexpected keys."""
+    """The values of ``mapping`` in OUTCOME_ORDER.  It must be a mapping whose
+    keys are exactly the four outcomes; anything else raises ValueError, which
+    names the type of a non-mapping, or the missing and the unexpected keys."""
+    if not isinstance(mapping, Mapping):
+        raise ValueError(
+            f"{what} needs a mapping keyed by Outcome, got {type(mapping).__name__}"
+        )
     missing = ", ".join(o.name for o in OUTCOME_ORDER if o not in mapping)
     unexpected = ", ".join(repr(k) for k in mapping if k not in OUTCOME_ORDER)
     if missing or unexpected:
@@ -159,26 +163,36 @@ class _Element:
     matrix: np.ndarray
 
 
+class _Built(dict):
+    """Elements that a construction of this module has just built as fresh
+    complex128 arrays, referenced nowhere else: PovmSet adopts them as they
+    are instead of copying each while the original is still alive."""
+
+
 @dataclass(frozen=True, eq=False)
 class PovmSet:
     """The four positive operators of the receiver ``config``, keyed by outcome.
 
     Built from a mapping with exactly one ``config.dim`` square array per
-    outcome; any other keys or shapes raise ValueError.  The PovmSet owns its
-    elements: it keeps a read-only complex128 copy of each array, in
-    OUTCOME_ORDER, as ``povm[o].matrix``, so nothing written through the
-    PovmSet or into the caller's arrays can undo its guards.  Construction
+    outcome; anything else raises ValueError.  The PovmSet owns its elements:
+    ``elements`` maps each outcome, in OUTCOME_ORDER, to a read-only complex128
+    copy of the array it was given (``povm[o].matrix`` is the same array), so
+    nothing written through the PovmSet or into the caller's arrays can undo
+    its guards.  Only ``povm_analytic`` and ``povm_ancilla`` hand over arrays
+    that no caller holds, and those are adopted without a copy.  Construction
     then runs the hermiticity, completeness and positivity guards once each, in
     that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
-    in ``povm``'s order.  ``elements`` is a read-only mapping.
+    in ``povm``'s order.  ``elements`` is a read-only mapping, so
+    ``PovmSet(povm.elements, povm.config)`` rebuilds a PovmSet from copies.
     """
 
-    elements: Mapping[Outcome, _Element]
+    elements: Mapping[Outcome, np.ndarray]
     config: ReceiverConfig
     guards: MappingProxyType[str, float] = field(init=False)
 
     def __post_init__(self):
         dim = self.config.dim
+        adopt = type(self.elements) is _Built
         elements = {}
         for outcome, array in zip(OUTCOME_ORDER, _outcome_values(self.elements, "POVM")):
             shape = np.shape(array)
@@ -187,9 +201,9 @@ class PovmSet:
                     f"POVM element {outcome.name} has shape {shape}, expected ({dim}, {dim}) "
                     f"for dim={dim}"
                 )
-            matrix = np.array(array, dtype=np.complex128)
+            matrix = np.array(array, dtype=np.complex128, copy=not adopt)
             matrix.flags.writeable = False
-            elements[outcome] = _Element(matrix)
+            elements[outcome] = matrix
         object.__setattr__(self, "elements", MappingProxyType(elements))
         # each guard is written so that a NaN fails it
         herm = self.max_hermiticity_defect()
@@ -215,22 +229,32 @@ class PovmSet:
         object.__setattr__(self, "guards", MappingProxyType(guards))
 
     def __getitem__(self, outcome: Outcome) -> _Element:
-        return self.elements[outcome]
+        return _Element(self.elements[outcome])
 
     def completeness_residual(self) -> float:
-        total = sum(op.matrix for op in self.elements.values())
+        total = sum(self.elements.values())
         return float(np.max(np.abs(total - np.eye(self.config.dim))))
 
+    # The next two guards take each element's conjugate transpose once, as a
+    # fresh copy, and fill it in place with m + m^dag or m - m^dag: the same
+    # operations in the same order as the plain expressions, with one
+    # complex dim x dim temporary per element instead of two or three.
     def min_eigenvalue(self) -> float:
-        return min(
-            float(np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))[0])
-            for op in self.elements.values()
-        )
+        lowest = []
+        for m in self.elements.values():
+            h = m.conj().T
+            np.add(m, h, out=h)
+            np.multiply(0.5, h, out=h)
+            lowest.append(float(np.linalg.eigvalsh(h)[0]))
+        return min(lowest)
 
     def max_hermiticity_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(op.matrix - op.matrix.conj().T))) for op in self.elements.values()
-        )
+        defects = []
+        for m in self.elements.values():
+            h = m.conj().T
+            np.subtract(m, h, out=h)
+            defects.append(float(np.max(np.abs(h))))
+        return max(defects)
 
 
 def _check_adequacy(cfg: ReceiverConfig) -> None:
@@ -264,21 +288,32 @@ def povm_analytic(cfg: ReceiverConfig) -> PovmSet:
         A_01 = :Q1: - :Q1 Q2:               (D2 clicked, state 1)
         A_10 = :Q2: - :Q1 Q2:               (D1 clicked, state 2)
         A_11 = I - :Q1: - :Q2: + :Q1 Q2:    (both clicked, never occurs)
+
+    The differences are taken in place, left to right as written, in the
+    arrays of :Q1:, :Q2: and the identity, and PovmSet adopts the four
+    results without a copy: the elements are the same bits as the plain
+    expressions, and the build holds at most about 7 dim^2 complex numbers
+    (the Gaussian assemblies, then the guards' one temporary per element).
     """
     _check_adequacy(cfg)
     dim = cfg.dim
     kappa = 0.5 * cfg.eta
-    eye = np.eye(dim, dtype=np.complex128)
     q1 = normally_ordered_gaussian(kappa, cfg.alpha1, dim)
     q2 = normally_ordered_gaussian(kappa, cfg.alpha2, dim)
     q12 = _q_product(kappa, cfg.alpha1, cfg.alpha2, dim)
+    anomalous = np.eye(dim, dtype=np.complex128)
+    anomalous -= q1
+    anomalous -= q2
+    anomalous += q12
+    q1 -= q12
+    q2 -= q12
     elements = {
         Outcome.INCONCLUSIVE: q12,
-        Outcome.CONCLUSIVE_1: q1 - q12,
-        Outcome.CONCLUSIVE_2: q2 - q12,
-        Outcome.ANOMALOUS: eye - q1 - q2 + q12,
+        Outcome.CONCLUSIVE_1: q1,
+        Outcome.CONCLUSIVE_2: q2,
+        Outcome.ANOMALOUS: anomalous,
     }
-    return PovmSet(elements, cfg)
+    return PovmSet(_Built(elements), cfg)
 
 
 def _port_parity(dim: int) -> np.ndarray:
@@ -362,7 +397,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         # reduction below would give W^dag W instead, which differs from I by
         # roundoff (about 4e-15 from dim 6 on).
         blind = {o: 0 * eye for o in OUTCOME_ORDER}
-        return PovmSet(blind | {Outcome.INCONCLUSIVE: eye}, cfg)
+        return PovmSet(_Built(blind | {Outcome.INCONCLUSIVE: eye}), cfg)
     w = vacuum_port_columns(dim)
     w_dag = w.T  # W is real: a view, where w.conj().T would copy dim^3 numbers
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
@@ -380,7 +415,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     rights = np.concatenate((p2, eye - p2), axis=1)
     slab = np.empty((dim, dim, 2 * dim), dtype=np.complex128)
     halves = np.empty((2, dim, dim * dim), dtype=np.complex128)
-    elements = {}
+    elements = _Built()
     for outcomes, left in pairs.items():
         for c in range(dim):
             # slab[a, b, :] = L[a, c] * rights[b, :], the entries kron(L[:, c], R) holds
@@ -404,7 +439,7 @@ def outcome_probabilities(
     state = coherent_state(sent, cfg.dim)
     probs = {}
     for outcome in OUTCOME_ORDER:
-        value = complex(np.vdot(state, povm[outcome].matrix @ state))
+        value = complex(np.vdot(state, povm.elements[outcome] @ state))
         if abs(value.imag) > 1e-10:
             logger.warning(
                 "imaginary residue %.3e in <%s> expectation exceeds 1e-10",

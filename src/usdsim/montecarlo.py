@@ -8,13 +8,14 @@ below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized
 before sampling, so outcomes the model forbids (the exact zeros of the ideal
 receiver) never appear as roundoff dust in a tally.
 
-Both samplers stream: they draw at most ``_CHUNK`` uniforms at a time into
-one reused buffer and add up int64 counts, so memory stays flat in the number
-of draws.  The draws are the same, bit for bit, as one unchunked call on the
-same stream would give, because a Philox stream fills an array the same way
-whether it is asked for it whole or in pieces.  A draw count is at most
-``MAX_DRAWS`` (``check_draws``), the limit up to which counts and rates stay
-exact in float64.
+Both samplers stream: they draw at most ``_CHUNK`` = 2**16 uniforms at a time
+into one reused buffer and add up int64 counts, so memory stays flat in the
+number of draws, and a chunk with the masks compared from it stays a working
+set of about 1 MB.  The draws are the same, bit for bit, as one unchunked
+call on the same stream would give, because a Philox stream fills an array
+the same way whether it is asked for it whole or in pieces.  A draw count is
+at most ``MAX_DRAWS`` (``check_draws``), the limit up to which counts and
+rates stay exact in float64.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ _DISTRIBUTION_SUM_TOL = 1e-9
 #: 2**53 draws are exact in float64.
 MAX_DRAWS = 2**53
 
-# Uniforms drawn per step of a streaming sampler (2 MB of float64).
-_CHUNK = 2**18
+# Uniforms drawn per step of a streaming sampler: 512 KB of float64, so one
+# chunk and the comparison masks made from it stay near a core's L2 cache.
+_CHUNK = 2**16
 
 
 def check_draws(value, name: str) -> int:

@@ -179,6 +179,12 @@ class TestConfigLoading:
             assert f"config error: cannot read config file {path}: " in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_nul_byte_in_path_cannot_be_read(self):
+        # only a library caller can pass one: a command line cannot carry it
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config("a\0b")
+        assert str(info.value) == "cannot read config file a\0b: embedded null byte"
+
     def test_invalid_json_exits_2(self, workspace, capsys):
         tmp_path, _, _ = workspace
         path = tmp_path / "bad.json"

@@ -226,6 +226,23 @@ class TestAncillaPovm:
             povm_ancilla(cfg)
 
 
+class TestAnalyticMemory:
+    def test_elements_are_assembled_in_place_and_adopted(self):
+        # the four elements are 4 dim^2 complex numbers; the Gaussian builds
+        # and the guards' one temporary per element stay within 7, where
+        # out-of-place sums and copied elements held almost 14
+        dim = 192
+        cfg = ReceiverConfig(0.9, -0.7 + 0.2j, dim, 0.8)
+        povm_analytic(cfg)  # the first call also warms numpy's linear algebra
+        tracemalloc.start()
+        try:
+            povm_analytic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * dim**2 * 16
+
+
 class TestPovmInvariants:
     def test_randomized_positivity_completeness(self):
         # at least 50 randomized draws across the two constructions
@@ -310,6 +327,22 @@ class TestPovmInvariants:
             message = f"CONCLUSIVE_2 has shape {matrix.shape}, expected (8, 8)"
             with pytest.raises(ValueError, match=re.escape(message)):
                 PovmSet(elements, cfg)
+
+    def test_non_mapping_is_rejected(self):
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        elements = [np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))]
+        with pytest.raises(ValueError, match="^POVM needs a mapping keyed by Outcome, got list$"):
+            PovmSet(elements, cfg)
+
+    def test_rebuilt_from_elements_is_a_copy(self):
+        povm = povm_analytic(ReceiverConfig(0.7 - 0.2j, -0.4 + 0.5j, 16, eta=0.8))
+        rebuilt = PovmSet(povm.elements, povm.config)
+        assert dict(rebuilt.guards) == dict(povm.guards)
+        for outcome in OUTCOME_ORDER:
+            assert rebuilt.elements[outcome] is rebuilt[outcome].matrix
+            assert rebuilt.elements[outcome].tobytes() == povm.elements[outcome].tobytes()
+            assert not np.shares_memory(rebuilt.elements[outcome], povm.elements[outcome])
+            assert not rebuilt.elements[outcome].flags.writeable
 
     def test_elements_are_kept_in_outcome_order(self):
         cfg = ReceiverConfig(0.5, -0.5, 4)

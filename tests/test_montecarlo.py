@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ class TestRunTrials:
     def test_matches_reference_sampler(self, cfg):
         assert_matches_reference_sampler(cfg, 3000)
 
+    def test_working_set_is_a_few_cache_sized_chunks(self):
+        # a 2**16 chunk of uniforms is 512 KB of float64; the sampler holds
+        # it and its comparison masks, about 2.2 chunks, where 2**18 chunks
+        # peaked at 4.4 MB
+        cfg = ReceiverConfig(0.8, -0.8, 24)
+        run_trials(cfg, 1000, RngStream(0))
+        tracemalloc.start()
+        try:
+            run_trials(cfg, 2_000_000, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**16 * 8
+
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
     def test_chunks_match_reference_sampler(self, chunk, monkeypatch):
@@ -196,6 +211,10 @@ class TestTrialTally:
             TrialTally(dict(zip(OUTCOME_ORDER, (1, 0, 0, 0))) | {"bogus": 5})
         with pytest.raises(ValueError, match="missing ANOMALOUS; unexpected none"):
             TrialTally(dict(zip(OUTCOME_ORDER[:3], (1, 0, 0))))
+
+    def test_counts_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="^tally needs a mapping keyed by Outcome, got list$"):
+            TrialTally([1, 2, 3, 4])
 
     def test_merge_is_associative(self):
         x, y, z = tally(1, 2, 3, 4), tally(5, 6, 7, 8), tally(9, 0, 1, 2)

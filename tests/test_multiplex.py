@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -350,6 +351,20 @@ class TestProtocol:
     )
     def test_matches_per_round_reference(self, cfg, seed):
         assert_matches_per_round_reference(cfg, seed)
+
+    def test_working_set_is_a_few_cache_sized_chunks(self):
+        # a 2**16 chunk of uniforms is 512 KB of float64; the protocol holds
+        # it, the chunk's bits and their masks, about 2.4 chunks, where 2**18
+        # chunks peaked at 5.0 MB
+        cfg = make_config(T=0.15, eta=0.9, channel=0.5, rounds=4_000_000)
+        run_protocol(make_config(rounds=1000), RngStream(0))
+        tracemalloc.start()
+        try:
+            run_protocol(cfg, RngStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**16 * 8
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
     @pytest.mark.parametrize("rounds", [1, 2, 3, 5, 7, 8, 4001])
