@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import importlib.util  # scipy's version is read from its version file, not imported
 import json
 import math
 import os
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy  # for scipy.__version__ only; loads no submodule
 
 from . import __version__
 from .discrimination import (
@@ -205,11 +204,22 @@ def _fmt(x: float) -> str:
 
 
 def config_hash(raw: dict) -> str:
+    # hashlib loads OpenSSL; imported here, it loads only when a record is
+    # hashed (numpy.random loads it too, through secrets)
+    import hashlib
+
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
+    # scipy.__version__ comes from scipy/version.py, a file of string
+    # literals that imports nothing; run on its own, it gives the version
+    # without scipy's __init__ and its compiled extensions
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location("scipy_version", Path(scipy_dir) / "version.py")
+    scipy_version = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scipy_version)
     return {
         "command": command,
         "config_hash": config_hash(raw),
@@ -218,7 +228,7 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
         "versions": {
             "usdsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version.version,
         },
     }
 

@@ -75,31 +75,43 @@ _PEAK_RSS = (
 )
 
 
-def fresh_peak_rss_mb(*argv):
-    """Peak resident memory of a successful fresh CLI process, in MiB, read
-    with os.wait4 by a bare launcher interpreter.  A child's peak also counts
-    the process it was spawned from before its exec, so read from this test
-    process it would be at least the test process's own size."""
-    proc = run_python("-c", _PEAK_RSS, sys.executable, "-m", "usdsim.cli", *argv)
+def fresh_python_peak_rss_mb(*args):
+    """Peak resident memory of a successful fresh interpreter run with
+    ``args``, in MiB, read with os.wait4 by a bare launcher interpreter.  A
+    child's peak also counts the process it was spawned from before its exec,
+    so read from this test process it would be at least the test process's
+    own size."""
+    proc = run_python("-c", _PEAK_RSS, sys.executable, *args)
     assert proc.returncode == 0, proc.stderr
     exit_code, max_rss_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
-    assert exit_code == 0, argv
+    assert exit_code == 0, args
     return max_rss_kib / 1024.0
 
 
-_LOADED_SCIPY = (
-    "import json, sys; "
-    "print(json.dumps([m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special') "
-    "if m in sys.modules]))"
-)
+def fresh_peak_rss_mb(*argv):
+    """Peak resident memory of a successful fresh CLI process, in MiB."""
+    return fresh_python_peak_rss_mb("-m", "usdsim.cli", *argv)
+
+
+def _loaded(names: str) -> str:
+    """Code that prints, as a JSON list, the loaded modules that ``names``
+    (a Python expression over ``m``) selects."""
+    return f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if {names})))"
+
+
+_LOADED_SCIPY = _loaded("m == 'scipy' or m.startswith('scipy.')")
 
 
 def test_import_leaves_out_scipy_stats(workspace):
-    proc = run_python("-c", "import usdsim.cli; " + _LOADED_SCIPY)
+    # the run metadata reads scipy's version from its version file, and
+    # hashlib, which loads OpenSSL's _hashlib, is imported only to hash
+    proc = run_python(
+        "-c", "import usdsim.cli; " + _loaded("m == 'scipy' or m.startswith('scipy.') or m == '_hashlib'")
+    )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
-    # in one fresh process: probs runs without scipy's submodules, and so
-    # does the ancilla POVM, whose beam-splitter columns are a committed table
+    # in one fresh process: probs runs without scipy, and so does the
+    # ancilla POVM, whose beam-splitter columns are a committed table
     _, out, write = workspace
     path = write(base_config(out))
     proc = run_python(
@@ -115,6 +127,28 @@ def test_import_leaves_out_scipy_stats(workspace):
     assert after_ancilla == []
     record = json.loads((out / "povm.json").read_text())
     assert {r["source"] for r in record["results"]} == {"ancilla"}
+
+
+def test_import_peaks_near_numpy():
+    # beyond numpy, importing the CLI loads only the standard library's
+    # argparse, csv, json and dataclasses and usdsim itself; scipy's package
+    # and OpenSSL put the import 7 MB above numpy's
+    numpy_peak = fresh_python_peak_rss_mb("-c", "import numpy")
+    cli_peak = fresh_python_peak_rss_mb("-c", "import usdsim.cli")
+    assert cli_peak - numpy_peak <= 5.0, (cli_peak, numpy_peak)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_record_names_the_installed_scipy(workspace, fmt):
+    import scipy
+
+    _, out, write = workspace
+    assert cli.main(["probs", write(base_config(out, output={"format": fmt}))]) == 0
+    if fmt == "json":
+        recorded = json.loads((out / "probs.json").read_text())["metadata"]["versions"]["scipy"]
+    else:
+        (recorded,) = [value for name, value, _ in read_csv(out / "probs.csv") if name == "metadata.versions.scipy"]
+    assert recorded == scipy.__version__
 
 
 def test_ancilla_povm_costs_little_memory_over_probs(workspace):
