@@ -101,21 +101,14 @@ class Config:
 
 
 @contextmanager
-def _config_errors(section: str):
-    """Report a value the library rejects as a config error in ``section``."""
+def _config_errors(section: str | None = None):
+    """Report a value the library rejects as a config error in ``section``,
+    or with the library's bare message where there is no section (a
+    --trials, --mc or --steps count)."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-
-
-def _draw_option(value: int, option: str) -> int:
-    """A --trials, --mc or --steps count, checked by the library before any
-    config is read or output written."""
-    try:
-        return check_draws(value, option)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
 
 
 def _amplitude(value, key: str) -> complex:
@@ -213,13 +206,18 @@ def config_hash(raw: dict) -> str:
 
 
 def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
-    # scipy.__version__ comes from scipy/version.py, a file of string
+    # scipy.__version__ is set in scipy/version.py, a file of string
     # literals that imports nothing; run on its own, it gives the version
-    # without scipy's __init__ and its compiled extensions
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    spec = importlib.util.spec_from_file_location("scipy_version", Path(scipy_dir) / "version.py")
-    scipy_version = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scipy_version)
+    # without scipy's __init__ and its compiled extensions. The runtime needs
+    # numpy only, so where scipy is not installed the record names None.
+    scipy_spec = importlib.util.find_spec("scipy")
+    scipy_version = None
+    if scipy_spec is not None:
+        scipy_dir = scipy_spec.submodule_search_locations[0]
+        spec = importlib.util.spec_from_file_location("scipy_version", Path(scipy_dir) / "version.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        scipy_version = module.version
     return {
         "command": command,
         "config_hash": config_hash(raw),
@@ -228,7 +226,7 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
         "versions": {
             "usdsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy_version.version,
+            "scipy": scipy_version,
         },
     }
 
@@ -401,7 +399,8 @@ _SIMULATE_HEADER = [
 
 
 def cmd_simulate(args) -> int:
-    n = _draw_option(args.trials, "--trials")
+    with _config_errors():
+        n = check_draws(args.trials, "--trials")
     config = load_config(args.config)
     cfg = config.require("receiver")
     rng = config.require("rng")
@@ -503,12 +502,14 @@ def _grid_point(start: float, stop: float, steps: int, i: int) -> float:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
-    steps = _draw_option(args.steps, "--steps")
+    with _config_errors():
+        steps = check_draws(args.steps, "--steps")
     if not (args.sweep_from < args.sweep_to and math.isfinite(args.sweep_to - args.sweep_from)):
         raise ConfigError(
             f"--from must be smaller than --to, both finite, got {args.sweep_from}, {args.sweep_to}"
         )
-    mc = None if args.mc is None else _draw_option(args.mc, "--mc")
+    with _config_errors():
+        mc = None if args.mc is None else check_draws(args.mc, "--mc")
     config = load_config(args.config)
     separation = args.param == "alpha_separation"
     if separation:

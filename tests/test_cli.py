@@ -1,4 +1,5 @@
 import collections
+import copy
 import csv
 import json
 import math
@@ -18,18 +19,11 @@ from usdsim.hilbert import coherent_state
 
 
 def base_config(out_dir, **overrides):
-    cfg = {
-        "receiver": {"alpha1": [1.0, 0.0], "alpha2": [-1.0, 0.0], "dim": 32, "eta": 1.0},
-        "multiplex": {
-            "gamma": [10.0, 0.0],
-            "T": 0.05,
-            "eta": 1.0,
-            "channel_transmission": 1.0,
-            "rounds": 20000,
-        },
-        "rng": {"seed": 12345},
-        "output": {"format": "json", "path": str(out_dir)},
-    }
+    """The README config with 20000 rounds, writing to ``out_dir``, then
+    ``overrides`` merged into its sections."""
+    cfg = copy.deepcopy(workloads.README_CONFIG)
+    cfg["multiplex"]["rounds"] = 20000
+    cfg["output"]["path"] = str(out_dir)
     for section, values in overrides.items():
         cfg.setdefault(section, {}).update(values)
     return cfg
@@ -151,6 +145,73 @@ def test_record_names_the_installed_scipy(workspace, fmt):
     assert recorded == scipy.__version__
 
 
+def _blank_scipy_version(artifact: bytes, version: str) -> tuple[bytes, int]:
+    """``artifact`` with the scipy version of its run record blanked as a
+    record made without scipy writes it, and how many records it held."""
+    blanked = 0
+    for named, blank in (
+        (f'"scipy": "{version}"', '"scipy": null'),
+        (f"metadata.versions.scipy,{version},", "metadata.versions.scipy,,"),
+    ):
+        blanked += artifact.count(named.encode())
+        artifact = artifact.replace(named.encode(), blank.encode())
+    return artifact, blanked
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked every command
+    # exits 0 and writes the same bytes as with scipy installed, except the
+    # scipy version of each run record, which reads null (an empty CSV cell)
+    import scipy
+
+    t_grid = ["--param", "T", "--from", "0.01", "--to", "0.1", "--steps", "3", "--mc", "1000"]
+    separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "3", "--mc", "1000"]
+    runs = []
+    for fmt in ("json", "csv"):
+        config = tmp_path / f"{fmt}.json"
+        config.write_text(json.dumps(base_config(tmp_path / "unused", output={"format": fmt})))
+        for tag, args in (
+            ("povm", ["povm", "--construction", "both", "--dump"]),
+            ("probs", ["probs"]),
+            ("simulate", ["simulate", "--trials", "1000"]),
+            ("multiplex", ["multiplex"]),
+            ("sweep-T", ["sweep", *t_grid]),
+            ("sweep-separation", ["sweep", *separation]),
+        ):
+            runs.append((f"{fmt}/{tag}", [args[0], str(config), *args[1:]]))
+    script = (
+        "import json, os, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from usdsim import cli\n"
+        "codes = []\n"
+        "for out, argv in json.loads(sys.argv[3]):\n"
+        "    os.environ[cli.OUTPUT_DIR_ENV] = os.path.join(sys.argv[2], out)\n"
+        "    codes.append(cli.main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    trees = {}
+    for side in ("blocked", "installed"):
+        proc = run_python("-c", script, side, str(tmp_path / side), json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(runs), (side, proc.stderr)
+        root = tmp_path / side
+        trees[side] = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    assert trees["blocked"].keys() == trees["installed"].keys()
+    blanked = {}
+    for name, installed in trees["installed"].items():
+        expected, blanked[name] = _blank_scipy_version(installed, scipy.__version__)
+        assert trees["blocked"][name] == expected, name
+    # each run record names scipy once, and no other artifact names it
+    records = [
+        f"{fmt}/{tag}/{stem}.{fmt}"
+        for fmt in ("json", "csv")
+        for tag, stem in (("povm", "povm"), ("probs", "probs"), ("simulate", "simulate_run"), ("multiplex", "multiplex"))
+    ]
+    assert {name: n for name, n in blanked.items() if n} == dict.fromkeys(records, 1)
+
+
 def test_ancilla_povm_costs_little_memory_over_probs(workspace):
     # at the README config the ancilla reduction's workspace is about
     # 5 * 32^3 complex numbers (2.6 MB); loading scipy.linalg for an expm
@@ -160,6 +221,14 @@ def test_ancilla_povm_costs_little_memory_over_probs(workspace):
     probs = fresh_peak_rss_mb("probs", path)
     both = fresh_peak_rss_mb("povm", path, "--construction", "both")
     assert both - probs <= 10.0, (both, probs)
+
+
+def test_readme_config_is_the_benchmark_config():
+    # the CLI tests, the benchmark and the CI console-script step all run
+    # the README's example config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert json.loads(example) == workloads.README_CONFIG
 
 
 def test_readme_library_example_runs():
