@@ -180,13 +180,16 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def _exp_creation(z: complex, dim: int) -> np.ndarray:
+def _exp_creation(z: complex, dim: int, sf: np.ndarray | None = None) -> np.ndarray:
     """Lower-triangular Fock matrix of exp(z a^dag).
 
     <j| exp(z a^dag) |k> = z^(j-k) sqrt(j!/k!) / (j-k)!  for j >= k.
     The column z^m / m! is shared by every k; one gather fills the triangle.
+    ``sf`` is ``_sqrt_factorials(dim)``, passed by a caller that builds two
+    such matrices so that the factorials are taken once.
     """
-    sf = _sqrt_factorials(dim)
+    if sf is None:
+        sf = _sqrt_factorials(dim)
     col = np.empty(dim, dtype=np.complex128)
     col[0] = 1.0
     for m in range(1, dim):
@@ -220,8 +223,9 @@ def normally_ordered_exponential(
     check_dim(dim)
     cd, ca, cq, c0 = map(_as_amplitude, (coeff_dag, coeff_a, coeff_quad, coeff_const))
 
-    left = _exp_creation(cd, dim)
-    right = _exp_creation(ca, dim).T
+    sf = _sqrt_factorials(dim)
+    left = _exp_creation(cd, dim, sf)
+    right = _exp_creation(ca, dim, sf).T
     diag = np.power(1.0 + cq, np.arange(dim))
     return np.exp(c0) * ((left * diag[None, :]) @ right)
 

@@ -8,14 +8,14 @@ below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized
 before sampling, so outcomes the model forbids (the exact zeros of the ideal
 receiver) never appear as roundoff dust in a tally.
 
-Both samplers stream: they draw at most ``_CHUNK`` = 2**16 uniforms at a time
-into one reused buffer and add up int64 counts, so memory stays flat in the
-number of draws, and a chunk with the masks compared from it stays a working
-set of about 1 MB.  The draws are the same, bit for bit, as one unchunked
-call on the same stream would give, because a Philox stream fills an array
-the same way whether it is asked for it whole or in pieces.  A draw count is
-at most ``MAX_DRAWS`` (``check_draws``), the limit up to which counts and
-rates stay exact in float64.
+Both samplers stream: they draw at most ``_CHUNK`` = 2**15 uniforms at a time
+into one reused buffer, compare each chunk into one reused boolean mask and
+add up the counts as Python ints, so memory stays flat in the number of
+draws: a chunk and its mask are 288 KB.  The draws are the same, bit for bit,
+as one unchunked call on the same stream would give, because a Philox stream
+fills an array the same way whether it is asked for it whole or in pieces.
+A draw count is at most ``MAX_DRAWS`` (``check_draws``), the limit up to
+which counts and rates stay exact in float64.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ _DISTRIBUTION_SUM_TOL = 1e-9
 #: 2**53 draws are exact in float64.
 MAX_DRAWS = 2**53
 
-# Uniforms drawn per step of a streaming sampler: 512 KB of float64, so one
-# chunk and the comparison masks made from it stay near a core's L2 cache.
-_CHUNK = 2**16
+# Uniforms drawn per step of a streaming sampler: 256 KB of float64.  A CLI
+# call is a fresh process whose peak RSS holds the chunk, so a smaller one
+# lowers each sampling command's peak; 2**14 lowered it further but made a
+# 1e7-round run_protocol 7 to 10% slower, while 2**15 kept the time of 2**16.
+_CHUNK = 2**15
 
 
 def check_draws(value, name: str) -> int:
@@ -125,12 +127,14 @@ def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _uniforms(gen: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """The next ``n`` uniforms of ``gen``, at most ``_CHUNK`` at a time, each
-    chunk written over the last in one buffer."""
-    buf = np.empty(min(n, _CHUNK))
-    for start in range(0, n, _CHUNK):
-        yield gen.random(out=buf[: min(_CHUNK, n - start)])
+def _uniforms(gen: np.random.Generator, *counts: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The next uniforms of ``gen`` as ``(i, chunk)``: ``counts[i]`` of them
+    for each part ``i`` in turn, at most ``_CHUNK`` at a time, each chunk
+    written over the last in one buffer that serves every part."""
+    buf = np.empty(min(max(counts), _CHUNK))
+    for i, n in enumerate(counts):
+        for start in range(0, n, _CHUNK):
+            yield i, gen.random(out=buf[: min(_CHUNK, n - start)])
 
 
 def _tally(
@@ -146,22 +150,26 @@ def _tally(
     cumulative sum: its index is the number of the first three cumulative
     probabilities at or below the uniform.  So a count is taken without a
     per-draw index, from the draws reaching each cumulative probability.
-    Each distribution is cleaned once, before the first draw, and the counts
-    add up in int64 however ``draws`` is chunked.
+    Each distribution is cleaned once, before the first draw.  Every
+    comparison writes into one boolean mask, grown only for a longer chunk,
+    and the counts add up as Python ints however ``draws`` is chunked.
     """
     last = len(OUTCOME_ORDER) - 1
     edges = [np.cumsum(clean_distribution(dist))[:last] for dist in dists]
-    # reached[k, j]: draws from dists[k] whose outcome index is at least j
-    reached = np.zeros((len(dists), last + 2), dtype=np.int64)
+    # reached[k][j]: draws from dists[k] whose outcome index is at least j
+    reached = [[0] * (last + 2) for _ in dists]
+    mask = np.empty(0, dtype=bool)
     for k, u, where in draws:
-        reached[k, 0] += u.size if where is None else np.count_nonzero(where)
+        if mask.size < u.size:
+            mask = np.empty(u.size, dtype=bool)
+        above = mask[: u.size]
+        reached[k][0] += u.size if where is None else int(np.count_nonzero(where))
         for j, edge in enumerate(edges[k], start=1):
-            above = u >= edge
+            np.greater_equal(u, edge, out=above)
             if where is not None:
                 above &= where
-            reached[k, j] += np.count_nonzero(above)
-    counts = reached[:, :-1] - reached[:, 1:]
-    return [dict(zip(OUTCOME_ORDER, map(int, row))) for row in counts]
+            reached[k][j] += int(np.count_nonzero(above))
+    return [dict(zip(OUTCOME_ORDER, (a - b for a, b in zip(row, row[1:])))) for row in reached]
 
 
 def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, TrialTally]:
@@ -177,7 +185,7 @@ def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, Tr
     povm = povm_analytic(cfg)
     dists = [outcome_probabilities(cfg, alpha, povm) for alpha in (cfg.alpha1, cfg.alpha2)]
     gen = rng.generator()
-    counts = _tally(dists, ((k, u, None) for k in (0, 1) for u in _uniforms(gen, n)))
+    counts = _tally(dists, ((k, u, None) for k, u in _uniforms(gen, n, n)))
     return {value: TrialTally(c) for value, c in zip((1, 2), counts)}
 
 

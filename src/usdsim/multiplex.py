@@ -221,8 +221,10 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream) -> KeyReport:
     ]
 
     def draws():
-        for u in _uniforms(_after_bits(rng, cfg.rounds), cfg.rounds):
-            ones = bit_gen.integers(0, 2, size=len(u)).astype(bool)
+        for _, u in _uniforms(_after_bits(rng, cfg.rounds), cfg.rounds):
+            # int32 bits are the default int64's draws in half the bytes: numpy
+            # takes any range below 2**32 from 32-bit outputs for both dtypes
+            ones = bit_gen.integers(0, 2, size=len(u), dtype="int32").astype(bool)
             yield 0, u, ~ones
             yield 1, u, ones
 

@@ -1,6 +1,7 @@
 import collections
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden_env import openblas_note, probe, version_differences, workloads
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from usdsim import cli
 from usdsim.discrimination import OUTCOME_ORDER, ReceiverConfig, closed_form_probabilities
@@ -93,34 +96,77 @@ def _loaded(names: str) -> str:
     return f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if {names})))"
 
 
-_LOADED_SCIPY = _loaded("m == 'scipy' or m.startswith('scipy.')")
+_LOADED_SCIPY_OR_OPENSSL = _loaded("m == 'scipy' or m.startswith('scipy.') or m == '_hashlib'")
 
 
 def test_import_leaves_out_scipy_stats(workspace):
     # the run metadata reads scipy's version from its version file, and
-    # hashlib, which loads OpenSSL's _hashlib, is imported only to hash
-    proc = run_python(
-        "-c", "import usdsim.cli; " + _loaded("m == 'scipy' or m.startswith('scipy.') or m == '_hashlib'")
-    )
+    # hashes the config without hashlib, which loads OpenSSL's _hashlib
+    proc = run_python("-c", "import usdsim.cli; " + _LOADED_SCIPY_OR_OPENSSL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
-    # in one fresh process: probs runs without scipy, and so does the
-    # ancilla POVM, whose beam-splitter columns are a committed table
+    # in one fresh process: probs runs without scipy or OpenSSL, and so do
+    # both POVM constructions and the dump; the ancilla POVM's beam-splitter
+    # columns are a committed table
     _, out, write = workspace
     path = write(base_config(out))
     proc = run_python(
         "-c",
         "import sys; from usdsim import cli; "
-        f"assert cli.main(['probs', sys.argv[1]]) == 0; {_LOADED_SCIPY}; "
-        f"assert cli.main(['povm', sys.argv[1], '--construction', 'ancilla']) == 0; {_LOADED_SCIPY}",
+        f"assert cli.main(['probs', sys.argv[1]]) == 0; {_LOADED_SCIPY_OR_OPENSSL}; "
+        f"assert cli.main(['povm', sys.argv[1], '--construction', 'both', '--dump']) == 0; "
+        f"{_LOADED_SCIPY_OR_OPENSSL}",
         path,
     )
     assert proc.returncode == 0, proc.stderr
-    after_probs, after_ancilla = map(json.loads, proc.stdout.splitlines())
+    after_probs, after_povm = map(json.loads, proc.stdout.splitlines())
     assert after_probs == []
-    assert after_ancilla == []
+    assert after_povm == []
     record = json.loads((out / "povm.json").read_text())
-    assert {r["source"] for r in record["results"]} == {"ancilla"}
+    assert {r["source"] for r in record["results"]} == {"analytic", "ancilla"}
+
+
+# JSON values as json.loads returns them: nested, with non-ASCII text and floats
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+@example(raw=workloads.README_CONFIG)
+@example(raw={"clé": {"ключ": [0.1, -2.5e-300, None, True]}, "": {"数": 1e300}})
+@pytest.mark.parametrize(
+    ("dropped", "blocked"),
+    [
+        # a povm or probs process: the built-in module, and no hashlib import
+        (["hashlib"], []),
+        # a sampling command, where numpy.random has imported hashlib
+        ([], []),
+        # a build without the built-in module: hashlib is imported to hash
+        (["hashlib"], ["_sha2", "_sha256"]),
+    ],
+    ids=["builtin", "hashlib-loaded", "no-builtin"],
+)
+def test_config_hash_is_sha256_of_the_canonical_json(monkeypatch, dropped, blocked, raw):
+    # each example sets sys.modules again: Hypothesis imports hashlib itself
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)  # a None entry fails its import
+    for name in dropped:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    got = cli.config_hash(raw)
+    assert ("hashlib" in sys.modules) == (not dropped or bool(blocked))
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    assert got == hashlib.sha256(canonical).hexdigest()
 
 
 def test_import_peaks_near_numpy():

@@ -170,9 +170,10 @@ class TestRunTrials:
         assert_matches_reference_sampler(cfg, 3000)
 
     def test_working_set_is_a_few_cache_sized_chunks(self):
-        # a 2**16 chunk of uniforms is 512 KB of float64; the sampler holds
-        # it and its comparison masks, about 2.2 chunks, where 2**18 chunks
-        # peaked at 4.4 MB
+        # a 2**15 chunk of uniforms is 256 KB of float64; the sampler holds
+        # one for both states and one 32 KB comparison mask, a 1.29-chunk
+        # peak with the POVM's arrays, where 2**16 chunks, one buffer per
+        # state and a fresh mask per comparison peaked at 1.13 MB
         cfg = ReceiverConfig(0.8, -0.8, 24)
         run_trials(cfg, 1000, RngStream(0))
         tracemalloc.start()
@@ -181,7 +182,7 @@ class TestRunTrials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**16 * 8
+        assert peak <= 1.5 * 2**15 * 8
 
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])

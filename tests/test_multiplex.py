@@ -353,9 +353,10 @@ class TestProtocol:
         assert_matches_per_round_reference(cfg, seed)
 
     def test_working_set_is_a_few_cache_sized_chunks(self):
-        # a 2**16 chunk of uniforms is 512 KB of float64; the protocol holds
-        # it, the chunk's bits and their masks, about 2.4 chunks, where 2**18
-        # chunks peaked at 5.0 MB
+        # a 2**15 chunk of uniforms is 256 KB of float64; the protocol holds
+        # it, the chunk's int32 bits (half a chunk) and three 32 KB masks, a
+        # 1.89-chunk peak, where 2**16 chunks with int64 bits and a fresh
+        # mask per comparison peaked at 1.25 MB
         cfg = make_config(T=0.15, eta=0.9, channel=0.5, rounds=4_000_000)
         run_protocol(make_config(rounds=1000), RngStream(0))
         tracemalloc.start()
@@ -364,7 +365,7 @@ class TestProtocol:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**16 * 8
+        assert peak <= 2.25 * 2**15 * 8
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
     @pytest.mark.parametrize("rounds", [1, 2, 3, 5, 7, 8, 4001])
