@@ -197,14 +197,11 @@ def _fmt(x: float) -> str:
 
 
 def config_hash(raw: dict) -> str:
-    # hashlib loads OpenSSL's _hashlib, 2.4 to 3.4 MB of peak RSS. A sampling
-    # command has loaded both already (numpy.random imports secrets, hmac and
-    # hashlib), so it hashes with hashlib. Any other process takes SHA-256
-    # from CPython's built-in module (_sha2 on 3.12+, _sha256 before), the one
-    # hashlib falls back to without OpenSSL; plain hashlib serves builds that
-    # have neither.
-    modules = ("hashlib",) if "hashlib" in sys.modules else ("_sha2", "_sha256", "hashlib")
-    for module in modules:
+    # hashlib loads OpenSSL's _hashlib, 2.4 to 3.4 MB of peak RSS, so SHA-256
+    # comes from CPython's built-in module (_sha2 on 3.12+, _sha256 before),
+    # the one hashlib falls back to without OpenSSL, as the stdlib's random
+    # does for SHA-512; plain hashlib serves builds that have neither.
+    for module in ("_sha2", "_sha256", "hashlib"):
         try:
             sha256 = importlib.import_module(module).sha256
             break

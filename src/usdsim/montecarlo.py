@@ -158,6 +158,7 @@ def _tally(
     edges = [np.cumsum(clean_distribution(dist))[:last] for dist in dists]
     # reached[k][j]: draws from dists[k] whose outcome index is at least j
     reached = [[0] * (last + 2) for _ in dists]
+    # numpy 2 counts as np.intp, so int() keeps every count a Python int
     mask = np.empty(0, dtype=bool)
     for k, u, where in draws:
         if mask.size < u.size:
