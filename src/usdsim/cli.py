@@ -212,18 +212,17 @@ def config_hash(raw: dict) -> str:
 
 
 def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
-    # scipy.__version__ is set in scipy/version.py, a file of string
-    # literals that imports nothing; run on its own, it gives the version
-    # without scipy's __init__ and its compiled extensions. The runtime needs
-    # numpy only, so where scipy is not installed the record names None.
-    scipy_spec = importlib.util.find_spec("scipy")
+    # scipy.__version__ is set in scipy/version.py, a file of string literals
+    # that imports nothing, so running it alone skips scipy's __init__ and its
+    # extensions. The runtime needs numpy only: without scipy, or under a
+    # module named scipy that lacks that file or version, the record is None.
+    scipy_dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
     scipy_version = None
-    if scipy_spec is not None:
-        scipy_dir = scipy_spec.submodule_search_locations[0]
-        spec = importlib.util.spec_from_file_location("scipy_version", Path(scipy_dir) / "version.py")
+    if scipy_dirs and (path := Path(scipy_dirs[0]) / "version.py").is_file():
+        spec = importlib.util.spec_from_file_location("scipy_version", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        scipy_version = module.version
+        scipy_version = getattr(module, "version", None)
     return {
         "command": command,
         "config_hash": config_hash(raw),

@@ -1,11 +1,12 @@
 """Seeded sampling of detector outcomes and tally statistics.
 
 Outcomes are drawn by inverse CDF over the fixed ordering (00, 01, 10, 11),
-one uniform per draw.  Every draw in the package, ``run_trials`` and
-``multiplex.run_protocol`` alike, is counted by the one kernel ``_tally``,
-which returns outcome counts and never a per-draw array.  Probability mass
-below ``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized
-before sampling, so outcomes the model forbids (the exact zeros of the ideal
+one uniform per draw.  This module makes every draw in the package, for
+``run_trials`` and (through ``_tally_rounds``) ``multiplex.run_protocol``
+alike, and counts them with the one kernel ``_tally``, which returns outcome
+counts and never a per-draw array.  Probability mass below
+``SUB_TOLERANCE_MASS`` is zeroed and the distribution renormalized before
+sampling, so outcomes the model forbids (the exact zeros of the ideal
 receiver) never appear as roundoff dust in a tally.
 
 Both samplers stream: they draw at most ``_CHUNK`` = 2**15 uniforms at a time
@@ -171,6 +172,37 @@ def _tally(
                 above &= where
             reached[k][j] += int(np.count_nonzero(above))
     return [dict(zip(OUTCOME_ORDER, (a - b for a, b in zip(row, row[1:])))) for row in reached]
+
+
+def _tally_rounds(
+    dists: Sequence[dict[Outcome, float]], rounds: int, rng: RngStream
+) -> list[dict[Outcome, int]]:
+    """Outcome counts per key bit over ``rounds`` rounds, each sending a
+    random bit ``k`` and drawing from ``dists[k]``.
+
+    ``rng`` gives all the bits first, then one uniform per round, read in
+    ``_CHUNK``-round steps by two generators in lockstep.  Each bit takes one
+    32-bit half of a 64-bit Philox output (Lemire's method never rejects for
+    a range of 2, and a spare half is kept for the next 32-bit draw), so the
+    bits use the first ``m = (rounds + 1) // 2`` outputs, and a 64-bit draw
+    never takes a spare half.  The second generator skips them in O(1) time:
+    ``advance`` skips blocks of four outputs (Salmon et al., SC'11),
+    ``random_raw`` the rest.
+    """
+    bit_gen, gen = rng.generator(), rng.generator()
+    m = (rounds + 1) // 2
+    gen.bit_generator.advance(m // 4)
+    gen.bit_generator.random_raw(m % 4)
+
+    def draws():
+        for _, u in _uniforms(gen, rounds):
+            # int32 bits are the default int64's draws in half the bytes: numpy
+            # takes any range below 2**32 from 32-bit outputs for both dtypes
+            ones = bit_gen.integers(0, 2, size=len(u), dtype="int32").astype(bool)
+            yield 0, u, ~ones
+            yield 1, u, ones
+
+    return _tally(dists, draws())
 
 
 def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, TrialTally]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
 from .hilbert import _as_amplitude, _as_real, check_efficiency
-from .montecarlo import RngStream, _tally, _uniforms, check_draws
+from .montecarlo import RngStream, _tally_rounds, check_draws
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
 WEAK_SPLITTING_LIMIT = 0.2
@@ -202,33 +202,18 @@ class KeyReport:
 
 
 def run_protocol(cfg: MultiplexConfig, rng: RngStream) -> KeyReport:
-    """Run the whole protocol: emit, propagate, detect, classify, sift.
+    """Run the whole protocol: emit, propagate, detect, classify, sift, with
+    the draws of ``montecarlo._tally_rounds`` on ``rng``.
 
     A D1 click reads bit 1, a D2 click bit 0; no clicks is inconclusive and
     double clicks are anomalous, counted and excluded.  Under the ideal model
     one detector amplitude is exactly zero every round, so the sifted key is
     error free and no anomalous events occur.
-
-    ``rng`` gives all ``rounds`` bits first, then one uniform per round.
-    Both are read in chunks of ``montecarlo._CHUNK`` rounds by two generators
-    in lockstep, the second placed at the first uniform without drawing the
-    bits (see ``_after_bits``), so memory stays flat in ``rounds`` while every
-    round gets the same bit and uniform as from one unchunked stream.
     """
-    bit_gen = rng.generator()
     dists = [
         click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta) for bit in (0, 1)
     ]
-
-    def draws():
-        for _, u in _uniforms(_after_bits(rng, cfg.rounds), cfg.rounds):
-            # int32 bits are the default int64's draws in half the bytes: numpy
-            # takes any range below 2**32 from 32-bit outputs for both dtypes
-            ones = bit_gen.integers(0, 2, size=len(u), dtype="int32").astype(bool)
-            yield 0, u, ~ones
-            yield 1, u, ones
-
-    per_bit = _tally(dists, draws())
+    per_bit = _tally_rounds(dists, cfg.rounds, rng)
 
     counts = {o: per_bit[0][o] + per_bit[1][o] for o in OUTCOME_ORDER}
     n_sifted = counts[Outcome.CONCLUSIVE_1] + counts[Outcome.CONCLUSIVE_2]
@@ -244,20 +229,3 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream) -> KeyReport:
         anomalous_count=counts[Outcome.ANOMALOUS],
         counts=counts,
     )
-
-
-def _after_bits(rng: RngStream, n: int):
-    """A generator on ``rng`` placed where ``integers(0, 2, size=n)`` leaves
-    it, in O(1) time.
-
-    Each bit takes one 32-bit half of a 64-bit Philox output (Lemire's method
-    never rejects for a range of 2, and a spare half is kept for the next
-    32-bit draw), so the bits use ``m = (n + 1) // 2`` outputs, and a 64-bit
-    draw never takes a spare half.  ``advance`` skips blocks of four outputs
-    (Salmon et al., SC'11); ``random_raw`` skips the rest.
-    """
-    gen = rng.generator()
-    m = (n + 1) // 2
-    gen.bit_generator.advance(m // 4)
-    gen.bit_generator.random_raw(m % 4)
-    return gen

@@ -188,6 +188,32 @@ def test_record_names_the_installed_scipy(workspace, fmt):
     assert recorded == scipy.__version__
 
 
+@pytest.mark.parametrize(
+    "files",
+    [
+        pytest.param({"scipy.py": ""}, id="module"),
+        pytest.param({"scipy/__init__.py": ""}, id="no-version-file"),
+        pytest.param({"scipy/__init__.py": "", "scipy/version.py": "release = True\n"}, id="no-version"),
+    ],
+)
+def test_shadowed_scipy_records_null(workspace, files):
+    # a module named scipy ahead of the installed one on the path, a lone
+    # scipy.py or a package without scipy's version.py or its version, leaves
+    # the run record's scipy version null, where it ended the run with a
+    # traceback and exit code 1
+    tmp_path, out, write = workspace
+    shadow = tmp_path / "shadow"
+    for name, text in files.items():
+        (shadow / name).parent.mkdir(parents=True, exist_ok=True)
+        (shadow / name).write_text(text)
+    env = fresh_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(shadow), env["PYTHONPATH"]])
+    argv = [sys.executable, "-m", "usdsim.cli", "probs", write(base_config(out))]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "probs.json").read_text())["metadata"]["versions"]["scipy"] is None
+
+
 def _blank_scipy_version(artifact: bytes, version: str) -> tuple[bytes, int]:
     """``artifact`` with the scipy version of its run record blanked as a
     record made without scipy writes it, and how many records it held."""

@@ -1,6 +1,8 @@
-"""The names the ``usdsim`` package exports."""
+"""The names the ``usdsim`` package exports, and where its draws are made."""
 
+import ast
 import types
+from pathlib import Path
 
 import usdsim
 
@@ -43,3 +45,15 @@ def test_public_names_are_pinned():
         "run_protocol",
         "run_trials",
     }
+
+
+def test_multiplex_makes_no_draw():
+    # every draw is montecarlo's: multiplex hands the protocol's two click
+    # distributions to montecarlo._tally_rounds and reads no generator itself
+    tree = ast.parse((Path(usdsim.__file__).parent / "multiplex.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_tally", "_uniforms"}
+    drawing = {"generator", "bit_generator", "integers", "advance", "random_raw"}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not used & drawing
