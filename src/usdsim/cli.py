@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .discrimination import (
     OUTCOME_ORDER,
-    NumericalGuardError,
     Outcome,
     ReceiverConfig,
     closed_form_probabilities,
@@ -39,7 +38,7 @@ from .discrimination import (
     povm_analytic,
     povm_ancilla,
 )
-from .hilbert import _as_real
+from .hilbert import NumericalGuardError, _as_real
 from .montecarlo import RNG_ALGORITHM, RngStream, check_draws, run_trials, three_sigma_band
 from .multiplex import (
     MultiplexConfig,
@@ -214,15 +213,16 @@ def config_hash(raw: dict) -> str:
 def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
     # scipy.__version__ is set in scipy/version.py, a file of string literals
     # that imports nothing, so running it alone skips scipy's __init__ and its
-    # extensions. The runtime needs numpy only: without scipy, or under a
-    # module named scipy that lacks that file or version, the record is None.
+    # extensions. Without scipy (numpy is the one runtime need), or if that
+    # file is missing, raises or sets no string version, the record is None.
     scipy_dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
     scipy_version = None
     if scipy_dirs and (path := Path(scipy_dirs[0]) / "version.py").is_file():
         spec = importlib.util.spec_from_file_location("scipy_version", path)
         module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        scipy_version = getattr(module, "version", None)
+        with suppress(Exception):
+            spec.loader.exec_module(module)
+            scipy_version = module.version if isinstance(module.version, str) else None
     return {
         "command": command,
         "config_hash": config_hash(raw),

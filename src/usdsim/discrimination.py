@@ -46,8 +46,8 @@ import numpy as np
 from .hilbert import (
     ADEQUACY_MIN_NORM,
     STRUCTURAL_TOL,
-    NumericalGuardError,
     _as_amplitude,
+    _guard,
     check_dim,
     check_efficiency,
     coherent_state,
@@ -205,27 +205,18 @@ class PovmSet:
             matrix.flags.writeable = False
             elements[outcome] = matrix
         object.__setattr__(self, "elements", MappingProxyType(elements))
-        # each guard is written so that a NaN fails it
+        tol = f"{STRUCTURAL_TOL:.1e}"
         herm = self.max_hermiticity_defect()
-        if not herm <= STRUCTURAL_TOL:
-            raise NumericalGuardError(
-                f"hermiticity guard: POVM defect {herm:.3e} exceeds {STRUCTURAL_TOL:.1e}"
-            )
-        residual = self.completeness_residual()
-        if not residual <= STRUCTURAL_TOL:
-            raise NumericalGuardError(
-                f"completeness guard: residual {residual:.3e} exceeds {STRUCTURAL_TOL:.1e}"
-            )
+        _guard("hermiticity", herm <= STRUCTURAL_TOL, f"POVM defect {herm:.3e} exceeds {tol}")
+        resid = self.completeness_residual()
+        _guard("completeness", resid <= STRUCTURAL_TOL, f"residual {resid:.3e} exceeds {tol}")
         min_eig = self.min_eigenvalue()
-        if not min_eig >= -EIGENVALUE_CLAMP:
-            raise NumericalGuardError(
-                f"positivity guard: eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}"
-            )
-        guards = {
-            "completeness_residual": residual,
-            "min_eigenvalue": min_eig,
-            "hermiticity_defect": herm,
-        }
+        _guard(
+            "positivity",
+            min_eig >= -EIGENVALUE_CLAMP,
+            f"eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}",
+        )
+        guards = dict(completeness_residual=resid, min_eigenvalue=min_eig, hermiticity_defect=herm)
         object.__setattr__(self, "guards", MappingProxyType(guards))
 
     def __getitem__(self, outcome: Outcome) -> _Element:
@@ -260,11 +251,12 @@ class PovmSet:
 def _check_adequacy(cfg: ReceiverConfig) -> None:
     for name, alpha in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
         achieved = np.linalg.norm(coherent_state(alpha, cfg.dim))
-        if achieved < ADEQUACY_MIN_NORM:
-            raise NumericalGuardError(
-                f"truncation adequacy guard: coherent state for {name} reaches "
-                f"norm {achieved:.12f} < {ADEQUACY_MIN_NORM:.12f} at dim={cfg.dim}"
-            )
+        _guard(
+            "truncation adequacy",
+            achieved >= ADEQUACY_MIN_NORM,
+            f"coherent state for {name} reaches norm {achieved:.12f} < {ADEQUACY_MIN_NORM:.12f} "
+            f"at dim={cfg.dim}",
+        )
 
 
 def _q_product(kappa: float, alpha1: complex, alpha2: complex, dim: int) -> np.ndarray:
@@ -386,10 +378,11 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     STRUCTURAL_TOL raises NumericalGuardError.
     """
     dim = cfg.dim
-    if dim > MAX_ANCILLA_DIM:
-        raise NumericalGuardError(
-            f"two-mode workspace guard: dim={dim} exceeds the cap {MAX_ANCILLA_DIM}"
-        )
+    _guard(
+        "two-mode workspace",
+        dim <= MAX_ANCILLA_DIM,
+        f"dim={dim} exceeds the cap {MAX_ANCILLA_DIM}",
+    )
     _check_adequacy(cfg)
     eye = np.eye(dim, dtype=np.complex128)
     if cfg.eta == 0.0:
@@ -401,10 +394,11 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     w = vacuum_port_columns(dim)
     w_dag = w.T  # W is real: a view, where w.conj().T would copy dim^3 numbers
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
-    if not defect <= STRUCTURAL_TOL:
-        raise NumericalGuardError(
-            f"isometry guard: vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}"
-        )
+    _guard(
+        "isometry",
+        defect <= STRUCTURAL_TOL,
+        f"vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}",
+    )
     p1 = normally_ordered_gaussian(cfg.eta, cfg.beta1, dim)
     p2 = normally_ordered_gaussian(cfg.eta, cfg.beta2, dim)
     # D1's factor L is shared by each pair of outcomes, D2's R = P2 | I - P2
@@ -449,11 +443,11 @@ def outcome_probabilities(
         probs[outcome] = _clamp_probability(value.real, outcome)
 
     total = sum(probs.values())
-    if abs(total - 1.0) > STRUCTURAL_TOL:
-        raise NumericalGuardError(
-            f"probability normalization guard: outcome probabilities sum to "
-            f"{total!r}, off by more than {STRUCTURAL_TOL:.1e}"
-        )
+    _guard(
+        "probability normalization",
+        abs(total - 1.0) <= STRUCTURAL_TOL,
+        f"outcome probabilities sum to {total!r}, off by more than {STRUCTURAL_TOL:.1e}",
+    )
     return {o: p / total for o, p in probs.items()}
 
 

@@ -46,7 +46,14 @@ MAX_FOCK_DIM = next(
 class NumericalGuardError(RuntimeError):
     """A numerical guard tripped (Fock dimension, truncation adequacy,
     the ancilla POVM's dimension cap, isometry, POVM structure, probability
-    normalization)."""
+    normalization); ``_guard`` raises it."""
+
+
+def _guard(name: str, ok: bool, detail: str) -> None:
+    """Fail guard ``name`` with ``detail`` unless ``ok``, its passing comparison
+    (value <= limit, which a NaN fails): the package's one raise of the error."""
+    if not ok:
+        raise NumericalGuardError(f"{name} guard: {detail}")
 
 
 def _as_integer(value, name: str) -> int:
@@ -97,13 +104,12 @@ def _as_amplitude(alpha: complex) -> complex:
 
 def _check_fock_range(dim: int) -> None:
     """Fock-dimension guard: sqrt(k!) must be a finite float for every level
-    k < dim, or NumericalGuardError is raised before anything dim-sized is
-    allocated."""
-    if dim > MAX_FOCK_DIM:
-        raise NumericalGuardError(
-            f"Fock dimension guard: dim={dim} exceeds {MAX_FOCK_DIM}, beyond which "
-            "sqrt((dim-1)!) overflows a float"
-        )
+    k < dim; checked before anything dim-sized is allocated."""
+    _guard(
+        "Fock dimension",
+        dim <= MAX_FOCK_DIM,
+        f"dim={dim} exceeds {MAX_FOCK_DIM}, beyond which sqrt((dim-1)!) overflows a float",
+    )
 
 
 # Stirling-series coefficients of cephes lgam, highest power of 1/x^2 first,
@@ -180,16 +186,14 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def _exp_creation(z: complex, dim: int, sf: np.ndarray | None = None) -> np.ndarray:
+def _exp_creation(z: complex, dim: int, sf: np.ndarray) -> np.ndarray:
     """Lower-triangular Fock matrix of exp(z a^dag).
 
     <j| exp(z a^dag) |k> = z^(j-k) sqrt(j!/k!) / (j-k)!  for j >= k.
     The column z^m / m! is shared by every k; one gather fills the triangle.
-    ``sf`` is ``_sqrt_factorials(dim)``, passed by a caller that builds two
-    such matrices so that the factorials are taken once.
+    ``sf`` is ``_sqrt_factorials(dim)``, taken once by the caller for the two
+    such matrices it builds.
     """
-    if sf is None:
-        sf = _sqrt_factorials(dim)
     col = np.empty(dim, dtype=np.complex128)
     col[0] = 1.0
     for m in range(1, dim):
@@ -246,7 +250,6 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> np.ndar
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     alpha = _as_amplitude(alpha)
-    check_dim(dim)
     return normally_ordered_exponential(
         kappa * alpha,
         kappa * np.conj(alpha),

@@ -194,13 +194,16 @@ def test_record_names_the_installed_scipy(workspace, fmt):
         pytest.param({"scipy.py": ""}, id="module"),
         pytest.param({"scipy/__init__.py": ""}, id="no-version-file"),
         pytest.param({"scipy/__init__.py": "", "scipy/version.py": "release = True\n"}, id="no-version"),
+        pytest.param({"scipy/__init__.py": "", "scipy/version.py": "raise ImportError\n"}, id="raises"),
+        pytest.param({"scipy/__init__.py": "", "scipy/version.py": "version = 1.0\n"}, id="non-string"),
     ],
 )
 def test_shadowed_scipy_records_null(workspace, files):
     # a module named scipy ahead of the installed one on the path, a lone
-    # scipy.py or a package without scipy's version.py or its version, leaves
-    # the run record's scipy version null, where it ended the run with a
-    # traceback and exit code 1
+    # scipy.py or a package without scipy's version.py or its version, or
+    # whose version.py raises or sets a non-string version, leaves the run
+    # record's scipy version null, where it ended the run with a traceback
+    # and exit code 1 or recorded the non-string
     tmp_path, out, write = workspace
     shadow = tmp_path / "shadow"
     for name, text in files.items():

@@ -37,6 +37,22 @@ def random_pairs(n, rng, max_mag=1.5):
     return pairs
 
 
+def guard_message(build, *args):
+    """The message of the NumericalGuardError that ``build(*args)`` raises."""
+    with pytest.raises(NumericalGuardError) as info:
+        build(*args)
+    return str(info.value)
+
+
+def adequacy_norm(message, name, dim):
+    """The achieved norm a truncation adequacy message reports, once its fixed
+    text, its limit and the norm's 12-decimal format are checked."""
+    pattern = rf"coherent state for {name} reaches norm (0\.\d{{12}}) < 0\.999999990000 at dim={dim}"
+    norm = re.fullmatch(f"truncation adequacy guard: {pattern}", message)
+    assert norm, message
+    return float(norm[1])
+
+
 def cross_discrepancy(povm_a, povm_b):
     return max(
         float(np.max(np.abs(povm_a[o].matrix - povm_b[o].matrix))) for o in OUTCOME_ORDER
@@ -101,8 +117,9 @@ class TestAnalyticPovm:
         assert abs(np.vdot(s2, povm[Outcome.ANOMALOUS].matrix @ s2)) <= 1e-9
 
     def test_truncation_adequacy_guard(self):
-        with pytest.raises(NumericalGuardError):
-            povm_analytic(ReceiverConfig(3.5, -3.5, 16))
+        message = guard_message(povm_analytic, ReceiverConfig(3.5, -3.5, 16))
+        norm = adequacy_norm(message, "alpha1", 16)
+        assert norm == pytest.approx(np.linalg.norm(h.coherent_state(3.5, 16)), abs=1e-12)
 
     def test_fock_dimension_guard(self):
         assert h.MAX_FOCK_DIM == 301  # sqrt(300!) ~ 1e307, sqrt(301!) overflows
@@ -112,10 +129,11 @@ class TestAnalyticPovm:
             # bright coherent state would otherwise underflow to norm 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(NumericalGuardError, match="Fock dimension guard"):
-                    povm_analytic(ReceiverConfig(1.0, -1.0, dim))
-                with pytest.raises(NumericalGuardError, match="Fock dimension guard"):
-                    h.coherent_state(40.0, dim)
+                message = (
+                    f"Fock dimension guard: dim={dim} exceeds 301, beyond which sqrt((dim-1)!) overflows a float"
+                )
+                assert guard_message(povm_analytic, ReceiverConfig(1.0, -1.0, dim)) == message
+                assert guard_message(h.coherent_state, 40.0, dim) == message
 
     def test_inconclusive_element_is_scaled_coherent_projector(self):
         # :Q1 Q2: = exp(-|a1-a2|^2/4) |mu><mu| with mu the midpoint
@@ -207,8 +225,8 @@ class TestAncillaPovm:
     def test_workspace_guard(self):
         # checked before the adequacy guard allocates anything dim-sized
         for dim in (66, 10**20):
-            with pytest.raises(NumericalGuardError, match="two-mode workspace guard"):
-                povm_ancilla(ReceiverConfig(0.5, -0.5, dim))
+            message = guard_message(povm_ancilla, ReceiverConfig(0.5, -0.5, dim))
+            assert message == f"two-mode workspace guard: dim={dim} exceeds the cap 64"
 
     def test_isometry_guard(self, monkeypatch):
         columns = discrimination.vacuum_port_columns
@@ -217,13 +235,15 @@ class TestAncillaPovm:
             return columns(dim) * (1 + 1e-6)
 
         monkeypatch.setattr(discrimination, "vacuum_port_columns", leaky_columns)
-        with pytest.raises(NumericalGuardError, match="isometry guard"):
-            povm_ancilla(ReceiverConfig(0.5, -0.5, 16))
+        message = guard_message(povm_ancilla, ReceiverConfig(0.5, -0.5, 16))
+        defect = re.fullmatch(r"isometry guard: vacuum-port defect (\d\.\d{3}e-\d\d) exceeds 1\.0e-09", message)
+        assert defect, message
+        assert float(defect[1]) == pytest.approx(2e-6, rel=1e-3)  # (1 + 1e-6)^2 - 1
 
     def test_norm_guard_small_dim(self):
-        cfg = ReceiverConfig(2.5, -2.5, 8)
-        with pytest.raises(NumericalGuardError):
-            povm_ancilla(cfg)
+        message = guard_message(povm_ancilla, ReceiverConfig(2.5, -2.5, 8))
+        norm = adequacy_norm(message, "alpha1", 8)
+        assert norm == pytest.approx(np.linalg.norm(h.coherent_state(2.5, 8)), abs=1e-12)
 
 
 class TestAnalyticMemory:
@@ -288,9 +308,16 @@ class TestPovmInvariants:
             ((0.5 * eye, zero, zero, zero), "completeness guard: residual 5.000e-01 exceeds 1.0e-09"),
             ((eye - negative, negative, zero, zero), "positivity guard: eigenvalue -1.000e-06 below -1.0e-10"),
         ):
-            with pytest.raises(NumericalGuardError) as info:
-                PovmSet(dict(zip(OUTCOME_ORDER, elements)), cfg)
-            assert str(info.value) == message
+            assert guard_message(PovmSet, dict(zip(OUTCOME_ORDER, elements)), cfg) == message
+
+    def test_roundoff_negative_eigenvalue_is_kept(self):
+        # an eigenvalue inside the roundoff clamp builds and is reported as
+        # measured, beside the -1e-6 the positivity guard rejects
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        negative = np.diag([-1e-12, 0.0, 0.0, 0.0])
+        povm = PovmSet(dict(zip(OUTCOME_ORDER, (eye - negative, negative, zero, zero))), cfg)
+        assert povm.guards["min_eigenvalue"] == -1e-12
 
     def test_missing_outcome_is_rejected(self):
         # the guards alone would pass this one-element set (residual 0.0)
@@ -458,6 +485,18 @@ class TestOutcomeProbabilities:
         for other in (ReceiverConfig(1.0, -1.0, 24), ReceiverConfig(1.0, -1.0, 32, eta=0.5)):
             with pytest.raises(ValueError):
                 outcome_probabilities(other, 1.0, povm)
+
+    def test_normalization_guard(self):
+        # a state the truncation cannot hold: its expectations sum to the
+        # truncated norm squared, which the complete POVM reproduces
+        cfg = ReceiverConfig(0.5, -0.5, 8)
+        message = guard_message(outcome_probabilities, cfg, 3.0, povm_analytic(cfg))
+        total = re.fullmatch(
+            r"probability normalization guard: outcome probabilities sum to (\d\.\d+), off by more than 1\.0e-09",
+            message,
+        )
+        assert total, message
+        assert float(total[1]) == pytest.approx(np.linalg.norm(h.coherent_state(3.0, 8)) ** 2, abs=1e-12)
 
 
 class TestInconclusiveRate:

@@ -213,7 +213,7 @@ class TestExpCreation:
     def test_equals_double_loop_bit_for_bit(self):
         for z in (0.3 + 0.2j, -1.7j, 5):
             for dim in (2, 3, 50, 200):
-                got = h._exp_creation(z, dim)
+                got = h._exp_creation(z, dim, h._sqrt_factorials(dim))
                 want = exp_creation_loop_reference(z, dim)
                 assert np.array_equal(got, want)
                 assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
-"""The names the ``usdsim`` package exports, and where its draws are made."""
+"""The names the ``usdsim`` package exports, where its draws are made and
+where its numerical guards raise."""
 
 import ast
 import types
@@ -57,3 +58,18 @@ def test_multiplex_makes_no_draw():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not used & drawing
+
+
+
+def test_one_guard_raise():
+    # every numerical guard fails through hilbert._guard, the package's one
+    # raise of NumericalGuardError
+    def guard_raises(tree):
+        raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+        return [node for node in raises if "NumericalGuardError" in ast.unparse(node)]
+
+    package = Path(usdsim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert {name: len(guard_raises(tree)) for name, tree in trees.items() if guard_raises(tree)} == {"hilbert.py": 1}
+    (guard,) = [node for node in trees["hilbert.py"].body if getattr(node, "name", None) == "_guard"]
+    assert len(guard_raises(guard)) == 1
