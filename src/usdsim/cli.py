@@ -259,14 +259,15 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_complex_pair) + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write ``header``, then each row as ``rows`` yields it; if producing a
-    row fails, the partial file is removed before the error propagates."""
+def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write ``header``, then each row as ``rows`` yields it, each cell as
+    ``_flat_value`` formats it; if producing a row fails, the partial file is
+    removed before the error propagates."""
     with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         try:
-            writer.writerows(rows)
+            writer.writerows(map(_flat_value, row) for row in rows)
         except OSError:
             raise
         except BaseException:
@@ -276,35 +277,38 @@ def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
 
 
 def _flat_value(value) -> str:
+    """One CSV cell: a float as ``_fmt`` writes it, a complex as its 're im'
+    pair, null as an empty cell, a truth value as JSON spells it."""
     if isinstance(value, float):
         return _fmt(value)
     if value is None:
         return ""
     if isinstance(value, complex):
         return f"{_fmt(value.real)} {_fmt(value.imag)}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     return str(value)
 
 
-def write_record(base: Path, record: dict, fmt: str) -> None:
-    """Write a run record as JSON or as flat name,value,source CSV rows."""
-    if fmt == "json":
-        write_json(base.with_suffix(".json"), record)
+def write_record(base: Path, config: Config, command: str, seed: int | None, **body) -> None:
+    """Write the run record of ``command``, its metadata then ``body`` (its
+    results, table or counts), as JSON or as flat name,value,source CSV rows,
+    in the config's format."""
+    metadata = run_metadata(command, config.raw, seed)
+    if config.format == "json":
+        write_json(base.with_suffix(".json"), {"metadata": metadata, **body})
         return
     rows = []
-    for key, value in sorted(record["metadata"].items()):
+    for key, value in sorted(metadata.items()):
         if isinstance(value, dict):
-            for sub, sub_value in sorted(value.items()):
-                rows.append([f"metadata.{key}.{sub}", _flat_value(sub_value), ""])
+            rows += [[f"metadata.{key}.{sub}", item, ""] for sub, item in sorted(value.items())]
         else:
-            rows.append([f"metadata.{key}", _flat_value(value), ""])
-    for entry in record.get("results", []):
-        rows.append([entry["name"], _flat_value(entry["value"]), entry["source"]])
-    for row in record.get("table", []):
+            rows.append([f"metadata.{key}", value, ""])
+    rows += [[entry["name"], entry["value"], entry["source"]] for entry in body.get("results", [])]
+    for row in body.get("table", []):
         stem = f"{row['sent']}.{row['outcome']}"
-        rows.append([f"{stem}.numeric", _fmt(row["numeric"]), row["source"]])
-        rows.append([f"{stem}.closed_form", _fmt(row["closed_form"]), row["source"]])
-    for label, count in record.get("counts", {}).items():
-        rows.append([f"counts.{label}", str(count), "multiplex"])
+        rows += [[f"{stem}.{column}", row[column], row["source"]] for column in ("numeric", "closed_form")]
+    rows += [[f"counts.{label}", count, "multiplex"] for label, count in body.get("counts", {}).items()]
     write_csv(base.with_suffix(".csv"), ["name", "value", "source"], rows)
 
 
@@ -324,7 +328,7 @@ def result(name: str, value, source: str) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_povm(args) -> int:
+def cmd_povm(args) -> None:
     config = load_config(args.config)
     cfg = config.require("receiver")
     out = output_dir(config)
@@ -348,15 +352,10 @@ def cmd_povm(args) -> int:
             for outcome in OUTCOME_ORDER:
                 path = out / f"povm_{tag}_{outcome.label}.txt"
                 dump_operator(path, povm.elements[outcome])
-    write_record(
-        out / "povm",
-        {"metadata": run_metadata("povm", config.raw, None), "results": results},
-        config.format,
-    )
-    return 0
+    write_record(out / "povm", config, "povm", None, results=results)
 
 
-def cmd_probs(args) -> int:
+def cmd_probs(args) -> None:
     config = load_config(args.config)
     cfg = config.require("receiver")
     out = output_dir(config)
@@ -381,12 +380,7 @@ def cmd_probs(args) -> int:
         result("quantum_bound", report.quantum_bound, "analytic"),
         result("optimality_gap", report.gap, "analytic"),
     ]
-    write_record(
-        out / "probs",
-        {"metadata": run_metadata("probs", config.raw, None), "results": results, "table": table},
-        config.format,
-    )
-    return 0
+    write_record(out / "probs", config, "probs", None, results=results, table=table)
 
 
 _SIMULATE_HEADER = [
@@ -403,7 +397,7 @@ _SIMULATE_HEADER = [
 ]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     with _config_errors():
         n = check_draws(args.trials, "--trials")
     config = load_config(args.config)
@@ -430,33 +424,13 @@ def cmd_simulate(args) -> int:
         )
         for label, count, freq, expected in entries:
             lo, hi = three_sigma_band(expected, n)
-            rows.append(
-                [
-                    sent_name,
-                    label,
-                    str(n),
-                    str(count),
-                    _fmt(freq),
-                    _fmt(expected),
-                    _fmt(lo),
-                    _fmt(hi),
-                    str(lo <= freq <= hi).lower(),
-                    "montecarlo",
-                ]
-            )
+            rows.append([sent_name, label, n, count, freq, expected, lo, hi, lo <= freq <= hi, "montecarlo"])
     write_csv(out / "simulate.csv", _SIMULATE_HEADER, rows)
-    write_record(
-        out / "simulate_run",
-        {
-            "metadata": run_metadata("simulate", config.raw, rng.seed),
-            "results": [result("trials_per_state", n, "montecarlo")],
-        },
-        config.format,
-    )
-    return 0
+    results = [result("trials_per_state", n, "montecarlo")]
+    write_record(out / "simulate_run", config, "simulate", rng.seed, results=results)
 
 
-def cmd_multiplex(args) -> int:
+def cmd_multiplex(args) -> None:
     config = load_config(args.config)
     cfg = config.require("multiplex")
     out = output_dir(config)
@@ -478,16 +452,7 @@ def cmd_multiplex(args) -> int:
         result("sifted_bits", report.sifted_count, "multiplex"),
     ]
     counts = {o.label: report.counts[o] for o in OUTCOME_ORDER}
-    write_record(
-        out / "multiplex",
-        {
-            "metadata": run_metadata("multiplex", config.raw, config.rng.seed),
-            "results": results,
-            "counts": counts,
-        },
-        config.format,
-    )
-    return 0
+    write_record(out / "multiplex", config, "multiplex", config.rng.seed, results=results, counts=counts)
 
 
 _SWEEP_FIELDS = {"eta": "eta", "T": "splitter_transmission", "gamma_mag": "gamma"}
@@ -504,7 +469,7 @@ def _grid_point(start: float, stop: float, steps: int, i: int) -> float:
     return i * step + start
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     with _config_errors():
@@ -532,7 +497,7 @@ def cmd_sweep(args) -> int:
     if mc is not None:
         header += ["mc_inconclusive", "mc_conclusive"]
 
-    def grid_row(i: int) -> list[str]:
+    def grid_row(i: int) -> list[float]:
         value = _grid_point(args.sweep_from, args.sweep_to, steps, i)
         rejected = _config_errors(f"sweep value {value!r} for {args.param}")
         if separation:
@@ -540,30 +505,24 @@ def cmd_sweep(args) -> int:
             with rejected:
                 rate = inconclusive_rate(a1, a2)
                 cfg = replace(base, alpha1=a1, alpha2=a2) if mc is not None else base
-            row = [_fmt(value), _fmt(rate**base.eta), _fmt(rate)]
+            row = [value, rate**base.eta, rate]
             if mc is not None:
                 tallies = run_trials(cfg, mc, RngStream(config.rng.seed, i))
                 merged = tallies[1].merge(tallies[2])
                 inconclusive = merged.frequency(Outcome.INCONCLUSIVE)
-                row += [_fmt(inconclusive), _fmt(1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS))]
+                row += [inconclusive, 1.0 - inconclusive - merged.frequency(Outcome.ANOMALOUS)]
         else:
             point = float(value) * phase if args.param == "gamma_mag" else float(value)
             with rejected, warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cfg = replace(base, **rounds, **{_SWEEP_FIELDS[args.param]: point})
-            row = [
-                _fmt(value),
-                _fmt(round_inconclusive_probability(cfg)),
-                _fmt(quantum_bound(cfg)),
-                _fmt(inconclusive_bound_ratio(cfg)),
-            ]
+            row = [value, round_inconclusive_probability(cfg), quantum_bound(cfg), inconclusive_bound_ratio(cfg)]
             if mc is not None:
                 report = run_protocol(cfg, RngStream(config.rng.seed, i))
-                row += [_fmt(report.inconclusive_rate_empirical), _fmt(report.sifted_key_rate)]
+                row += [report.inconclusive_rate_empirical, report.sifted_key_rate]
         return row
 
     write_csv(out / "sweep.csv", header, map(grid_row, range(steps)))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +576,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors already print to stderr
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalGuardError as exc:
         print(f"numerical guard failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

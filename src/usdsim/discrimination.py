@@ -205,16 +205,13 @@ class PovmSet:
             matrix.flags.writeable = False
             elements[outcome] = matrix
         object.__setattr__(self, "elements", MappingProxyType(elements))
-        tol = f"{STRUCTURAL_TOL:.1e}"
         herm = self.max_hermiticity_defect()
-        _guard("hermiticity", herm <= STRUCTURAL_TOL, f"POVM defect {herm:.3e} exceeds {tol}")
+        _guard("hermiticity", herm <= STRUCTURAL_TOL, "POVM defect %.3e exceeds %.1e", herm, STRUCTURAL_TOL)
         resid = self.completeness_residual()
-        _guard("completeness", resid <= STRUCTURAL_TOL, f"residual {resid:.3e} exceeds {tol}")
+        _guard("completeness", resid <= STRUCTURAL_TOL, "residual %.3e exceeds %.1e", resid, STRUCTURAL_TOL)
         min_eig = self.min_eigenvalue()
         _guard(
-            "positivity",
-            min_eig >= -EIGENVALUE_CLAMP,
-            f"eigenvalue {min_eig:.3e} below -{EIGENVALUE_CLAMP:.1e}",
+            "positivity", min_eig >= -EIGENVALUE_CLAMP, "eigenvalue %.3e below -%.1e", min_eig, EIGENVALUE_CLAMP
         )
         guards = dict(completeness_residual=resid, min_eigenvalue=min_eig, hermiticity_defect=herm)
         object.__setattr__(self, "guards", MappingProxyType(guards))
@@ -254,8 +251,11 @@ def _check_adequacy(cfg: ReceiverConfig) -> None:
         _guard(
             "truncation adequacy",
             achieved >= ADEQUACY_MIN_NORM,
-            f"coherent state for {name} reaches norm {achieved:.12f} < {ADEQUACY_MIN_NORM:.12f} "
-            f"at dim={cfg.dim}",
+            "coherent state for %s reaches norm %.12f < %.12f at dim=%s",
+            name,
+            achieved,
+            ADEQUACY_MIN_NORM,
+            cfg.dim,
         )
 
 
@@ -378,11 +378,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     STRUCTURAL_TOL raises NumericalGuardError.
     """
     dim = cfg.dim
-    _guard(
-        "two-mode workspace",
-        dim <= MAX_ANCILLA_DIM,
-        f"dim={dim} exceeds the cap {MAX_ANCILLA_DIM}",
-    )
+    _guard("two-mode workspace", dim <= MAX_ANCILLA_DIM, "dim=%s exceeds the cap %s", dim, MAX_ANCILLA_DIM)
     _check_adequacy(cfg)
     eye = np.eye(dim, dtype=np.complex128)
     if cfg.eta == 0.0:
@@ -394,11 +390,7 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     w = vacuum_port_columns(dim)
     w_dag = w.T  # W is real: a view, where w.conj().T would copy dim^3 numbers
     defect = float(np.max(np.abs(w_dag @ w - np.eye(dim))))
-    _guard(
-        "isometry",
-        defect <= STRUCTURAL_TOL,
-        f"vacuum-port defect {defect:.3e} exceeds {STRUCTURAL_TOL:.1e}",
-    )
+    _guard("isometry", defect <= STRUCTURAL_TOL, "vacuum-port defect %.3e exceeds %.1e", defect, STRUCTURAL_TOL)
     p1 = normally_ordered_gaussian(cfg.eta, cfg.beta1, dim)
     p2 = normally_ordered_gaussian(cfg.eta, cfg.beta2, dim)
     # D1's factor L is shared by each pair of outcomes, D2's R = P2 | I - P2
@@ -446,7 +438,9 @@ def outcome_probabilities(
     _guard(
         "probability normalization",
         abs(total - 1.0) <= STRUCTURAL_TOL,
-        f"outcome probabilities sum to {total!r}, off by more than {STRUCTURAL_TOL:.1e}",
+        "outcome probabilities sum to %r, off by more than %.1e",
+        total,
+        STRUCTURAL_TOL,
     )
     return {o: p / total for o, p in probs.items()}
 

@@ -49,11 +49,12 @@ class NumericalGuardError(RuntimeError):
     normalization); ``_guard`` raises it."""
 
 
-def _guard(name: str, ok: bool, detail: str) -> None:
-    """Fail guard ``name`` with ``detail`` unless ``ok``, its passing comparison
-    (value <= limit, which a NaN fails): the package's one raise of the error."""
+def _guard(name: str, ok: bool, detail: str, *values) -> None:
+    """Fail guard ``name`` unless ``ok``, its passing comparison (value <=
+    limit, which a NaN fails): the package's one raise of the error.  Its
+    message is ``detail % values``, formatted only when the guard fails."""
     if not ok:
-        raise NumericalGuardError(f"{name} guard: {detail}")
+        raise NumericalGuardError(f"{name} guard: {detail % values}")
 
 
 def _as_integer(value, name: str) -> int:
@@ -108,7 +109,9 @@ def _check_fock_range(dim: int) -> None:
     _guard(
         "Fock dimension",
         dim <= MAX_FOCK_DIM,
-        f"dim={dim} exceeds {MAX_FOCK_DIM}, beyond which sqrt((dim-1)!) overflows a float",
+        "dim=%s exceeds %s, beyond which sqrt((dim-1)!) overflows a float",
+        dim,
+        MAX_FOCK_DIM,
     )
 
 

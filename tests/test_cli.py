@@ -188,6 +188,57 @@ def test_record_names_the_installed_scipy(workspace, fmt):
     assert recorded == scipy.__version__
 
 
+def _flat_record(record):
+    """A JSON run record as the (name, value, source) rows of its CSV twin,
+    in the CSV's order: metadata, results, then the probability table and the
+    outcome counts."""
+    rows = []
+    for key, value in record["metadata"].items():
+        items = sorted(value.items()) if isinstance(value, dict) else [(None, value)]
+        rows += [(".".join(filter(None, ("metadata", key, sub))), item, "") for sub, item in items]
+    rows += [(r["name"], r["value"], r["source"]) for r in record.get("results", [])]
+    for row in record.get("table", []):
+        for column in ("numeric", "closed_form"):
+            rows.append((f"{row['sent']}.{row['outcome']}.{column}", row[column], row["source"]))
+    rows += [(f"counts.{label}", count, "multiplex") for label, count in record.get("counts", {}).items()]
+    return rows
+
+
+def test_csv_records_match_their_json_twins(workspace):
+    # the CSV form of each run record holds the JSON form's rows in its
+    # order: floats round-trip, counts are integers, null is an empty cell
+    # and a complex value its "re im" pair; the config hash names each
+    # record's own config, which differs only in the format
+    tmp_path, _, _ = workspace
+    hashes = {}
+    for fmt in ("json", "csv"):
+        raw = base_config(tmp_path / fmt, receiver={"eta": 0.8}, output={"format": fmt})
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["povm", "--construction", "both"], ["probs"], ["simulate", "--trials", "1000"], ["multiplex"]):
+            assert cli.main([argv[0], str(path), *argv[1:]]) == 0, argv
+        hashes[fmt] = cli.config_hash(raw)
+    for stem in ("povm", "probs", "simulate_run", "multiplex"):
+        record = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        header, *cells = read_csv(tmp_path / "csv" / f"{stem}.csv")
+        assert header == ["name", "value", "source"]
+        expected = _flat_record(record)
+        assert [(name, source) for name, _, source in cells] == [(name, source) for name, _, source in expected]
+        for (name, cell, _), (_, value, _) in zip(cells, expected):
+            if name == "metadata.config_hash":
+                assert (value, cell) == (hashes["json"], hashes["csv"])
+            elif value is None:
+                assert cell == "", name
+            elif isinstance(value, list):
+                assert list(map(float, cell.split(" "))) == value, name
+            elif isinstance(value, float):
+                assert float(cell) == value, name
+            elif isinstance(value, int):
+                assert int(cell) == value, name
+            else:
+                assert cell == value, name
+
+
 @pytest.mark.parametrize(
     "files",
     [
@@ -369,6 +420,11 @@ class TestConfigLoading:
         for text in (b"\xff{", b'{"rng": {"seed": ' + b"1" * 5000 + b"}}", b"[" * 100_000):
             path.write_bytes(text)
             assert cli.main(["povm", str(path)]) == 2
+        # valid JSON whose root is not an object
+        capsys.readouterr()
+        path.write_text("[1, 2]")
+        assert cli.main(["povm", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
 
     def test_dim_one_exits_2(self, workspace):
         _, out, write = workspace
@@ -598,7 +654,7 @@ class TestMultiplexCommand:
         del cfg["multiplex"]
         assert cli.main(["multiplex", write(cfg)]) == 2
 
-    def test_overflowing_gamma_is_a_config_error(self, workspace):
+    def test_overflowing_gamma_is_a_config_error(self, workspace, capsys):
         # |gamma|^2 overflows a float
         _, out, write = workspace
         cfg = base_config(out, multiplex={"gamma": [1e200, 0.0]})
@@ -606,6 +662,10 @@ class TestMultiplexCommand:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # an integer splitter transmission past a float's range
+        cfg = base_config(out, multiplex={"T": 10**400 // 9})
+        assert cli.main(["multiplex", write(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: multiplex: splitter transmission is too large for a float\n"
 
     def test_weak_splitting_warning_is_printed_once(self, workspace):
         _, out, write = workspace

@@ -498,6 +498,23 @@ class TestOutcomeProbabilities:
         assert total, message
         assert float(total[1]) == pytest.approx(np.linalg.norm(h.coherent_state(3.0, 8)) ** 2, abs=1e-12)
 
+    def test_clamp_and_imaginary_residue_are_logged(self, caplog):
+        # hand-built POVMs inside the structural guards' 1e-9: one whose
+        # inconclusive element overshoots I by 5e-10, and one whose
+        # anti-Hermitian 4e-10j off-diagonal leaves an imaginary expectation
+        cfg = ReceiverConfig(0.5, -0.5, 12)
+        eye, zero = np.eye(12), np.zeros((12, 12))
+        a = np.zeros((12, 12), dtype=complex)
+        a[0, 1] = a[1, 0] = 4e-10j
+        for elements, line in (
+            (((1 + 5e-10) * eye, zero, zero, zero), "clamped probability of outcome 00 by 5.000e-10"),
+            ((eye + a, zero, zero, -a), "imaginary residue 3.115e-10 in <00> expectation exceeds 1e-10"),
+        ):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="usdsim.discrimination"):
+                outcome_probabilities(cfg, 0.5, PovmSet(dict(zip(OUTCOME_ORDER, elements)), cfg))
+            assert line in caplog.messages
+
 
 class TestInconclusiveRate:
     def test_identical_states(self):

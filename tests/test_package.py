@@ -73,3 +73,16 @@ def test_one_guard_raise():
     assert {name: len(guard_raises(tree)) for name, tree in trees.items() if guard_raises(tree)} == {"hilbert.py": 1}
     (guard,) = [node for node in trees["hilbert.py"].body if getattr(node, "name", None) == "_guard"]
     assert len(guard_raises(guard)) == 1
+
+
+def test_cli_writers_own_the_record_and_the_cells():
+    # inside cli.py only write_record assembles a run record's metadata and
+    # only _flat_value formats a cell, so no command does either itself
+    tree = ast.parse((Path(usdsim.__file__).parent / "cli.py").read_text())
+    users = {}
+    for scope in tree.body:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name):
+                users.setdefault(node.id, set()).add(getattr(scope, "name", None))
+    assert users["run_metadata"] == {"write_record"}
+    assert users["_fmt"] == {"_flat_value"}
