@@ -79,7 +79,7 @@ class Config:
     constructor it feeds, and the raw JSON that run metadata hashes.
 
     ``rng`` is seed 0 when the file has no 'rng' section, which the multiplex
-    commands allow; ``require('rng')`` still refuses it.
+    commands allow; a command that names 'rng' to ``open_run`` refuses it.
 
     ``format`` serializes run records: 'json' or flat 'csv' rows; inherently
     tabular artifacts (the simulate table, sweep grids) are CSV regardless.
@@ -91,12 +91,6 @@ class Config:
     rng: RngStream
     format: str
     path: str
-
-    def require(self, section: str):
-        """The built section, or a config error naming the missing section."""
-        if section not in self.raw:
-            raise ConfigError(f"config is missing the '{section}' section")
-        return getattr(self, section)
 
 
 @contextmanager
@@ -178,13 +172,20 @@ def load_config(path: str | Path) -> Config:
     return Config(raw, receiver, multiplex, rng, fmt, out)
 
 
-def output_dir(config: Config) -> Path:
-    path = Path(os.environ.get(OUTPUT_DIR_ENV) or config.path)
+def open_run(path: str | Path, *sections: str) -> tuple[Config, Path]:
+    """A command's prologue: the config at ``path``, a config error for the
+    first of ``sections`` it lacks, then the output directory, created
+    (USDSIM_OUTPUT_DIR, else the config's output path)."""
+    config = load_config(path)
+    for section in sections:
+        if section not in config.raw:
+            raise ConfigError(f"config is missing the '{section}' section")
+    out = Path(os.environ.get(OUTPUT_DIR_ENV) or config.path)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return path
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return config, out
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +330,8 @@ def result(name: str, value, source: str) -> dict:
 # commands
 
 def cmd_povm(args) -> None:
-    config = load_config(args.config)
-    cfg = config.require("receiver")
-    out = output_dir(config)
+    config, out = open_run(args.config, "receiver")
+    cfg = config.receiver
     constructions = (
         ("analytic", "ancilla") if args.construction == "both" else (args.construction,)
     )
@@ -356,9 +356,8 @@ def cmd_povm(args) -> None:
 
 
 def cmd_probs(args) -> None:
-    config = load_config(args.config)
-    cfg = config.require("receiver")
-    out = output_dir(config)
+    config, out = open_run(args.config, "receiver")
+    cfg = config.receiver
     povm = povm_analytic(cfg)
     table = []
     for sent_name, sent in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
@@ -400,10 +399,8 @@ _SIMULATE_HEADER = [
 def cmd_simulate(args) -> None:
     with _config_errors():
         n = check_draws(args.trials, "--trials")
-    config = load_config(args.config)
-    cfg = config.require("receiver")
-    rng = config.require("rng")
-    out = output_dir(config)
+    config, out = open_run(args.config, "receiver", "rng")
+    cfg, rng = config.receiver, config.rng
     tallies = run_trials(cfg, n, rng)
     rows = []
     for sent_value, sent_name, sent in ((1, "alpha1", cfg.alpha1), (2, "alpha2", cfg.alpha2)):
@@ -431,9 +428,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_multiplex(args) -> None:
-    config = load_config(args.config)
-    cfg = config.require("multiplex")
-    out = output_dir(config)
+    config, out = open_run(args.config, "multiplex")
+    cfg = config.multiplex
     report = run_protocol(cfg, config.rng)
     results = [
         result("alice_signal_amp", alice_emit(1, cfg), "multiplex"),
@@ -480,17 +476,15 @@ def cmd_sweep(args) -> None:
         )
     with _config_errors():
         mc = None if args.mc is None else check_draws(args.mc, "--mc")
-    config = load_config(args.config)
     separation = args.param == "alpha_separation"
     if separation:
-        base = config.require("receiver")
-        if mc is not None:
-            config.require("rng")
+        config, out = open_run(args.config, "receiver", *(["rng"] if mc is not None else []))
+        base = config.receiver
     else:
-        base = config.require("multiplex")
+        config, out = open_run(args.config, "multiplex")
+        base = config.multiplex
         rounds = {} if mc is None else {"rounds": mc}
         phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
-    out = output_dir(config)
     header = [args.param, "analytic_inconclusive", "analytic_quantum_bound"]
     if not separation:
         header.append("analytic_ratio")

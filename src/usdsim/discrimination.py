@@ -39,7 +39,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class ReceiverConfig:
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
         object.__setattr__(self, "dim", check_dim(self.dim))
-        object.__setattr__(self, "eta", check_efficiency(self.eta))
+        object.__setattr__(self, "eta", check_efficiency(self.eta, "detector efficiency"))
 
     @property
     def beta1(self) -> complex:
@@ -155,14 +155,6 @@ def _outcome_values(mapping: Mapping, what: str) -> list:
     return [mapping[o] for o in OUTCOME_ORDER]
 
 
-@dataclass(frozen=True, eq=False)
-class _Element:
-    """One POVM element: a read-only complex128 ``matrix``.  The holder exists
-    only because perfbench/fock.py reads ``povm[o].matrix``."""
-
-    matrix: np.ndarray
-
-
 class _Built(dict):
     """Elements that a construction of this module has just built as fresh
     complex128 arrays, referenced nowhere else: PovmSet adopts them as they
@@ -176,14 +168,15 @@ class PovmSet:
     Built from a mapping with exactly one ``config.dim`` square array per
     outcome; anything else raises ValueError.  The PovmSet owns its elements:
     ``elements`` maps each outcome, in OUTCOME_ORDER, to a read-only complex128
-    copy of the array it was given (``povm[o].matrix`` is the same array), so
-    nothing written through the PovmSet or into the caller's arrays can undo
-    its guards.  Only ``povm_analytic`` and ``povm_ancilla`` hand over arrays
-    that no caller holds, and those are adopted without a copy.  Construction
-    then runs the hermiticity, completeness and positivity guards once each, in
-    that order, so no PovmSet exists unvalidated; ``guards`` keeps their values
-    in ``povm``'s order.  ``elements`` is a read-only mapping, so
-    ``PovmSet(povm.elements, povm.config)`` rebuilds a PovmSet from copies.
+    copy of the array it was given, so nothing written through the PovmSet or
+    into the caller's arrays can undo its guards.  Only ``povm_analytic`` and
+    ``povm_ancilla`` hand over arrays that no caller holds, and those are
+    adopted without a copy.  Construction then runs the hermiticity,
+    completeness and positivity guards once each, in that order, so no PovmSet
+    exists unvalidated; ``guards`` keeps their values in ``povm``'s order.
+    ``elements`` is a read-only mapping, so ``PovmSet(povm.elements,
+    povm.config)`` rebuilds a PovmSet from copies.  ``povm[o].matrix``, the
+    same array as ``povm.elements[o]``, exists only for perfbench/fock.py:49.
     """
 
     elements: Mapping[Outcome, np.ndarray]
@@ -216,8 +209,9 @@ class PovmSet:
         guards = dict(completeness_residual=resid, min_eigenvalue=min_eig, hermiticity_defect=herm)
         object.__setattr__(self, "guards", MappingProxyType(guards))
 
-    def __getitem__(self, outcome: Outcome) -> _Element:
-        return _Element(self.elements[outcome])
+    def __getitem__(self, outcome: Outcome) -> SimpleNamespace:
+        """``elements[outcome]`` as ``.matrix``, only for perfbench/fock.py:49."""
+        return SimpleNamespace(matrix=self.elements[outcome])
 
     def completeness_residual(self) -> float:
         total = sum(self.elements.values())

@@ -83,12 +83,13 @@ def check_dim(dim: int) -> int:
     return dim
 
 
-def check_efficiency(eta: float) -> float:
-    """Validate a detector efficiency, a real number in [0, 1]."""
-    eta = _as_real(eta, "detector efficiency")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"detector efficiency must lie in [0, 1], got {eta}")
-    return eta
+def check_efficiency(value: float, name: str) -> float:
+    """Validate a real number in [0, 1] named ``name``: a detector efficiency,
+    or the kappa of ``normally_ordered_gaussian``."""
+    value = _as_real(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 def _as_amplitude(alpha: complex) -> complex:
@@ -249,9 +250,7 @@ def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> np.ndar
     of a truncated basis, so it serves as an independent test oracle
     (tests/oracles.py) rather than as the construction.
     """
-    kappa = _as_real(kappa, "kappa")
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+    kappa = check_efficiency(kappa, "kappa")
     alpha = _as_amplitude(alpha)
     return normally_ordered_exponential(
         kappa * alpha,

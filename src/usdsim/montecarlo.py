@@ -34,15 +34,13 @@ from .discrimination import (
     outcome_probabilities,
     povm_analytic,
 )
-from .hilbert import _as_integer
+from .hilbert import STRUCTURAL_TOL, _as_integer
 
 #: Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
 
 #: Probability mass below this is treated as an exact zero before sampling.
 SUB_TOLERANCE_MASS = 1e-9
-
-_DISTRIBUTION_SUM_TOL = 1e-9
 
 #: Largest number of draws one call makes: counts and rates built from up to
 #: 2**53 draws are exact in float64.
@@ -122,8 +120,9 @@ def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
         raise ValueError("distribution contains non-finite probabilities")
     if np.any(probs < -SUB_TOLERANCE_MASS):
         raise ValueError(f"distribution contains negative probability: {probs}")
-    if abs(probs.sum() - 1.0) > _DISTRIBUTION_SUM_TOL:
-        raise ValueError(f"distribution sums to {probs.sum()!r}, expected 1")
+    total = float(probs.sum())
+    if abs(total - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"distribution sums to {total!r}, expected 1")
     probs = np.where(probs < SUB_TOLERANCE_MASS, 0.0, probs)
     return probs / probs.sum()
 

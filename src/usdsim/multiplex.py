@@ -59,7 +59,7 @@ class MultiplexConfig:
         t = _as_real(self.splitter_transmission, "splitter transmission")
         if not 0.0 < t < 1.0:
             raise ValueError(f"splitter transmission must lie in (0, 1), got {t}")
-        eta = check_efficiency(self.eta)
+        eta = check_efficiency(self.eta, "detector efficiency")
         c = _as_real(self.channel_transmission, "channel transmission")
         if not 0.0 < c <= 1.0:
             raise ValueError(f"channel transmission must lie in (0, 1], got {c}")
@@ -147,7 +147,7 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
 
     Each detector clicks independently with probability 1 - exp(-eta |amp|^2).
     """
-    eta = check_efficiency(eta)
+    eta = check_efficiency(eta, "detector efficiency")
     no1 = math.exp(-eta * abs(_as_amplitude(amps.amp_d1)) ** 2)
     no2 = math.exp(-eta * abs(_as_amplitude(amps.amp_d2)) ** 2)
     return _joint_outcomes(no1, no2)

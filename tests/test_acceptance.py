@@ -65,7 +65,7 @@ def test_criterion_1_povm_cross_oracle(povm_pairs):
     worst_eig = 0.0
     for cfg, analytic, ancilla in povm_pairs:
         cross = max(
-            float(np.max(np.abs(analytic[o].matrix - ancilla[o].matrix)))
+            float(np.max(np.abs(analytic.elements[o] - ancilla.elements[o])))
             for o in OUTCOME_ORDER
         )
         worst_cross = max(worst_cross, cross)
@@ -91,15 +91,15 @@ def test_criterion_2_closed_form_probabilities():
     worst = 0.0
     for sent in (cfg.alpha1, cfg.alpha2):
         state = h.coherent_state(sent, DIM)
-        p00 = np.vdot(state, povm[Outcome.INCONCLUSIVE].matrix @ state).real
-        p11 = np.vdot(state, povm[Outcome.ANOMALOUS].matrix @ state).real
+        p00 = np.vdot(state, povm.elements[Outcome.INCONCLUSIVE] @ state).real
+        p11 = np.vdot(state, povm.elements[Outcome.ANOMALOUS] @ state).real
         worst = max(worst, abs(p00 - no_click))
         assert p00 == pytest.approx(no_click, abs=1e-8)
         assert abs(p11) <= 1e-9
     s1 = h.coherent_state(cfg.alpha1, DIM)
     s2 = h.coherent_state(cfg.alpha2, DIM)
-    assert abs(np.vdot(s2, povm[Outcome.CONCLUSIVE_1].matrix @ s2)) <= 1e-9
-    assert abs(np.vdot(s1, povm[Outcome.CONCLUSIVE_2].matrix @ s1)) <= 1e-9
+    assert abs(np.vdot(s2, povm.elements[Outcome.CONCLUSIVE_1] @ s2)) <= 1e-9
+    assert abs(np.vdot(s1, povm.elements[Outcome.CONCLUSIVE_2] @ s1)) <= 1e-9
     print(f"\nACCEPTANCE 2 PASS: inconclusive = exp(-2) within {worst:.2e}, zeros below 1e-9")
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden_env import openblas_note, probe, version_differences, workloads
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from usdsim import cli
@@ -431,17 +431,43 @@ class TestConfigLoading:
         path = write(base_config(out, receiver={"dim": 1}))
         assert cli.main(["povm", path]) == 2
 
-    def test_unknown_key_exits_2(self, workspace):
+    def test_unknown_key_exits_2(self, workspace, capsys):
         _, out, write = workspace
         cfg = base_config(out)
         cfg["receiver"]["mystery"] = 1
         assert cli.main(["povm", write(cfg)]) == 2
+        # reported ahead of a section the command needs and the file lacks
+        del cfg["multiplex"]
+        capsys.readouterr()
+        assert cli.main(["multiplex", write(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: unknown keys in 'receiver': ['mystery']\n"
+        assert not out.exists()
 
     def test_unknown_section_exits_2(self, workspace):
         _, out, write = workspace
         cfg = base_config(out)
         cfg["detector"] = {}
         assert cli.main(["povm", write(cfg)]) == 2
+
+    def test_missing_section_exits_2_and_creates_no_directory(self, workspace, capsys):
+        _, out, write = workspace
+        separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2", "--mc", "10"]
+        for argv, section in (
+            (["povm"], "receiver"),
+            (["probs"], "receiver"),
+            (["simulate", "--trials", "10"], "receiver"),
+            (["simulate", "--trials", "10"], "rng"),
+            (["multiplex"], "multiplex"),
+            (["sweep", *separation], "receiver"),
+            (["sweep", *separation], "rng"),
+            (["sweep", "--param", "T", "--from", "0.01", "--to", "0.1", "--steps", "2"], "multiplex"),
+        ):
+            cfg = base_config(out)
+            del cfg[section]
+            command, *flags = argv
+            assert cli.main([command, write(cfg), *flags]) == 2, argv
+            assert capsys.readouterr().err == f"config error: config is missing the '{section}' section\n"
+            assert not out.exists(), argv
 
     def test_bad_amplitude_shape_exits_2(self, workspace):
         _, out, write = workspace
@@ -688,6 +714,12 @@ class TestMultiplexCommand:
 
 
 
+# sweep ends: any finite float, and ends within a few hundred ulps of zero,
+# whose step is subnormal or underflows to 0, where linspace computes in
+# another order
+_GRID_ENDS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-321, 1e-321)
+
+
 class TestSweepCommand:
     def test_eta_sweep_monotone(self, workspace):
         _, out, write = workspace
@@ -726,12 +758,20 @@ class TestSweepCommand:
         for row in rows[1:]:
             assert abs(float(row[4]) - float(row[1])) < 0.05
 
-    def test_grid_points_equal_linspace(self):
-        # the last case has a subnormal step, which linspace computes in
-        # another order
-        for start, stop, steps in ((0.0, 1.0, 11), (0.01, 0.2, 7), (-1.5, 2e154, 3), (0.0, 1e-323, 5)):
-            lazy = [cli._grid_point(start, stop, steps, i) for i in range(steps)]
-            assert np.array_equal(lazy, np.linspace(start, stop, steps)), (start, stop, steps)
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(start=_GRID_ENDS, stop=_GRID_ENDS, steps=st.integers(2, 200))
+    @example(start=0.0, stop=1.0, steps=11)
+    @example(start=0.01, stop=0.2, steps=7)
+    @example(start=-1.5, stop=2e154, steps=3)
+    @example(start=0.0, stop=1e-323, steps=5)
+    def test_grid_points_equal_linspace(self, start, stop, steps):
+        assume(start < stop and math.isfinite(stop - start))
+        lazy = np.array([cli._grid_point(start, stop, steps, i) for i in range(steps)])
+        # linspace also multiplies out the last point before it writes stop
+        # there, which overflows for ends near the largest float
+        with np.errstate(over="ignore"):
+            grid = np.linspace(start, stop, steps)
+        assert lazy.tobytes() == grid.tobytes()
 
     def test_single_step_exits_2(self, workspace):
         _, out, write = workspace
@@ -871,6 +911,17 @@ class TestOutputDirectory:
         assert cli.main(["probs", write(base_config(out))]) == 0
         assert (override / "probs.json").is_file()
         assert not (out / "probs.json").exists()
+
+    def test_output_path_under_a_file_exits_2(self, workspace):
+        tmp_path, _, write = workspace
+        (tmp_path / "a_file").write_text("")
+        blocked = tmp_path / "a_file" / "out"
+        proc = run_fresh("probs", write(base_config(blocked)))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"config error: cannot create output directory {blocked}: "
+            f"[Errno 20] Not a directory: {str(blocked)!r}\n"
+        )
 
     def test_unwritable_artifact_exits_2(self, workspace):
         # each artifact path is taken by a directory, so the open fails, or

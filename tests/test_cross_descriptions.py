@@ -93,7 +93,7 @@ def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
     assert cfg.dim <= 32
     analytic, ancilla = povm_analytic(cfg), povm_ancilla(cfg)
     for outcome in OUTCOME_ORDER:
-        gap = np.max(np.abs(analytic[outcome].matrix - ancilla[outcome].matrix))
+        gap = np.max(np.abs(analytic.elements[outcome] - ancilla.elements[outcome]))
         assert gap <= CROSS_ORACLE_TOL, outcome
     # the elements themselves, not only the probabilities read from them,
     # describe the receiver at this efficiency
@@ -101,7 +101,7 @@ def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
         state = coherent_state(sent, cfg.dim)
         closed = closed_form_probabilities(cfg, sent)
         for outcome in OUTCOME_ORDER:
-            expectation = np.vdot(state, ancilla[outcome].matrix @ state).real
+            expectation = np.vdot(state, ancilla.elements[outcome] @ state).real
             assert abs(expectation - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
 
 

@@ -55,7 +55,7 @@ def adequacy_norm(message, name, dim):
 
 def cross_discrepancy(povm_a, povm_b):
     return max(
-        float(np.max(np.abs(povm_a[o].matrix - povm_b[o].matrix))) for o in OUTCOME_ORDER
+        float(np.max(np.abs(povm_a.elements[o] - povm_b.elements[o]))) for o in OUTCOME_ORDER
     )
 
 
@@ -72,8 +72,9 @@ class TestReceiverConfig:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ReceiverConfig(1.0, -1.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             ReceiverConfig(1.0, -1.0, 16, eta=1.5)
+        assert str(info.value) == "detector efficiency must lie in [0, 1], got 1.5"
         for junk in ("0.5", None, True):
             with pytest.raises(ValueError):
                 ReceiverConfig(1.0, -1.0, 16, eta=junk)
@@ -103,7 +104,7 @@ class TestAnalyticPovm:
         target = math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         for sent in (cfg.alpha1, cfg.alpha2):
             state = h.coherent_state(sent, cfg.dim)
-            p00 = np.vdot(state, povm[Outcome.INCONCLUSIVE].matrix @ state).real
+            p00 = np.vdot(state, povm.elements[Outcome.INCONCLUSIVE] @ state).real
             assert p00 == pytest.approx(target, abs=1e-8)
 
     def test_wrong_conclusive_never_fires(self):
@@ -111,10 +112,10 @@ class TestAnalyticPovm:
         povm = povm_analytic(cfg)
         s1 = h.coherent_state(cfg.alpha1, cfg.dim)
         s2 = h.coherent_state(cfg.alpha2, cfg.dim)
-        assert abs(np.vdot(s2, povm[Outcome.CONCLUSIVE_1].matrix @ s2)) <= 1e-9
-        assert abs(np.vdot(s1, povm[Outcome.CONCLUSIVE_2].matrix @ s1)) <= 1e-9
-        assert abs(np.vdot(s1, povm[Outcome.ANOMALOUS].matrix @ s1)) <= 1e-9
-        assert abs(np.vdot(s2, povm[Outcome.ANOMALOUS].matrix @ s2)) <= 1e-9
+        assert abs(np.vdot(s2, povm.elements[Outcome.CONCLUSIVE_1] @ s2)) <= 1e-9
+        assert abs(np.vdot(s1, povm.elements[Outcome.CONCLUSIVE_2] @ s1)) <= 1e-9
+        assert abs(np.vdot(s1, povm.elements[Outcome.ANOMALOUS] @ s1)) <= 1e-9
+        assert abs(np.vdot(s2, povm.elements[Outcome.ANOMALOUS] @ s2)) <= 1e-9
 
     def test_truncation_adequacy_guard(self):
         message = guard_message(povm_analytic, ReceiverConfig(3.5, -3.5, 16))
@@ -143,7 +144,7 @@ class TestAnalyticPovm:
         mu = 0.5 * (a1 + a2)
         state = h.coherent_state(mu, 32)
         oracle = math.exp(-0.25 * abs(a1 - a2) ** 2) * np.outer(state, state.conj())
-        assert np.max(np.abs(povm[Outcome.INCONCLUSIVE].matrix - oracle)) <= 1e-12
+        assert np.max(np.abs(povm.elements[Outcome.INCONCLUSIVE] - oracle)) <= 1e-12
 
 
 class TestAncillaPovm:
@@ -174,8 +175,8 @@ class TestAncillaPovm:
             analytic = povm_analytic(cfg)
             fused = povm_ancilla(cfg)
             for outcome, reduced in oracles.conjugated_ancilla_povm(cfg).items():
-                assert np.max(np.abs(reduced - fused[outcome].matrix)) <= 1e-12
-                assert np.max(np.abs(reduced - analytic[outcome].matrix)) <= 1e-8
+                assert np.max(np.abs(reduced - fused.elements[outcome])) <= 1e-12
+                assert np.max(np.abs(reduced - analytic.elements[outcome])) <= 1e-8
 
     def test_streamed_reduction_is_bitwise_the_dense_product(self):
         # the slabs L[:, c] (x) [R | R'] of a pair of outcomes sharing L split
@@ -202,9 +203,9 @@ class TestAncillaPovm:
             streamed = povm_ancilla(cfg)
             for outcome, dense in oracles.dense_ancilla_povm(cfg).items():
                 if exact:
-                    assert streamed[outcome].matrix.tobytes() == dense.tobytes(), (cfg, outcome)
+                    assert streamed.elements[outcome].tobytes() == dense.tobytes(), (cfg, outcome)
                 else:
-                    assert np.max(np.abs(streamed[outcome].matrix - dense)) <= 1e-15, (cfg, outcome)
+                    assert np.max(np.abs(streamed.elements[outcome] - dense)) <= 1e-15, (cfg, outcome)
 
     def test_reduction_never_holds_a_two_mode_operator(self):
         # one dense kron(L, R) alone is dim^4 * 16 bytes, 41 MB at dim 40;
@@ -384,10 +385,10 @@ class TestPovmInvariants:
 
     def test_element_matrices_are_read_only(self):
         povm = povm_analytic(ReceiverConfig(0.5, -0.5, 8))
-        before = povm[Outcome.ANOMALOUS].matrix.copy()
+        before = povm.elements[Outcome.ANOMALOUS].copy()
         with pytest.raises(ValueError, match="read-only"):
-            povm[Outcome.ANOMALOUS].matrix[0, 0] = 5.0
-        assert np.array_equal(povm[Outcome.ANOMALOUS].matrix, before)
+            povm.elements[Outcome.ANOMALOUS][0, 0] = 5.0
+        assert np.array_equal(povm.elements[Outcome.ANOMALOUS], before)
 
     def test_caller_array_stays_writeable_and_is_copied(self):
         # a caller writing 7 I into the array it built INCONCLUSIVE from must
@@ -398,8 +399,8 @@ class TestPovmInvariants:
         povm = PovmSet(elements, cfg)
         for outcome in OUTCOME_ORDER:
             assert elements[outcome].flags.writeable
-            assert not povm[outcome].matrix.flags.writeable
-            assert not np.shares_memory(povm[outcome].matrix, elements[outcome])
+            assert not povm.elements[outcome].flags.writeable
+            assert not np.shares_memory(povm.elements[outcome], elements[outcome])
         elements[Outcome.INCONCLUSIVE][:] = 7 * np.eye(4)
         assert povm.completeness_residual() == povm.guards["completeness_residual"] == 0.0
         assert povm.max_hermiticity_defect() == povm.guards["hermiticity_defect"]
@@ -429,7 +430,7 @@ class TestPovmInvariants:
             (Outcome.ANOMALOUS, Outcome.ANOMALOUS),
         ]
         for orig, mirror in pairs:
-            assert np.max(np.abs(povm[orig].matrix - swapped[mirror].matrix)) <= 1e-9
+            assert np.max(np.abs(povm.elements[orig] - swapped.elements[mirror])) <= 1e-9
 
     def test_discrepancy_never_grows_with_dim(self):
         # both constructions reproduce the untruncated matrix elements, so the
@@ -456,7 +457,7 @@ class TestOutcomeProbabilities:
     def test_blind_detectors(self):
         cfg = ReceiverConfig(0.8, -0.8, 32, eta=0.0)
         for povm in (povm_analytic(cfg), povm_ancilla(cfg)):
-            assert np.array_equal(povm[Outcome.INCONCLUSIVE].matrix, np.eye(32))
+            assert np.array_equal(povm.elements[Outcome.INCONCLUSIVE], np.eye(32))
             probs = outcome_probabilities(cfg, cfg.alpha1, povm)
             assert probs[Outcome.INCONCLUSIVE] == 1.0
             assert all(probs[o] == 0.0 for o in OUTCOME_ORDER if o is not Outcome.INCONCLUSIVE)

@@ -263,6 +263,14 @@ class TestNormallyOrderedGaussian:
         for bad in (-0.5, 1.5, math.nan):
             with pytest.raises(ValueError, match="kappa"):
                 h.normally_ordered_gaussian(bad, 0.5, 8)
+        # the detector efficiency's check, under kappa's name
+        for bad, message in (
+            (1.5, "kappa must lie in [0, 1], got 1.5"),
+            ("x", "kappa must be a real number, got 'x'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                h.normally_ordered_gaussian(bad, 0.5, 8)
+            assert str(info.value) == message
 
     def test_kappa_zero_is_the_identity_bit_for_bit(self):
         # a blind detector: the same bytes as np.eye, with no -0.0 anywhere

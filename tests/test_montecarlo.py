@@ -89,6 +89,15 @@ class TestSampling:
         probs = clean_distribution(dict(zip(OUTCOME_ORDER, [1.0 - 3e-10, 1e-10, 1e-10, 1e-10])))
         np.testing.assert_array_equal(probs, [1.0, 0.0, 0.0, 0.0])
 
+    def test_sum_is_checked_to_the_normalization_guard_tolerance(self):
+        # the 1e-9 of outcome_probabilities' normalization guard; the sum is
+        # printed as a Python float
+        with pytest.raises(ValueError) as info:
+            clean_distribution(dict(zip(OUTCOME_ORDER, [1.000000002, 0.0, 0.0, 0.0])))
+        assert str(info.value) == "distribution sums to 1.000000002, expected 1"
+        probs = clean_distribution(dict(zip(OUTCOME_ORDER, [1.0, 5e-10, 0.0, 0.0])))
+        np.testing.assert_array_equal(probs, [1.0, 0.0, 0.0, 0.0])
+
     def test_distribution_keys_must_be_exactly_the_four_outcomes(self):
         dist = dict(zip(OUTCOME_ORDER, [0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(ValueError, match="missing CONCLUSIVE_2; unexpected none"):

@@ -86,3 +86,17 @@ def test_cli_writers_own_the_record_and_the_cells():
                 users.setdefault(node.id, set()).add(getattr(scope, "name", None))
     assert users["run_metadata"] == {"write_record"}
     assert users["_fmt"] == {"_flat_value"}
+
+
+def test_cli_opens_each_run_in_one_place():
+    # inside cli.py only open_run loads the config and creates the output
+    # directory, so every command checks its sections before any directory
+    tree = ast.parse((Path(usdsim.__file__).parent / "cli.py").read_text())
+    callers = {}
+    for scope in tree.body:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                callers.setdefault(name, set()).add(getattr(scope, "name", None))
+    assert callers["load_config"] == {"open_run"}
+    assert callers["mkdir"] == {"open_run"}
