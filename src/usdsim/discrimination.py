@@ -37,8 +37,9 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -58,7 +59,10 @@ from .hilbert import (
 logger = logging.getLogger(__name__)
 
 # Eigenvalues in [-EIGENVALUE_CLAMP, 0) count as roundoff zeros; anything more
-# negative marks a construction bug rather than floating-point dust.
+# negative marks a construction bug rather than floating-point dust.  A PovmSet
+# certifies this at build time by a Cholesky factorization shifted by half the
+# clamp, and computes the least eigenvalue only where that fails or where
+# ``guards`` is read.
 EIGENVALUE_CLAMP = 1e-10
 
 # Probability clamps larger than this are logged instead of silently absorbed.
@@ -174,15 +178,19 @@ class PovmSet:
     ``povm_ancilla`` hand over arrays that no caller holds, and those are
     adopted without a copy.  Construction then runs the hermiticity,
     completeness and positivity guards once each, in that order, so no PovmSet
-    exists unvalidated; ``guards`` keeps their values in ``povm``'s order.
-    ``elements`` is a read-only mapping, so ``PovmSet(povm.elements,
-    povm.config)`` rebuilds a PovmSet from copies.  ``povm[o].matrix``, the
-    same array as ``povm.elements[o]``, exists only for perfbench/fock.py:49.
+    exists unvalidated.  Positivity is certified by a Cholesky factorization
+    of each element's Hermitian part shifted by half the clamp; only where one
+    fails is the least eigenvalue computed, and the guard decides on it.
+    ``guards`` keeps the three values in ``povm``'s order: the least
+    eigenvalue, which only ``povm`` reports, is computed on the first read
+    and cached.  ``elements`` is a read-only mapping, so
+    ``PovmSet(povm.elements, povm.config)`` rebuilds a PovmSet from copies.
+    ``povm[o].matrix``, the same array as ``povm.elements[o]``, exists only
+    for perfbench/fock.py:49.
     """
 
     elements: Mapping[Outcome, np.ndarray]
     config: ReceiverConfig
-    guards: MappingProxyType[str, float] = field(init=False)
 
     def __post_init__(self):
         dim = self.config.dim
@@ -203,12 +211,20 @@ class PovmSet:
         _guard("hermiticity", herm <= STRUCTURAL_TOL, "POVM defect %.3e exceeds %.1e", herm, STRUCTURAL_TOL)
         resid = self.completeness_residual()
         _guard("completeness", resid <= STRUCTURAL_TOL, "residual %.3e exceeds %.1e", resid, STRUCTURAL_TOL)
-        min_eig = self.min_eigenvalue()
-        _guard(
-            "positivity", min_eig >= -EIGENVALUE_CLAMP, "eigenvalue %.3e below -%.1e", min_eig, EIGENVALUE_CLAMP
-        )
-        guards = dict(completeness_residual=resid, min_eigenvalue=min_eig, hermiticity_defect=herm)
-        object.__setattr__(self, "guards", MappingProxyType(guards))
+        object.__setattr__(self, "_measured", (resid, herm))
+        if not self._certified_positive():
+            min_eig = self.min_eigenvalue()
+            _guard(
+                "positivity", min_eig >= -EIGENVALUE_CLAMP, "eigenvalue %.3e below -%.1e", min_eig, EIGENVALUE_CLAMP
+            )
+
+    @cached_property
+    def guards(self) -> MappingProxyType[str, float]:
+        """The guard values, read-only; the least eigenvalue is computed on
+        the first read."""
+        resid, herm = self._measured
+        guards = dict(completeness_residual=resid, min_eigenvalue=self.min_eigenvalue(), hermiticity_defect=herm)
+        return MappingProxyType(guards)
 
     def __getitem__(self, outcome: Outcome) -> SimpleNamespace:
         """``elements[outcome]`` as ``.matrix``, only for perfbench/fock.py:49."""
@@ -218,18 +234,36 @@ class PovmSet:
         total = sum(self.elements.values())
         return float(np.max(np.abs(total - np.eye(self.config.dim))))
 
-    # The next two guards take each element's conjugate transpose once, as a
-    # fresh copy, and fill it in place with m + m^dag or m - m^dag: the same
-    # operations in the same order as the plain expressions, with one
-    # complex dim x dim temporary per element instead of two or three.
-    def min_eigenvalue(self) -> float:
-        lowest = []
+    # The Hermitian parts and the hermiticity defect take each element's
+    # conjugate transpose once, as a fresh copy, and fill it in place with
+    # (m + m^dag)/2 or m - m^dag: the same operations in the same order as
+    # the plain expressions, with one complex dim x dim temporary per element
+    # instead of two or three.
+    def _hermitian_parts(self):
         for m in self.elements.values():
             h = m.conj().T
             np.add(m, h, out=h)
             np.multiply(0.5, h, out=h)
-            lowest.append(float(np.linalg.eigvalsh(h)[0]))
-        return min(lowest)
+            yield h
+
+    def _certified_positive(self) -> bool:
+        """Whether a Cholesky factorization of every Hermitian part, with
+        EIGENVALUE_CLAMP/2 added to its diagonal, succeeds.  Where all four
+        succeed, each part's least eigenvalue is at least -EIGENVALUE_CLAMP/2
+        up to the factorization's backward error of about dim * eps * |h|,
+        and as the parts sum to I within STRUCTURAL_TOL (the completeness
+        guard runs first), each |h| is about 1 at most: the eigenvalue guard
+        would pass.  A failure proves nothing, and the guard decides."""
+        for h in self._hermitian_parts():
+            h.flat[:: self.config.dim + 1] += 0.5 * EIGENVALUE_CLAMP
+            try:
+                np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
+    def min_eigenvalue(self) -> float:
+        return min(float(np.linalg.eigvalsh(h)[0]) for h in self._hermitian_parts())
 
     def max_hermiticity_defect(self) -> float:
         defects = []

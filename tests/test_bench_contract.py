@@ -3,6 +3,8 @@
 The benchmark reads library names from the outside: its tracer records
 ``TrialTally.n_trials`` and ``KeyReport.rounds`` as span attributes and wraps
 the ``PovmSet`` guard methods, and its fock job reads ``povm[o].matrix``.
+The least-eigenvalue guard runs only where ``guards`` is read, which the
+``povm`` command does and the fock job does not.
 Each test runs one job through ``perfbench/launch.py`` with tracing on, in a
 fresh interpreter, as the benchmark's traced pass does.  The perfbench files
 are loaded from perfbench/ by path, read only.
@@ -79,5 +81,21 @@ def test_traced_fock_job_passes_its_checks(tmp_path):
     assert json.loads((tmp_path / "job" / "results.json").read_text()) == [[], []]
     names = {s[0] for s in spans}
     assert {"discrimination.povm_analytic", "discrimination.povm_ancilla"} <= names
-    assert {f"discrimination.PovmSet.{m}" for m in tracer.POVM_GUARDS} <= names
+    # construction runs the two structural guards and certifies positivity
+    # without an eigenvalue; no library check reads the least eigenvalue
+    eager = {"completeness_residual", "max_hermiticity_defect"}
+    assert {f"discrimination.PovmSet.{m}" for m in eager} <= names
+    assert "discrimination.PovmSet.min_eigenvalue" not in names
     assert {s[4] for s in spans} == {0, 1}  # every span belongs to an operation
+
+
+def test_traced_povm_job_reads_every_guard(tmp_path):
+    # povm reports the least eigenvalue, so each guard the tracer wraps is
+    # still a live method that a benchmark job calls
+    files = {"config.json": readme_config(1000)}
+    argv = ["cli", "povm", "config.json", "--construction", "analytic"]
+    spans = launch(tmp_path / "job", *argv, files=files)
+    assert workloads.check_povm_analytic(tmp_path / "job" / "out") == []
+    names = [s[0] for s in spans]
+    for method in tracer.POVM_GUARDS:
+        assert names.count(f"discrimination.PovmSet.{method}") == 1, method

@@ -538,6 +538,23 @@ class TestPovmCommand:
             assert cli.main(["povm", path, "--construction", construction]) == 0
             assert len(calls) == expected, construction
 
+    def test_commands_that_report_no_eigenvalue_take_none(self, workspace, monkeypatch):
+        # the POVMs these commands build certify positivity without eigvalsh,
+        # and none of them reads guards
+        _, out, write = workspace
+        path = write(base_config(out))
+        calls = []
+
+        def counted(matrix, _eigvalsh=np.linalg.eigvalsh):
+            calls.append(matrix.shape)
+            return _eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "3", "--mc", "100"]
+        for argv in (["probs", path], ["simulate", path, "--trials", "1000"], ["sweep", path, *separation]):
+            assert cli.main(argv) == 0, argv
+        assert calls == []
+
     def test_dump_format_round_trips(self, workspace):
         _, out, write = workspace
         assert cli.main(["povm", write(base_config(out)), "--construction", "analytic", "--dump"]) == 0

@@ -68,6 +68,33 @@ def ancilla_configs(draw):
     return ReceiverConfig(alpha1, alpha2, dim, eta)
 
 
+def least_eigenvalue(elements):
+    """The positivity rule's measure written out: the least eigenvalue, by
+    eigvalsh, of the elements' Hermitian parts as complex128 arrays."""
+    parts = (np.asarray(m, dtype=np.complex128) for m in elements)
+    return min(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) for m in parts)
+
+
+@st.composite
+def sets_near_the_clamp(draw):
+    """(cfg, elements): four complex elements of a dim in 2-24 that sum to I.
+    One has least eigenvalue -10**u, u uniform in [-12, -8], and the rest of
+    its spectrum in [0.1, 0.3]; two have spectra in [0.1, 0.2]; the fourth is
+    I minus the three, so its spectrum lies in [0.3, 0.7].  Each is rotated by
+    its own random unitary."""
+    dim = draw(st.integers(2, 24))
+    lowest = -(10.0 ** draw(st.floats(-12.0, -8.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rotated(spectrum):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        return (q * spectrum) @ q.conj().T
+
+    first = rotated(np.concatenate(([lowest], rng.uniform(0.1, 0.3, dim - 1))))
+    second, third = (rotated(rng.uniform(0.1, 0.2, dim)) for _ in range(2))
+    return ReceiverConfig(0.5, -0.5, dim), (np.eye(dim) - first - second - third, first, second, third)
+
+
 def random_pairs(n, rng, max_mag=1.5):
     pairs = []
     while len(pairs) < n:
@@ -348,11 +375,18 @@ class TestPovmInvariants:
 
             monkeypatch.setattr(PovmSet, method, counted)
         cfg = ReceiverConfig(0.7 - 0.2j, -0.4 + 0.5j, 16, eta=0.8)
+        eager = ["max_hermiticity_defect", "completeness_residual"]
         for build in (povm_analytic, povm_ancilla):
             calls.clear()
             povm = build(cfg)
-            assert calls == ["max_hermiticity_defect", "completeness_residual", "min_eigenvalue"]
+            # positivity is certified without an eigenvalue; the least
+            # eigenvalue is computed on the first read of guards, and only then
+            assert calls == eager
+            guards = povm.guards
+            assert calls == eager + ["min_eigenvalue"]
+            assert povm.guards is guards
             assert list(povm.guards) == ["completeness_residual", "min_eigenvalue", "hermiticity_defect"]
+            assert calls == eager + ["min_eigenvalue"]
             assert povm.guards["completeness_residual"] == povm.completeness_residual()
             assert povm.guards["min_eigenvalue"] == povm.min_eigenvalue()
             assert povm.guards["hermiticity_defect"] == povm.max_hermiticity_defect()
@@ -382,6 +416,63 @@ class TestPovmInvariants:
         negative = np.diag([-1e-12, 0.0, 0.0, 0.0])
         povm = PovmSet(dict(zip(OUTCOME_ORDER, (eye - negative, negative, zero, zero))), cfg)
         assert povm.guards["min_eigenvalue"] == -1e-12
+
+    @pytest.mark.parametrize("lowest", [-1e-6, -1.5e-10, -1e-10, -7e-11, -5e-11, -1e-12, 0.0])
+    def test_positivity_certificate_keeps_the_eigenvalue_rule(self, lowest, monkeypatch):
+        # one diagonal element of least eigenvalue `lowest` beside dense ones
+        # well inside the cone.  The Cholesky certificate, shifted by half the
+        # clamp, decides alone above -5e-11; at and below it the least
+        # eigenvalue is computed at construction and the rule decides
+        calls = []
+        original = PovmSet.min_eigenvalue
+        monkeypatch.setattr(PovmSet, "min_eigenvalue", lambda self: calls.append(1) or original(self))
+        cfg = ReceiverConfig(0.5, -0.5, 4)
+        v = np.array([1, 1j, -1, 2 - 1j]) / math.sqrt(8)
+        dense = 0.25 * np.eye(4) + 0.25 * np.outer(v, v.conj())
+        negative = np.diag([lowest, 0.0, 0.0, 0.0])
+        elements = (np.eye(4) - negative - dense, negative, dense, np.zeros((4, 4)))
+        assert least_eigenvalue(elements) == lowest
+        mapping = dict(zip(OUTCOME_ORDER, elements))
+        if lowest >= -1e-10:
+            povm = PovmSet(mapping, cfg)
+            assert len(calls) == (lowest <= -5e-11)
+            assert povm.guards["min_eigenvalue"] == lowest
+        else:
+            message = f"positivity guard: eigenvalue {lowest:.3e} below -1.0e-10"
+            assert guard_message(PovmSet, mapping, cfg) == message
+            assert len(calls) == 1
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(sets_near_the_clamp())
+    def test_positivity_is_the_eigenvalue_rule_near_the_clamp(self, case):
+        # a set builds exactly where its least eigenvalue is at least -1e-10,
+        # and reports it; anywhere else it fails with the positivity message
+        cfg, elements = case
+        lowest = least_eigenvalue(elements)
+        mapping = dict(zip(OUTCOME_ORDER, elements))
+        if lowest >= -1e-10:
+            assert PovmSet(mapping, cfg).guards["min_eigenvalue"] == lowest
+        else:
+            message = f"positivity guard: eigenvalue {lowest:.3e} below -1.0e-10"
+            assert guard_message(PovmSet, mapping, cfg) == message
+
+    def test_library_paths_take_no_eigenvalue(self, monkeypatch):
+        # positivity is certified by Cholesky at construction; only a read of
+        # guards takes eigvalsh, and no library function reads them
+        calls = []
+
+        def counted(matrix, _eigvalsh=np.linalg.eigvalsh):
+            calls.append(matrix.shape)
+            return _eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for eta in (0.8, 1.0, 0.0):
+            cfg = ReceiverConfig(0.7 - 0.2j, -0.4 + 0.5j, 16, eta=eta)
+            for build in (povm_analytic, povm_ancilla):
+                povm = build(cfg)
+                outcome_probabilities(cfg, cfg.alpha2, povm)
+                optimality_check(cfg, povm)
+        assert calls == []
 
     def test_missing_outcome_is_rejected(self):
         # the guards alone would pass this one-element set (residual 0.0)
