@@ -15,11 +15,11 @@ This module builds the measurement's POVM two independent ways:
     beam-splitter outputs, conjugated back through the beam splitter and
     reduced by a vacuum expectation over the unused port.
 
-The two constructions serve as oracles for each other and must agree in max
-norm (hilbert.CROSS_ORACLE_TOL) at adequate truncation.  The module needs
-numpy only: the ancilla construction's beam-splitter columns are read from
-the committed per-sector table ``_sector_columns``, which the first ancilla
-POVM imports.
+The two constructions serve as oracles for each other; the tests hold their
+agreement to a roundoff bound at adequate truncation.  The module needs numpy
+only: the ancilla construction's beam-splitter columns are read from the
+committed per-sector table ``_sector_columns``, which the first ancilla POVM
+imports.
 
 Two-mode conventions (fixed, do not change silently), used by the ancilla
 construction only:
@@ -182,11 +182,11 @@ class PovmSet:
     of each element's Hermitian part shifted by half the clamp; only where one
     fails is the least eigenvalue computed, and the guard decides on it.
     ``guards`` keeps the three values in ``povm``'s order: the least
-    eigenvalue, which only ``povm`` reports, is computed on the first read
-    and cached.  ``elements`` is a read-only mapping, so
-    ``PovmSet(povm.elements, povm.config)`` rebuilds a PovmSet from copies.
-    ``povm[o].matrix``, the same array as ``povm.elements[o]``, exists only
-    for perfbench/fock.py:49.
+    eigenvalue, which only ``povm`` reports, is computed once, by the
+    positivity guard where the certificate fails, else on the first read.
+    ``elements`` is a read-only mapping, so ``PovmSet(povm.elements,
+    povm.config)`` rebuilds a PovmSet from copies.  ``povm[o].matrix``, the
+    same array as ``povm.elements[o]``, exists only for perfbench/fock.py:49.
     """
 
     elements: Mapping[Outcome, np.ndarray]
@@ -213,7 +213,7 @@ class PovmSet:
         _guard("completeness", resid <= STRUCTURAL_TOL, "residual %.3e exceeds %.1e", resid, STRUCTURAL_TOL)
         object.__setattr__(self, "_measured", (resid, herm))
         if not self._certified_positive():
-            min_eig = self.min_eigenvalue()
+            min_eig = self._least_eigenvalue
             _guard(
                 "positivity", min_eig >= -EIGENVALUE_CLAMP, "eigenvalue %.3e below -%.1e", min_eig, EIGENVALUE_CLAMP
             )
@@ -221,9 +221,9 @@ class PovmSet:
     @cached_property
     def guards(self) -> MappingProxyType[str, float]:
         """The guard values, read-only; the least eigenvalue is computed on
-        the first read."""
+        the first read, unless the positivity guard already took it."""
         resid, herm = self._measured
-        guards = dict(completeness_residual=resid, min_eigenvalue=self.min_eigenvalue(), hermiticity_defect=herm)
+        guards = dict(completeness_residual=resid, min_eigenvalue=self._least_eigenvalue, hermiticity_defect=herm)
         return MappingProxyType(guards)
 
     def __getitem__(self, outcome: Outcome) -> SimpleNamespace:
@@ -264,6 +264,8 @@ class PovmSet:
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh(h)[0]) for h in self._hermitian_parts())
+
+    _least_eigenvalue = cached_property(lambda self: self.min_eigenvalue())  # for the guard and guards
 
     def max_hermiticity_defect(self) -> float:
         defects = []
@@ -547,7 +549,7 @@ def optimality_check(cfg: ReceiverConfig, povm: PovmSet) -> OptimalityReport:
 
     The bound |<alpha1|alpha2>| is evaluated from the truncated coherent-state
     vectors themselves, independently of the closed form and of the POVM.  At
-    eta = 1 and adequate truncation the gap is zero to cross-oracle accuracy;
+    eta = 1 and adequate truncation the gap is zero to roundoff;
     any eta < 1 leaves the bound unattained.
     """
     p1 = outcome_probabilities(cfg, cfg.alpha1, povm)[Outcome.INCONCLUSIVE]

@@ -22,10 +22,8 @@ import numbers
 
 import numpy as np
 
-# Structural identities (hermiticity, completeness) must hold to this level;
-# agreement between independent constructions gets one extra decade of slack.
+# Structural identities (hermiticity, completeness) must hold to this level.
 STRUCTURAL_TOL = 1e-9
-CROSS_ORACLE_TOL = 1e-8
 
 # A coherent state whose truncated norm falls below this is considered
 # inadequately resolved and rejected by the guarded constructors downstream.

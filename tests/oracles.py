@@ -6,12 +6,20 @@ closed forms or per-sector blocks, a float array cast to complex where it
 fills complex storage in place, the full two-mode conjugation where it uses
 only the vacuum-port columns, the whole dense reduction where it streams
 column slabs, the displaced receiver where it propagates amplitudes through
-the fiber network, and a per-draw inverse CDF from one unchunked stream
-where the library counts streamed chunks of draws.  None of them calls the
-library code it is compared with.
+the fiber network, a per-draw inverse CDF from one unchunked stream
+where the library counts streamed chunks of draws, and the exact sum of a
+normally ordered exponential's matrix elements in 40-digit decimal where the
+library multiplies triangular float factors.  None of them calls the library
+code it is compared with.
+
+It also owns the two roundoff bounds that tests comparing two descriptions of
+the receiver hold them to: ``element_bound`` for the element gap between two
+POVM constructions, and ``probability_bound`` for a Fock probability against
+the closed forms or the fiber model.
 """
 
 import collections
+import decimal
 import itertools
 import math
 
@@ -22,6 +30,95 @@ from usdsim.discrimination import OUTCOME_ORDER, Outcome, ReceiverConfig, vacuum
 from usdsim.hilbert import normally_ordered_gaussian
 from usdsim.montecarlo import clean_distribution
 from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
+
+
+EPS = float(np.finfo(float).eps)
+
+# c_el of element_bound.  The largest element gap measured between
+# povm_analytic and povm_ancilla is 0.93 dim eps (at dim 22) over the
+# derandomized examples of tests/test_cross_descriptions.py, 1.33 dim eps over
+# 300 random adequate receivers with |alpha| <= 2 (dims 16-32) and 4.3 dim eps
+# over 246 random adequate receivers at dims 2-48; 8 is about twice the last.
+ELEMENT_FACTOR = 8.0
+
+# c_p of probability_bound.  Beyond twice the lost mass, the largest gap
+# measured of a Fock probability against the closed forms or the fiber model
+# is 0.13 dim eps over the derandomized examples of
+# tests/test_cross_descriptions.py and 0.17 dim eps over the 300 random
+# receivers above, each read from both constructions; 0.5 is about three
+# times the latter.
+PROBABILITY_FACTOR = 0.5
+
+
+def element_bound(dim: int) -> float:
+    """c_el dim eps: how far an element of one POVM construction may lie from
+    the same element of another at truncation ``dim``."""
+    return ELEMENT_FACTOR * dim * EPS
+
+
+def lost_mass(sent: complex, dim: int) -> float:
+    """1 - |psi|^2 for psi the coherent state at ``sent`` truncated at ``dim``:
+    the Poisson tail of mean |sent|^2 from ``dim`` photons on, as one minus
+    the correctly rounded sum of the terms below it."""
+    mean = abs(complex(sent)) ** 2
+    terms = [math.exp(-mean)]
+    for n in range(1, dim):
+        terms.append(terms[-1] * mean / n)
+    return max(0.0, 1.0 - math.fsum(terms))
+
+
+def probability_bound(sent: complex, dim: int) -> float:
+    """2 (1 - |psi|^2) + c_p dim eps: how far a Fock probability of the input
+    ``sent``, read at truncation ``dim``, may lie from the untruncated closed
+    forms or the fiber model.  The mass the truncation loses moves a
+    probability by 1.0-1.6 times itself near the truncation edge."""
+    return 2.0 * lost_mass(sent, dim) + PROBABILITY_FACTOR * dim * EPS
+
+
+def normally_ordered_exponential_reference(
+    coeff_dag: complex, coeff_a: complex, coeff_quad: complex, coeff_const: float, dim: int
+) -> np.ndarray:
+    """The Fock matrix of :exp(c0 + cd a^dag + ca a + cq a^dag a): from the
+    exact sum of its elements,
+
+        M[j, k] = e^c0 sum_m cd^(j-m) ca^(k-m) s^m sqrt(j! k!) / ((j-m)! (k-m)! m!),
+
+    m = 0..min(j, k), s = 1 + cq, evaluated in the stdlib ``decimal`` at 40
+    digits from the float coefficients taken exactly, with complex numbers as
+    (re, im) pairs of Decimal; each element is rounded to complex128 once.
+    c0 is real, as every caller of the library kernel passes it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec = decimal.Decimal
+
+        def mul(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def scaled_powers(z):
+            """z^n / n!, n < dim, for the pair z."""
+            out = [(dec(1), dec(0))]
+            for n in range(1, dim):
+                re, im = mul(out[-1], z)
+                out.append((re / n, im / n))
+            return out
+
+        cd, ca, cq = (complex(c) for c in (coeff_dag, coeff_a, coeff_quad))
+        u = scaled_powers((dec(cd.real), dec(cd.imag)))
+        v = scaled_powers((dec(ca.real), dec(ca.imag)))
+        w = scaled_powers((1 + dec(cq.real), dec(cq.imag)))
+        scale = dec(float(coeff_const)).exp()
+        sqrt_factorials = [dec(math.factorial(n)).sqrt() for n in range(dim)]
+        out = np.empty((dim, dim), dtype=np.complex128)
+        for j in range(dim):
+            for k in range(dim):
+                re = im = dec(0)
+                for m in range(min(j, k) + 1):
+                    t_re, t_im = mul(mul(u[j - m], v[k - m]), w[m])
+                    re += t_re
+                    im += t_im
+                factor = scale * sqrt_factorials[j] * sqrt_factorials[k]
+                out[j, k] = complex(float(re * factor), float(im * factor))
+    return out
 
 
 def default_dim(*alphas: complex) -> int:

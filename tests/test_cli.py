@@ -522,8 +522,9 @@ class TestPovmCommand:
         assert record["metadata"]["rng_algorithm"] == "philox4x64"
 
     def test_each_construction_runs_the_guards_once(self, workspace, monkeypatch):
-        # one eigvalsh per element, in the positivity guard, and none in the
-        # report: the command reads the values the POVM measured when built
+        # one eigvalsh per element, taken by the report's first read of
+        # guards: positivity is certified at construction without one, and
+        # the least eigenvalue is computed once, where it is reported
         _, out, write = workspace
         path = write(base_config(out))
         calls = []

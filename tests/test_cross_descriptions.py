@@ -4,8 +4,9 @@ The Fock-space POVM (``povm_analytic`` + ``outcome_probabilities``), the
 closed forms (``closed_form_probabilities``) and the fiber-network click model
 (``click_probabilities`` on the detector amplitudes (sent - alpha_i)/sqrt(2))
 must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
-efficiency and any coherent input.  The two POVM constructions, which both
-carry the efficiency, must agree with each other element by element.  The
+efficiency and any coherent input, within ``oracles.probability_bound``.  The
+two POVM constructions, which both carry the efficiency, must agree with each
+other element by element within ``oracles.element_bound``.  The
 fiber network itself (``propagate_bob`` on what ``alice_emit`` sends) must be
 the displaced receiver that ``oracles.fiber_receiver`` maps it to, its
 closed-form bound and inconclusive rate must be that receiver's, the
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import default_dim, fiber_receiver
+from oracles import default_dim, element_bound, fiber_receiver, probability_bound
 from scipy import stats
 
 from usdsim.discrimination import (
@@ -33,7 +34,7 @@ from usdsim.discrimination import (
     povm_analytic,
     povm_ancilla,
 )
-from usdsim.hilbert import CROSS_ORACLE_TOL, coherent_state
+from usdsim.hilbert import coherent_state
 from usdsim.montecarlo import RngStream
 from usdsim.multiplex import (
     WEAK_SPLITTING_LIMIT,
@@ -73,7 +74,7 @@ def test_fock_closed_form_and_fiber_descriptions_agree(case):
     )
     fiber = click_probabilities(amps, eta)
     for outcome in OUTCOME_ORDER:
-        assert abs(fock[outcome] - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
+        assert abs(fock[outcome] - closed[outcome]) <= probability_bound(sent, cfg.dim), outcome
         assert abs(fiber[outcome] - closed[outcome]) <= 1e-12, outcome
 
 
@@ -94,7 +95,7 @@ def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
     analytic, ancilla = povm_analytic(cfg), povm_ancilla(cfg)
     for outcome in OUTCOME_ORDER:
         gap = np.max(np.abs(analytic.elements[outcome] - ancilla.elements[outcome]))
-        assert gap <= CROSS_ORACLE_TOL, outcome
+        assert gap <= element_bound(cfg.dim), outcome
     # the elements themselves, not only the probabilities read from them,
     # describe the receiver at this efficiency
     for sent in (alpha1, alpha2):
@@ -102,7 +103,7 @@ def test_ancilla_and_analytic_constructions_agree_at_every_efficiency(case):
         closed = closed_form_probabilities(cfg, sent)
         for outcome in OUTCOME_ORDER:
             expectation = np.vdot(state, ancilla.elements[outcome] @ state).real
-            assert abs(expectation - closed[outcome]) <= CROSS_ORACLE_TOL, outcome
+            assert abs(expectation - closed[outcome]) <= probability_bound(sent, cfg.dim), outcome
 
 
 @st.composite
@@ -134,7 +135,7 @@ def test_fiber_network_is_the_displaced_receiver(cfg):
         for outcome in OUTCOME_ORDER:
             assert abs(fiber[outcome] - closed[outcome]) <= 1e-12, (bit, outcome)
             for probs in fock:
-                assert abs(fiber[outcome] - probs[outcome]) <= CROSS_ORACLE_TOL, (bit, outcome)
+                assert abs(fiber[outcome] - probs[outcome]) <= probability_bound(sent, receiver.dim), (bit, outcome)
     assert abs(quantum_bound(cfg) - inconclusive_rate(*sent_by_bit)) <= 1e-15
     bit1_inconclusive = closed_form_probabilities(receiver, sent_by_bit[1])[Outcome.INCONCLUSIVE]
     assert abs(round_inconclusive_probability(cfg) - bit1_inconclusive) <= 1e-15
