@@ -9,6 +9,9 @@ validators the other modules share; it defines no array type of its own.
 receiver's one two-mode object, its beam splitter, lives in
 ``discrimination`` too.
 
+``coherent_state`` drops the Poisson tail from dim photons on; ``discrimination``
+guards the lost mass 1 - |psi|^2 of every state a POVM meets at STRUCTURAL_TOL / 2.
+
 Importing the module loads numpy only.  The factorials sqrt(k!) past k = 30
 come from a port of cephes ``lgam`` (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989).
@@ -22,12 +25,8 @@ import numbers
 
 import numpy as np
 
-# Structural identities (hermiticity, completeness) must hold to this level.
+# Structural identities (hermiticity, completeness, probability sum) hold to this.
 STRUCTURAL_TOL = 1e-9
-
-# A coherent state whose truncated norm falls below this is considered
-# inadequately resolved and rejected by the guarded constructors downstream.
-ADEQUACY_MIN_NORM = 1.0 - 1e-8
 
 # Cumulative products of sqrt(n!) switch to log space beyond this index so no
 # intermediate n! overflows while small-n values remain exact products.

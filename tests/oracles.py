@@ -9,12 +9,14 @@ column slabs, the displaced receiver where it propagates amplitudes through
 the fiber network, a per-draw inverse CDF from one unchunked stream
 where the library counts streamed chunks of draws, and the exact sum of a
 normally ordered exponential's matrix elements in 40-digit decimal where the
-library multiplies triangular float factors.  None of them calls the library
-code it is compared with.
+library multiplies triangular float factors, and the four POVM elements
+combined from three such sums in decimal where ``povm_analytic`` combines
+float Gaussians.  None of them calls the library code it is compared with.
 
-It also owns the two roundoff bounds that tests comparing two descriptions of
+It also owns the roundoff bounds that tests comparing two descriptions of
 the receiver hold them to: ``element_bound`` for the element gap between two
-POVM constructions, and ``probability_bound`` for a Fock probability against
+POVM constructions, ``reference_bound`` for ``povm_analytic`` against its
+decimal reference, and ``probability_bound`` for a Fock probability against
 the closed forms or the fiber model.
 """
 
@@ -34,6 +36,9 @@ from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
 
 EPS = float(np.finfo(float).eps)
 
+# Working precision of the decimal references.
+DECIMAL_DIGITS = 40
+
 # c_el of element_bound.  The largest element gap measured between
 # povm_analytic and povm_ancilla is 0.93 dim eps (at dim 22) over the
 # derandomized examples of tests/test_cross_descriptions.py, 1.33 dim eps over
@@ -48,6 +53,23 @@ ELEMENT_FACTOR = 8.0
 # receivers above, each read from both constructions; 0.5 is about three
 # times the latter.
 PROBABILITY_FACTOR = 0.5
+
+
+# c_ref of reference_bound.  The largest gap measured between an element of
+# povm_analytic and the same element of povm_analytic_reference is 0.0625 dim
+# eps over the eight receivers of
+# tests/test_discrimination.py::TestAnalyticPovm::test_elements_match_the_decimal_sums
+# (dims 16 and 32, real and complex pairs, eta 1 and 0.6) and 0.57 dim eps
+# over 300 random adequate receivers at dims 2-32 and any efficiency (8.6 eps
+# at dim 15 and eta 0.019, where A_11 = I - Q1 - Q2 + Q12 cancels to about
+# eta^2); 1 is about twice the latter.
+REFERENCE_FACTOR = 1.0
+
+
+def reference_bound(dim: int) -> float:
+    """c_ref dim eps: how far an element of ``povm_analytic`` may lie from the
+    decimal ``povm_analytic_reference`` at truncation ``dim``."""
+    return REFERENCE_FACTOR * dim * EPS
 
 
 def element_bound(dim: int) -> float:
@@ -75,50 +97,114 @@ def probability_bound(sent: complex, dim: int) -> float:
     return 2.0 * lost_mass(sent, dim) + PROBABILITY_FACTOR * dim * EPS
 
 
+def _exact_exponential(cd, ca, s, c0, dim) -> list:
+    """The elements of :exp(c0 + cd a^dag + ca a + (s - 1) a^dag a): as rows
+    of (re, im) pairs of Decimal, from the exact sum
+
+        M[j, k] = e^c0 sum_m cd^(j-m) ca^(k-m) s^m sqrt(j! k!) / ((j-m)! (k-m)! m!),
+
+    m = 0..min(j, k), for cd, ca and s given as (re, im) pairs of Decimal and
+    c0 as a real Decimal, at the precision of the caller's decimal context."""
+    dec = decimal.Decimal
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def scaled_powers(z):
+        """z^n / n!, n < dim, for the pair z."""
+        out = [(dec(1), dec(0))]
+        for n in range(1, dim):
+            re, im = mul(out[-1], z)
+            out.append((re / n, im / n))
+        return out
+
+    u, v, w = scaled_powers(cd), scaled_powers(ca), scaled_powers(s)
+    scale = c0.exp()
+    sqrt_factorials = [dec(math.factorial(n)).sqrt() for n in range(dim)]
+    rows = []
+    for j in range(dim):
+        row = []
+        for k in range(dim):
+            re = im = dec(0)
+            for m in range(min(j, k) + 1):
+                t_re, t_im = mul(mul(u[j - m], v[k - m]), w[m])
+                re += t_re
+                im += t_im
+            factor = scale * sqrt_factorials[j] * sqrt_factorials[k]
+            row.append((re * factor, im * factor))
+        rows.append(row)
+    return rows
+
+
+def _rounded(rows) -> np.ndarray:
+    """Rows of (re, im) Decimal pairs, each rounded to complex128 once."""
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
+
+
 def normally_ordered_exponential_reference(
     coeff_dag: complex, coeff_a: complex, coeff_quad: complex, coeff_const: float, dim: int
 ) -> np.ndarray:
     """The Fock matrix of :exp(c0 + cd a^dag + ca a + cq a^dag a): from the
-    exact sum of its elements,
-
-        M[j, k] = e^c0 sum_m cd^(j-m) ca^(k-m) s^m sqrt(j! k!) / ((j-m)! (k-m)! m!),
-
-    m = 0..min(j, k), s = 1 + cq, evaluated in the stdlib ``decimal`` at 40
-    digits from the float coefficients taken exactly, with complex numbers as
-    (re, im) pairs of Decimal; each element is rounded to complex128 once.
-    c0 is real, as every caller of the library kernel passes it."""
+    exact sum of its elements (``_exact_exponential``), evaluated in the
+    stdlib ``decimal`` at DECIMAL_DIGITS digits from the float coefficients
+    taken exactly, with complex numbers as (re, im) pairs of Decimal; each
+    element is rounded to complex128 once.  c0 is real, as every caller of
+    the library kernel passes it."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = DECIMAL_DIGITS
         dec = decimal.Decimal
+        cd, ca, cq = ((dec(c.real), dec(c.imag)) for c in map(complex, (coeff_dag, coeff_a, coeff_quad)))
+        s = (1 + cq[0], cq[1])
+        return _rounded(_exact_exponential(cd, ca, s, dec(float(coeff_const)), dim))
 
-        def mul(x, y):
-            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-        def scaled_powers(z):
-            """z^n / n!, n < dim, for the pair z."""
-            out = [(dec(1), dec(0))]
-            for n in range(1, dim):
-                re, im = mul(out[-1], z)
-                out.append((re / n, im / n))
-            return out
+def povm_analytic_reference(cfg) -> dict:
+    """The four elements of the receiver ``cfg`` on the signal mode, from the
+    exact sums of Q_i = :exp(-kappa (a^dag - alpha_i*)(a - alpha_i)):, kappa =
+    eta / 2, and of their product :Q1 Q2:, whose exponent is the sum of the
+    two.  Coefficients are formed and the elements
 
-        cd, ca, cq = (complex(c) for c in (coeff_dag, coeff_a, coeff_quad))
-        u = scaled_powers((dec(cd.real), dec(cd.imag)))
-        v = scaled_powers((dec(ca.real), dec(ca.imag)))
-        w = scaled_powers((1 + dec(cq.real), dec(cq.imag)))
-        scale = dec(float(coeff_const)).exp()
-        sqrt_factorials = [dec(math.factorial(n)).sqrt() for n in range(dim)]
-        out = np.empty((dim, dim), dtype=np.complex128)
-        for j in range(dim):
-            for k in range(dim):
-                re = im = dec(0)
-                for m in range(min(j, k) + 1):
-                    t_re, t_im = mul(mul(u[j - m], v[k - m]), w[m])
-                    re += t_re
-                    im += t_im
-                factor = scale * sqrt_factorials[j] * sqrt_factorials[k]
-                out[j, k] = complex(float(re * factor), float(im * factor))
-    return out
+        A_00 = :Q1 Q2:, A_01 = :Q1: - :Q1 Q2:, A_10 = :Q2: - :Q1 Q2:,
+        A_11 = I - :Q1: - :Q2: + :Q1 Q2:
+
+    combined in DECIMAL_DIGITS-digit decimal from the float amplitudes and
+    efficiency taken exactly; each element is rounded to complex128 once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        dec = decimal.Decimal
+        kappa = dec(cfg.eta) / 2
+        (r1, i1), (r2, i2) = ((dec(a.real), dec(a.imag)) for a in (cfg.alpha1, cfg.alpha2))
+        n1, n2 = r1 * r1 + i1 * i1, r2 * r2 + i2 * i2
+
+        def gaussian(re, im, quad, const):
+            """:exp(const + kappa (re + i im) a^dag + kappa (re - i im) a + quad a^dag a):"""
+            cd, ca = (kappa * re, kappa * im), (kappa * re, -kappa * im)
+            return _exact_exponential(cd, ca, (1 + quad, dec(0)), const, cfg.dim)
+
+        q1 = gaussian(r1, i1, -kappa, -kappa * n1)
+        q2 = gaussian(r2, i2, -kappa, -kappa * n2)
+        q12 = gaussian(r1 + r2, i1 + i2, -2 * kappa, -kappa * (n1 + n2))
+
+        def signed_sum(eye, *terms):
+            """``eye`` times I plus the sum of sign * matrix over the
+            (sign, matrix) ``terms``, element by element."""
+            return [
+                [
+                    (
+                        eye * (j == k) + sum(sign * m[j][k][0] for sign, m in terms),
+                        sum(sign * m[j][k][1] for sign, m in terms),
+                    )
+                    for k in range(cfg.dim)
+                ]
+                for j in range(cfg.dim)
+            ]
+
+        return {
+            Outcome.INCONCLUSIVE: _rounded(q12),
+            Outcome.CONCLUSIVE_1: _rounded(signed_sum(0, (1, q1), (-1, q12))),
+            Outcome.CONCLUSIVE_2: _rounded(signed_sum(0, (1, q2), (-1, q12))),
+            Outcome.ANOMALOUS: _rounded(signed_sum(1, (-1, q1), (-1, q2), (1, q12))),
+        }
 
 
 def default_dim(*alphas: complex) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden_env import openblas_note, probe, version_differences, workloads
+from golden_env import openblas_note, probe, require_recorded_environment, version_differences, workloads
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -53,10 +53,11 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports this usdsim, so an escaping
-    exception shows up as a traceback and exit code 1."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
+def run_python(*args, **env):
+    """Run a fresh interpreter that imports this usdsim, with the variables
+    ``env`` added to its environment, so an escaping exception shows up as a
+    traceback and exit code 1."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env() | env)
 
 
 def run_fresh(*argv):
@@ -984,46 +985,118 @@ class TestOutputDirectory:
         assert all(r["source"] in allowed for r in record["results"])
 
 
-def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch):
-    """The named jobs of the benchmark's CLI calls reproduce the committed
-    artifact bytes of ``variant``; the artifacts embed the numpy and
-    scipy versions, so the hashes hold only for the recorded environment."""
+def recorded_golden():
+    """The committed golden record.  The artifacts embed the numpy and scipy
+    versions, so the calling test skips unless the Python, numpy and scipy
+    versions here are those the hashes were made with."""
     golden = workloads.load_golden()
     differ = version_differences(golden)
     if differ:
         pytest.skip("golden hashes belong to another environment: " + ", ".join(differ))
-    expected = workloads.variant_hashes(golden, "cli-calls", variant)
+    return golden
+
+
+def write_job(job, job_dir):
+    """``job_dir``, made and holding the files of the benchmark job ``job``."""
+    job_dir.mkdir(parents=True)
+    for file_name, text in job.files.items():
+        (job_dir / file_name).write_text(text)
+    return job_dir
+
+
+def run_jobs(names, variant, tmp_path, monkeypatch):
+    """Run the named jobs of the benchmark's CLI calls for ``variant`` in this
+    process, each in its own directory, and map each name to the job and
+    its output directory."""
     jobs = {job.name: job for job in workloads.cli_calls(variant)}
+    outputs = {}
     for name in names:
-        job = jobs[name]
-        job_dir = tmp_path / name
-        job_dir.mkdir()
-        for file_name, text in job.files.items():
-            (job_dir / file_name).write_text(text)
+        job_dir = write_job(jobs[name], tmp_path / name)
         monkeypatch.chdir(job_dir)
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(job_dir / "out"))
-        kind, *argv = job.argv
+        kind, *argv = jobs[name].argv
         assert kind == "cli"
         assert cli.main(argv) == 0, name
-        assert workloads.artifact_hashes(job_dir / "out") == expected[name], openblas_note(name, golden)
+        outputs[name] = jobs[name], job_dir / "out"
+    return outputs
 
 
+def assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch, golden):
+    """The named jobs of the benchmark's CLI calls reproduce the committed
+    artifact bytes of ``variant``."""
+    expected = workloads.variant_hashes(golden, "cli-calls", variant)
+    for name, (_, out) in run_jobs(names, variant, tmp_path, monkeypatch).items():
+        assert workloads.artifact_hashes(out) == expected[name], openblas_note(name, golden)
+
+
+# The jobs whose artifacts carry the last bits of OpenBLAS kernels: the POVM
+# elements, their probabilities and the dim-192 dumps.  Under the Haswell and
+# Katmai kernels povm.json and the dumps differ, and Katmai's probs.json too.
+_KERNEL_JOBS = ("povm-both", "probs", "povm-dump-192")
+
+# Every other cli-calls job: its bytes held under the Haswell and Katmai
+# kernels and under numpy dispatch limited to X86_V2, so the version gate is
+# its only gate.
 _SAMPLER_JOBS = (
-    "simulate", "multiplex", "sweep-alpha",
+    "simulate", "multiplex", "sweep-eta", "sweep-alpha",
     "multiplex-1e7", "sweep-T", "simulate-2e6",  # the large cli-calls jobs
 )
 
 
 @pytest.mark.parametrize("variant", range(workloads.VARIANTS))
 def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
-    assert_jobs_match_golden_hashes(_SAMPLER_JOBS, variant, tmp_path, monkeypatch)
+    assert_jobs_match_golden_hashes(_SAMPLER_JOBS, variant, tmp_path, monkeypatch, recorded_golden())
 
 
 @pytest.mark.parametrize("variant", range(workloads.VARIANTS))
 def test_povm_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
-    # every other small CLI job: the POVM builds, probabilities and dumps
-    names = [job.name for job in workloads.cli_small(variant) if job.name not in _SAMPLER_JOBS]
-    assert_jobs_match_golden_hashes(names, variant, tmp_path, monkeypatch)
+    require_recorded_environment("the POVM, probs and dump artifacts' golden hashes")
+    assert_jobs_match_golden_hashes(_KERNEL_JOBS, variant, tmp_path, monkeypatch, workloads.load_golden())
+
+
+def test_povm_artifacts_pass_their_physics_checks(tmp_path, monkeypatch):
+    # the roundoff twin of the golden hashes above, run on every kernel: the
+    # benchmark's own checks (cross-construction discrepancy, completeness,
+    # closed forms and optimality gap); every variant has the same receiver
+    for name, (job, out) in run_jobs(_KERNEL_JOBS, 0, tmp_path, monkeypatch).items():
+        assert job.check(out) == [], name
+
+
+# Child-process environments that emulate other x86-64 runners: two other
+# OpenBLAS kernels (Prescott reports Katmai), then numpy's dispatch limited to
+# X86_V2.  Each takes effect when numpy loads, so only a child process sees it.
+_CPU_PATHS = (
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+)
+
+# Runs the CLI job in each directory named on the command line, as
+# run_jobs does, with the argv in the directory's argv.json.
+_RUN_JOB_DIRS = """
+import json, os, sys
+from usdsim import cli
+for job_dir in sys.argv[1:]:
+    os.chdir(job_dir)
+    os.environ[cli.OUTPUT_DIR_ENV] = os.path.join(job_dir, "out")
+    with open("argv.json") as fh:
+        argv = json.load(fh)
+    assert cli.main(argv) == 0, job_dir
+"""
+
+
+def test_sampler_artifacts_keep_their_bytes_on_other_cpu_paths(tmp_path):
+    expected = workloads.variant_hashes(recorded_golden(), "cli-calls", 0)
+    jobs = {job.name: job for job in workloads.cli_calls(0)}
+    names = ("simulate", "multiplex", "sweep-alpha")
+    for index, cpu_path in enumerate(_CPU_PATHS):
+        job_dirs = [write_job(jobs[name], tmp_path / str(index) / name) for name in names]
+        for name, job_dir in zip(names, job_dirs):
+            (job_dir / "argv.json").write_text(json.dumps(jobs[name].argv[1:]))
+        proc = run_python("-c", _RUN_JOB_DIRS, *map(str, job_dirs), **cpu_path)
+        assert proc.returncode == 0, (cpu_path, proc.stderr)
+        for name, job_dir in zip(names, job_dirs):
+            assert workloads.artifact_hashes(job_dir / "out") == expected[name], (cpu_path, name)
 
 
 def test_openblas_runs_the_thread_count_the_environment_names():

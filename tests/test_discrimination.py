@@ -1,3 +1,9 @@
+import cmath
+import contextlib
+import copy
+import functools
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -7,10 +13,10 @@ import golden_env
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from usdsim import discrimination
+from usdsim import cli, discrimination
 from usdsim import hilbert as h
 from usdsim.discrimination import (
     OUTCOME_ORDER,
@@ -127,13 +133,49 @@ def guard_message(build, *args):
     return str(info.value)
 
 
-def adequacy_norm(message, name, dim):
-    """The achieved norm a truncation adequacy message reports, once its fixed
-    text, its limit and the norm's 12-decimal format are checked."""
-    pattern = rf"coherent state for {name} reaches norm (0\.\d{{12}}) < 0\.999999990000 at dim={dim}"
-    norm = re.fullmatch(f"truncation adequacy guard: {pattern}", message)
-    assert norm, message
-    return float(norm[1])
+def adequacy_loss(message, name, dim):
+    """The lost mass a truncation adequacy message reports, once its fixed
+    text, its limit STRUCTURAL_TOL / 2 and the loss's 4-digit format are
+    checked."""
+    pattern = rf"coherent state for {name} loses mass (\d\.\d{{3}}e[-+]\d\d) above 5\.0e-10 at dim={dim}"
+    loss = re.fullmatch(f"truncation adequacy guard: {pattern}", message)
+    assert loss, message
+    return float(loss[1])
+
+
+@functools.cache
+def band_edges(dim):
+    """(inner, outer): the largest |alpha| at which the coherent state
+    truncated at ``dim`` loses a mass 1 - |psi|^2 of at most STRUCTURAL_TOL / 2,
+    the truncation adequacy guard's limit, and the largest at which it keeps
+    the norm 1 - 1e-8 that the guard accepted before; each by bisection on
+    the norm of ``coherent_state``."""
+
+    def edge(holds):
+        lo, hi = 0.0, math.sqrt(dim) + 10.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if holds(np.linalg.norm(h.coherent_state(mid, dim))) else (lo, mid)
+        return lo
+
+    return edge(lambda norm: 1.0 - norm**2 <= h.STRUCTURAL_TOL / 2), edge(lambda norm: norm >= 1.0 - 1e-8)
+
+
+@st.composite
+def band_cases(draw):
+    """(dim, alpha, sent, eta): a dim in 2-64 and two amplitudes at any phase
+    whose modulus runs from 0.9 times the inner edge to 1.05 times the outer
+    edge of ``band_edges(dim)``, so they fall on both sides of each; the
+    lossless receiver or any efficiency."""
+    dim = draw(st.integers(2, 64))
+    inner, outer = band_edges(dim)
+
+    def amplitude():
+        # one of the three stretches the edges cut, then a point of it
+        low, high = draw(st.sampled_from([(0.9 * inner, inner), (inner, outer), (outer, 1.05 * outer)]))
+        return cmath.rect(low + (high - low) * draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+
+    return dim, amplitude(), amplitude(), draw(st.just(1.0) | st.floats(0.0, 1.0))
 
 
 def cross_discrepancy(povm_a, povm_b):
@@ -200,10 +242,21 @@ class TestAnalyticPovm:
         assert abs(np.vdot(s1, povm.elements[Outcome.ANOMALOUS] @ s1)) <= 1e-9
         assert abs(np.vdot(s2, povm.elements[Outcome.ANOMALOUS] @ s2)) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("alpha1, alpha2", [(1.0, -1.0), (0.7 + 0.4j, -0.3 + 1.1j)])
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_elements_match_the_decimal_sums(self, dim, alpha1, alpha2, eta):
+        # how the construction combines its three Gaussians, judged on its own:
+        # every element against the 40-digit sums, combined before rounding
+        cfg = ReceiverConfig(alpha1, alpha2, dim, eta)
+        want = oracles.povm_analytic_reference(cfg)
+        povm = povm_analytic(cfg)
+        for outcome in OUTCOME_ORDER:
+            assert np.max(np.abs(povm.elements[outcome] - want[outcome])) <= oracles.reference_bound(dim), outcome
+
     def test_truncation_adequacy_guard(self):
         message = guard_message(povm_analytic, ReceiverConfig(3.5, -3.5, 16))
-        norm = adequacy_norm(message, "alpha1", 16)
-        assert norm == pytest.approx(np.linalg.norm(h.coherent_state(3.5, 16)), abs=1e-12)
+        assert adequacy_loss(message, "alpha1", 16) == pytest.approx(oracles.lost_mass(3.5, 16), rel=1e-3)
 
     def test_fock_dimension_guard(self):
         assert h.MAX_FOCK_DIM == 301  # sqrt(300!) ~ 1e307, sqrt(301!) overflows
@@ -346,8 +399,7 @@ class TestAncillaPovm:
 
     def test_norm_guard_small_dim(self):
         message = guard_message(povm_ancilla, ReceiverConfig(2.5, -2.5, 8))
-        norm = adequacy_norm(message, "alpha1", 8)
-        assert norm == pytest.approx(np.linalg.norm(h.coherent_state(2.5, 8)), abs=1e-12)
+        assert adequacy_loss(message, "alpha1", 8) == pytest.approx(oracles.lost_mass(2.5, 8), rel=1e-3)
 
 
 class TestAnalyticMemory:
@@ -701,16 +753,31 @@ class TestOutcomeProbabilities:
                 outcome_probabilities(other, 1.0, povm)
 
     def test_normalization_guard(self):
-        # a state the truncation cannot hold: its expectations sum to the
-        # truncated norm squared, which the complete POVM reproduces
-        cfg = ReceiverConfig(0.5, -0.5, 8)
-        message = guard_message(outcome_probabilities, cfg, 3.0, povm_analytic(cfg))
+        # a construction defect inside the completeness guard: 0.9e-9 J (J the
+        # all-ones matrix) added to A_11 leaves a residual of 9e-10, but moves
+        # the sum for sent 0.5 by 0.9e-9 |sum_n psi_n|^2, which is 2.1e-9
+        cfg = ReceiverConfig(0.5, -0.5, 16)
+        elements = dict(povm_analytic(cfg).elements)
+        elements[Outcome.ANOMALOUS] = elements[Outcome.ANOMALOUS] + 0.9e-9 * np.ones((16, 16))
+        povm = PovmSet(elements, cfg)
+        assert povm.guards["completeness_residual"] == pytest.approx(9e-10, rel=1e-6)
+        message = guard_message(outcome_probabilities, cfg, 0.5, povm)
         total = re.fullmatch(
             r"probability normalization guard: outcome probabilities sum to (\d\.\d+), off by more than 1\.0e-09",
             message,
         )
         assert total, message
-        assert float(total[1]) == pytest.approx(np.linalg.norm(h.coherent_state(3.0, 8)) ** 2, abs=1e-12)
+        want = 1.0 + 0.9e-9 * abs(h.coherent_state(0.5, 16).sum()) ** 2
+        assert float(total[1]) == pytest.approx(want, abs=1e-12)
+
+    def test_sent_states_the_truncation_cannot_hold_name_truncation(self):
+        # the sums these inputs reach are 0.99999999779, 0.99972 and 6.5e-16:
+        # the lost mass, which the adequacy guard names before any expectation
+        cfg = ReceiverConfig(1.0, -1.0, 32)
+        povm = povm_analytic(cfg)
+        for sent in (3.0, 4.0, 10.0):
+            message = guard_message(outcome_probabilities, cfg, sent, povm)
+            assert adequacy_loss(message, "sent", 32) == pytest.approx(oracles.lost_mass(sent, 32), rel=1e-3)
 
     def test_clamp_and_imaginary_residue_are_logged(self, caplog):
         # hand-built POVMs inside the structural guards' 1e-9: one whose
@@ -728,6 +795,76 @@ class TestOutcomeProbabilities:
             with caplog.at_level("WARNING", logger="usdsim.discrimination"):
                 outcome_probabilities(cfg, 0.5, PovmSet(dict(zip(OUTCOME_ORDER, elements)), cfg))
             assert line in caplog.messages
+
+
+class TestTruncationBand:
+    """Near the truncation edge every call either names truncation adequacy
+    or returns probabilities within 1e-9 of the closed forms: no input
+    reaches the probability normalization guard, which only a defect of the
+    POVM trips (``test_normalization_guard``)."""
+
+    @staticmethod
+    def accepted(call, *args, amplitude, dim):
+        """``call(*args)``, or None where it fails naming truncation
+        adequacy.  It may fail so only where ``amplitude`` loses a mass
+        above STRUCTURAL_TOL / 2 at ``dim``, and must where it does, by the
+        independent Poisson sum of the lost mass, up to the dim eps that
+        rounding the guard's 1 - |psi|^2 may take."""
+        margin = oracles.lost_mass(amplitude, dim) - h.STRUCTURAL_TOL / 2
+        try:
+            value = call(*args)
+        except NumericalGuardError as exc:
+            assert str(exc).startswith("truncation adequacy guard: "), exc
+            assert margin >= -dim * oracles.EPS, (amplitude, dim, margin)
+            return None
+        assert margin <= dim * oracles.EPS, (amplitude, dim, margin)
+        return value
+
+    @staticmethod
+    def assert_closed_forms(cfg, sent, probs):
+        closed = closed_form_probabilities(cfg, sent)
+        assert max(abs(probs[o] - closed[o]) for o in OUTCOME_ORDER) <= 1e-9, (cfg, sent)
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=band_cases())
+    @example(case=(32, 2.9506, 3.0, 1.0))  # between the edges: povm passed, probs failed normalization
+    def test_every_call_names_truncation_or_meets_the_closed_forms(self, case, tmp_path):
+        dim, alpha, sent, eta = case
+        for name, amplitude in (("alpha", alpha), ("sent", sent)):
+            event(f"{name} {sum(abs(amplitude) > edge for edge in band_edges(dim))} edges out")
+        cfg = ReceiverConfig(0.0, alpha, dim, eta)
+        builds = (povm_analytic, povm_ancilla) if dim <= 32 else (povm_analytic,)
+        povms = [self.accepted(build, cfg, amplitude=alpha, dim=dim) for build in builds]
+        for povm in (p for p in povms if p is not None):
+            for amplitude in (0.0, alpha):
+                self.assert_closed_forms(cfg, amplitude, outcome_probabilities(cfg, amplitude, povm))
+        held = povms[0] is not None
+        # ``sent`` alone in the band, read from a POVM the truncation holds
+        inside = ReceiverConfig(0.0, 0.5 * band_edges(dim)[0], dim, eta)
+        probs = self.accepted(outcome_probabilities, inside, sent, povm_analytic(inside), amplitude=sent, dim=dim)
+        if probs is not None:
+            self.assert_closed_forms(inside, sent, probs)
+        # the CLI decides as the library does
+        config = copy.deepcopy(golden_env.workloads.README_CONFIG)
+        config["receiver"] = {"alpha1": [0.0, 0.0], "alpha2": [alpha.real, alpha.imag], "dim": dim, "eta": eta}
+        config["output"]["path"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for command in (["povm"], ["probs"], ["simulate", "--trials", "100"]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main([command[0], str(path), *command[1:]])
+            assert code == (0 if held else 3), (command, stderr.getvalue())
+            assert held or "numerical guard failure: truncation adequacy guard: " in stderr.getvalue()
+        if held:
+            table = json.loads((tmp_path / "out" / "probs.json").read_text())["table"]
+            assert max(abs(row["numeric"] - row["closed_form"]) for row in table) <= 1e-9
 
 
 class TestInconclusiveRate:
