@@ -213,7 +213,7 @@ class PovmSet:
         _guard("completeness", resid <= STRUCTURAL_TOL, "residual %.3e exceeds %.1e", resid, STRUCTURAL_TOL)
         object.__setattr__(self, "_measured", (resid, herm))
         if not self._certified_positive():
-            min_eig = self._least_eigenvalue
+            min_eig = self.guards["min_eigenvalue"]
             _guard(
                 "positivity", min_eig >= -EIGENVALUE_CLAMP, "eigenvalue %.3e below -%.1e", min_eig, EIGENVALUE_CLAMP
             )
@@ -221,9 +221,10 @@ class PovmSet:
     @cached_property
     def guards(self) -> MappingProxyType[str, float]:
         """The guard values, read-only; the least eigenvalue is computed on
-        the first read, unless the positivity guard already took it."""
+        the first read, which the positivity guard makes where the Cholesky
+        certificate fails."""
         resid, herm = self._measured
-        guards = dict(completeness_residual=resid, min_eigenvalue=self._least_eigenvalue, hermiticity_defect=herm)
+        guards = dict(completeness_residual=resid, min_eigenvalue=self.min_eigenvalue(), hermiticity_defect=herm)
         return MappingProxyType(guards)
 
     def __getitem__(self, outcome: Outcome) -> SimpleNamespace:
@@ -264,8 +265,6 @@ class PovmSet:
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh(h)[0]) for h in self._hermitian_parts())
-
-    _least_eigenvalue = cached_property(lambda self: self.min_eigenvalue())  # for the guard and guards
 
     def max_hermiticity_defect(self) -> float:
         defects = []
@@ -359,7 +358,7 @@ def vacuum_port_columns(dim: int) -> np.ndarray:
     dim^3 array is made.  The bits are those of the real array times the
     parity, cast to complex, -0.0 from parity * 0.0 included.
     """
-    if dim > MAX_ANCILLA_DIM:
+    if check_dim(dim) > MAX_ANCILLA_DIM:
         raise ValueError(
             f"vacuum-port columns are tabulated up to dim={MAX_ANCILLA_DIM}, got dim={dim}"
         )

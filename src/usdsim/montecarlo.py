@@ -9,9 +9,9 @@ counts and never a per-draw array.  Probability mass below
 sampling, so outcomes the model forbids (the exact zeros of the ideal
 receiver) never appear as roundoff dust in a tally.
 
-Both samplers stream: they draw at most ``_CHUNK`` = 2**15 uniforms at a time
-into one reused buffer, compare each chunk into one reused boolean mask and
-add up the counts as Python ints, so memory stays flat in the number of
+``_tally`` streams: it draws at most ``_CHUNK`` = 2**15 uniforms at a time
+into one reused buffer, compares each chunk into one reused boolean mask and
+adds up the counts as Python ints, so memory stays flat in the number of
 draws: a chunk and its mask are 288 KB.  The draws are the same, bit for bit,
 as one unchunked call on the same stream would give, because a Philox stream
 fills an array the same way whether it is asked for it whole or in pieces.
@@ -21,7 +21,7 @@ which counts and rates stay exact in float64.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,49 +127,47 @@ def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _uniforms(gen: np.random.Generator, *counts: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The next uniforms of ``gen`` as ``(i, chunk)``: ``counts[i]`` of them
-    for each part ``i`` in turn, at most ``_CHUNK`` at a time, each chunk
-    written over the last in one buffer that serves every part."""
-    buf = np.empty(min(max(counts), _CHUNK))
-    for i, n in enumerate(counts):
-        for start in range(0, n, _CHUNK):
-            yield i, gen.random(out=buf[: min(_CHUNK, n - start)])
-
-
 def _tally(
     dists: Sequence[dict[Outcome, float]],
-    draws: Iterable[tuple[int, np.ndarray, np.ndarray | None]],
+    gen: np.random.Generator,
+    n: int,
+    bits: np.random.Generator | None = None,
 ) -> list[dict[Outcome, int]]:
-    """The one inverse-CDF sampler: outcome counts per distribution.
+    """The one inverse-CDF sampler: outcome counts per distribution of the
+    next ``n`` uniforms of ``gen``, one draw per uniform.
 
-    Each ``(k, u, where)`` in ``draws`` makes one draw from ``dists[k]`` per
-    uniform in ``u``, or per uniform where the boolean mask ``where`` is set.
+    Without ``bits`` every draw comes from ``dists[0]``; with it, draw ``i``
+    comes from ``dists[b_i]``, ``b_i`` the ``i``-th random bit of ``bits``.
     The draw is the first outcome whose cumulative cleaned probability
     exceeds the uniform, capped at the last outcome against roundoff in the
     cumulative sum: its index is the number of the first three cumulative
     probabilities at or below the uniform.  So a count is taken without a
     per-draw index, from the draws reaching each cumulative probability.
-    Each distribution is cleaned once, before the first draw.  Every
-    comparison writes into one boolean mask, grown only for a longer chunk,
-    and the counts add up as Python ints however ``draws`` is chunked.
+    Each distribution is cleaned once, before the first draw.  The uniforms
+    come at most ``_CHUNK`` at a time into one reused buffer, and every
+    comparison writes into one reused boolean mask.
     """
     last = len(OUTCOME_ORDER) - 1
     edges = [np.cumsum(clean_distribution(dist))[:last] for dist in dists]
     # reached[k][j]: draws from dists[k] whose outcome index is at least j
     reached = [[0] * (last + 2) for _ in dists]
-    # numpy 2 counts as np.intp, so int() keeps every count a Python int
-    mask = np.empty(0, dtype=bool)
-    for k, u, where in draws:
-        if mask.size < u.size:
-            mask = np.empty(u.size, dtype=bool)
+    buf = np.empty(min(n, _CHUNK))
+    mask = np.empty(buf.size, dtype=bool)
+    for start in range(0, n, _CHUNK):
+        u = gen.random(out=buf[: min(_CHUNK, n - start)])
         above = mask[: u.size]
-        reached[k][0] += u.size if where is None else int(np.count_nonzero(where))
-        for j, edge in enumerate(edges[k], start=1):
-            np.greater_equal(u, edge, out=above)
-            if where is not None:
-                above &= where
-            reached[k][j] += int(np.count_nonzero(above))
+        # int32 bits are the default int64's draws in half the bytes: numpy
+        # takes any range below 2**32 from 32-bit outputs for both dtypes
+        ones = None if bits is None else bits.integers(0, 2, size=u.size, dtype="int32").astype(bool)
+        for k in range(1 if ones is None else len(dists)):
+            where = None if ones is None else ones if k else ~ones
+            # numpy 2 counts as np.intp, so int() keeps every count a Python int
+            reached[k][0] += u.size if where is None else int(np.count_nonzero(where))
+            for j, edge in enumerate(edges[k], start=1):
+                np.greater_equal(u, edge, out=above)
+                if where is not None:
+                    above &= where
+                reached[k][j] += int(np.count_nonzero(above))
     return [dict(zip(OUTCOME_ORDER, (a - b for a, b in zip(row, row[1:])))) for row in reached]
 
 
@@ -192,16 +190,7 @@ def _tally_rounds(
     m = (rounds + 1) // 2
     gen.bit_generator.advance(m // 4)
     gen.bit_generator.random_raw(m % 4)
-
-    def draws():
-        for _, u in _uniforms(gen, rounds):
-            # int32 bits are the default int64's draws in half the bytes: numpy
-            # takes any range below 2**32 from 32-bit outputs for both dtypes
-            ones = bit_gen.integers(0, 2, size=len(u), dtype="int32").astype(bool)
-            yield 0, u, ~ones
-            yield 1, u, ones
-
-    return _tally(dists, draws())
+    return _tally(dists, gen, rounds, bit_gen)
 
 
 def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, TrialTally]:
@@ -211,14 +200,15 @@ def run_trials(cfg: ReceiverConfig, trials: int, rng: RngStream) -> dict[int, Tr
     next ``trials`` for state 2, so the result is deterministic in
     (seed, stream_id).  The uniforms stream in chunks of ``_CHUNK``, the same
     draws as one ``random(2 * trials)`` call split in halves; ``trials`` is
-    checked against ``MAX_DRAWS`` before anything is drawn.
+    checked against ``MAX_DRAWS`` before anything is drawn.  Each state's
+    distribution is cleaned just before its draws, so state 2's after state
+    1's draws; ``outcome_probabilities`` gives none that cleaning rejects.
     """
     n = check_draws(trials, "trials")
     povm = povm_analytic(cfg)
     dists = [outcome_probabilities(cfg, alpha, povm) for alpha in (cfg.alpha1, cfg.alpha2)]
     gen = rng.generator()
-    counts = _tally(dists, ((k, u, None) for k, u in _uniforms(gen, n, n)))
-    return {value: TrialTally(c) for value, c in zip((1, 2), counts)}
+    return {value: TrialTally(_tally([dist], gen, n)[0]) for value, dist in zip((1, 2), dists)}
 
 
 def three_sigma_band(p: float, n: int) -> tuple[float, float]:

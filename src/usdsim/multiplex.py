@@ -133,7 +133,7 @@ def propagate_bob(signal_amplitude: complex, cfg: MultiplexConfig) -> DetectorAm
     t = cfg.splitter_transmission
     tau = cfg.bob_bs_transmission
     root_c = math.sqrt(cfg.channel_transmission)
-    signal = signal_amplitude * root_c
+    signal = _as_amplitude(signal_amplitude) * root_c
     bit1_signal = t * cfg.gamma * root_c  # what the signal would be for bit 1
     leak = bit1_signal * (1.0 - t) * math.sqrt(tau)
     return DetectorAmplitudes(

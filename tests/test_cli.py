@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import artifact_digest
 import numpy as np
 import pytest
 from golden_env import openblas_note, probe, require_recorded_environment, version_differences, workloads
@@ -1052,6 +1053,22 @@ def test_sampler_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
 def test_povm_artifacts_match_golden_hashes(variant, tmp_path, monkeypatch):
     require_recorded_environment("the POVM, probs and dump artifacts' golden hashes")
     assert_jobs_match_golden_hashes(_KERNEL_JOBS, variant, tmp_path, monkeypatch, workloads.load_golden())
+
+
+# tests/artifact_digest.py's two digests over its 17 artifacts: CSV run
+# records, the ancilla dumps and the gamma_mag sweep, which perfbench's
+# golden hashes do not pin.  Under the Haswell kernel the JSON digest changes.
+_ARTIFACT_DIGESTS = {
+    "json": "16bf269e291c479b06e33ffb239ad9685d5558fa791e7be09826caff663fd43d",
+    "csv": "499b5ca1da0d8f653f15d8b17fdadab6408b2a3ce1bd3f6aca4b3867f2ba413d",
+}
+
+
+def test_artifact_digest_matches_golden_hashes(tmp_path, monkeypatch):
+    require_recorded_environment("tests/artifact_digest.py's digests")
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    assert {fmt: artifact_digest.digest(fmt, tmp_path) for fmt in _ARTIFACT_DIGESTS} == _ARTIFACT_DIGESTS
 
 
 def test_povm_artifacts_pass_their_physics_checks(tmp_path, monkeypatch):

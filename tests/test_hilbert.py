@@ -189,6 +189,13 @@ class TestBeamSplitter:
         with pytest.raises(ValueError, match=f"up to dim={MAX_ANCILLA_DIM}, got dim=65"):
             vacuum_port_columns(MAX_ANCILLA_DIM + 1)
 
+    @pytest.mark.parametrize("dim", [0, 1, -1, 2.5, True, "3"])
+    def test_vacuum_columns_check_the_fock_dimension(self, dim):
+        # the same check as every other Fock-layer entry, not an empty array,
+        # a bare TypeError or numpy's "negative dimensions"
+        with pytest.raises(ValueError, match="Fock dimension"):
+            vacuum_port_columns(dim)
+
     def test_vacuum_columns_binomial_closed_form(self):
         # oracle: U|n,0> = sum_a sqrt(C(n,a) / 2^n) |a, n-a> at t = 1/2, every
         # amplitude positive under the port parity

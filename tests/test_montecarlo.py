@@ -29,7 +29,7 @@ from usdsim.montecarlo import (
 
 def draw(probs, gen, n=1):
     """Outcome counts of n draws from probabilities listed in OUTCOME_ORDER."""
-    [counts] = _tally([dict(zip(OUTCOME_ORDER, probs))], [(0, gen.random(n), None)])
+    [counts] = _tally([dict(zip(OUTCOME_ORDER, probs))], gen, n)
     return counts
 
 
@@ -110,7 +110,7 @@ class TestSampling:
         cfg = ReceiverConfig(1.0, -1.0, 32)
         dist = closed_form_probabilities(cfg, cfg.alpha1)
         n = 100_000
-        [counts] = _tally([dist], [(0, RngStream(2024).generator().random(n), None)])
+        [counts] = _tally([dist], RngStream(2024).generator(), n)
         hits = counts[Outcome.CONCLUSIVE_1]
         p = 1.0 - math.exp(-0.5 * abs(cfg.alpha1 - cfg.alpha2) ** 2)
         lo, hi = three_sigma_band(p, n)
@@ -180,7 +180,7 @@ class TestRunTrials:
 
     def test_working_set_is_a_few_cache_sized_chunks(self):
         # a 2**15 chunk of uniforms is 256 KB of float64; the sampler holds
-        # one for both states and one 32 KB comparison mask, a 1.29-chunk
+        # one per state in turn and one 32 KB comparison mask, a 1.29-chunk
         # peak with the POVM's arrays, where 2**16 chunks, one buffer per
         # state and a fresh mask per comparison peaked at 1.13 MB
         cfg = ReceiverConfig(0.8, -0.8, 24)

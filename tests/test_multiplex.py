@@ -215,6 +215,13 @@ class TestPropagation:
         assert propagate_bob(alice_emit(1, cfg), cfg).amp_d1 == 0.0
         assert run_protocol(cfg, RngStream(0)).rounds == 100
 
+    @pytest.mark.parametrize("signal", [math.nan, math.inf, complex(0.0, math.nan), True, "x", None])
+    def test_signal_amplitude_is_checked(self, signal):
+        # the amplitude check of every other public amplitude input, not a
+        # NaN or inf amplitude, a bool taken as 1 or a bare TypeError
+        with pytest.raises(ValueError, match="amplitude must be"):
+            propagate_bob(signal, make_config())
+
 
 class TestClickProbabilities:
     def test_no_field_no_click(self):

@@ -53,12 +53,26 @@ def test_multiplex_makes_no_draw():
     # distributions to montecarlo._tally_rounds and reads no generator itself
     tree = ast.parse((Path(usdsim.__file__).parent / "multiplex.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"_tally", "_uniforms"}
+    assert "_tally" not in imported
     drawing = {"generator", "bit_generator", "integers", "advance", "random_raw"}
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not used & drawing
 
+
+def test_one_draw_site():
+    # every uniform and bit the package draws is drawn in montecarlo._tally,
+    # the one inverse-CDF sampler; a site is named by its innermost function
+    def draw_sites(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in {"random", "integers"}:
+                yield inner
+            yield from draw_sites(child, inner)
+
+    package = Path(usdsim.__file__).parent
+    sites = {site for path in package.glob("*.py") for site in draw_sites(ast.parse(path.read_text()), path.stem)}
+    assert sites == {"montecarlo._tally"}
 
 
 def test_one_guard_raise():
