@@ -69,7 +69,7 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 
-# keys a section may leave out; load_config supplies their defaults
+# keys a section may leave out, for the default of load_config or MultiplexConfig
 _OPTIONAL_KEYS = {"channel_transmission", "format", "path"}
 
 
@@ -159,8 +159,8 @@ def load_config(path: str | Path) -> Config:
                 gamma=_amplitude(sec["gamma"], "gamma"),
                 splitter_transmission=sec["T"],
                 eta=sec["eta"],
-                channel_transmission=sec.get("channel_transmission", 1.0),
                 rounds=sec["rounds"],
+                **{key: sec[key] for key in ("channel_transmission",) if key in sec},
             )
     output = raw.get("output", {})
     fmt = output.get("format", "json")

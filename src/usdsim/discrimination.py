@@ -47,6 +47,7 @@ import numpy as np
 from .hilbert import (
     STRUCTURAL_TOL,
     _as_amplitude,
+    _gaussian_decay,
     _guard,
     check_dim,
     check_efficiency,
@@ -64,7 +65,7 @@ logger = logging.getLogger(__name__)
 # ``guards`` is read.
 EIGENVALUE_CLAMP = 1e-10
 
-# Probability clamps larger than this are logged instead of silently absorbed.
+# Probability clamps and imaginary residues above this are logged, not silently absorbed.
 PROBABILITY_CLAMP_LOG = 1e-10
 
 # Ancilla reductions beyond this per-mode dimension are refused: their
@@ -235,17 +236,16 @@ class PovmSet:
         total = sum(self.elements.values())
         return float(np.max(np.abs(total - np.eye(self.config.dim))))
 
-    # The Hermitian parts and the hermiticity defect take each element's
-    # conjugate transpose once, as a fresh copy, and fill it in place with
-    # (m + m^dag)/2 or m - m^dag: the same operations in the same order as
-    # the plain expressions, with one complex dim x dim temporary per element
-    # instead of two or three.
-    def _hermitian_parts(self):
+    # Each element's conjugate transpose, taken once as a fresh copy, is
+    # combined with the element in place into (m + m^dag)/2 or m - m^dag: the
+    # plain expressions' operations in their order, one dim x dim temporary.
+    def _with_adjoint(self, combine):
         for m in self.elements.values():
             h = m.conj().T
-            np.add(m, h, out=h)
-            np.multiply(0.5, h, out=h)
-            yield h
+            yield combine(m, h, out=h)
+
+    def _hermitian_parts(self):
+        return (np.multiply(0.5, h, out=h) for h in self._with_adjoint(np.add))
 
     def _certified_positive(self) -> bool:
         """Whether a Cholesky factorization of every Hermitian part, with
@@ -267,12 +267,7 @@ class PovmSet:
         return min(float(np.linalg.eigvalsh(h)[0]) for h in self._hermitian_parts())
 
     def max_hermiticity_defect(self) -> float:
-        defects = []
-        for m in self.elements.values():
-            h = m.conj().T
-            np.subtract(m, h, out=h)
-            defects.append(float(np.max(np.abs(h))))
-        return max(defects)
+        return max(float(np.max(np.abs(d))) for d in self._with_adjoint(np.subtract))
 
 
 def _held_state(name: str, alpha: complex, dim: int) -> np.ndarray:
@@ -401,19 +396,18 @@ def povm_ancilla(cfg: ReceiverConfig) -> PovmSet:
     width = dim - c columns of block c of each half-product.  Slab c holds
     just those: it is dim^2 x 2 width, one broadcast multiply from a
     contiguous copy of the width columns of P2 and of I - P2.  The dim
-    products W^dag slab of a pair fill the columns that are read, about
-    dim^5 complex multiply-adds where full-width slabs took twice that, and
-    the other columns of the half-products, zero-filled once, stay exact
-    zeros.  About 5 dim^3 complex numbers are live at once (W, the two
-    half-products, the slab at its widest) and the work is O(dim^5).  W is
-    real, so W^dag is taken as the view W^T rather than a conjugated copy.
-    The slabs split the dense product W^dag B along its columns only, and
-    the columns left out meet only W's zero rows, so with single-threaded
-    OpenBLAS every element equals in value that of W^dag kron(L, R) W, and
-    agrees to roundoff otherwise.  The bytes may differ in the sign of an
-    element that is exactly zero, where an amplitude with a zero part puts
-    exact zeros in the factors: OpenBLAS takes another path for the
-    narrower products.  The reduction relies on W being an isometry: an
+    products W^dag slab of a pair fill the columns that are read, about dim^5
+    complex multiply-adds, and the other columns of the half-products,
+    zero-filled once, stay exact zeros.  About 5 dim^3 complex numbers are
+    live at once (W, the two half-products, the slab at its widest) and the
+    work is O(dim^5).  W is real, so W^dag is taken as the view W^T rather
+    than a conjugated copy.  The slabs split the dense product W^dag B along
+    its columns only, and the columns left out meet only W's zero rows, so
+    with single-threaded OpenBLAS every element equals in value that of W^dag
+    kron(L, R) W, and agrees to roundoff otherwise.  The bytes may differ in
+    the sign of an element that is exactly zero, where an amplitude with a
+    zero part puts exact zeros in the factors: OpenBLAS takes another path for
+    the narrower products.  The reduction relies on W being an isometry: an
     isometry defect max|W^dag W - I| above STRUCTURAL_TOL raises
     NumericalGuardError.
     """
@@ -477,12 +471,9 @@ def outcome_probabilities(
     probs = {}
     for outcome in OUTCOME_ORDER:
         value = complex(np.vdot(state, povm.elements[outcome] @ state))
-        if abs(value.imag) > 1e-10:
-            logger.warning(
-                "imaginary residue %.3e in <%s> expectation exceeds 1e-10",
-                value.imag,
-                outcome.label,
-            )
+        if abs(value.imag) > PROBABILITY_CLAMP_LOG:
+            detail = "imaginary residue %.3e in <%s> expectation exceeds %.0e"
+            logger.warning(detail, value.imag, outcome.label, PROBABILITY_CLAMP_LOG)
         probs[outcome] = _clamp_probability(value.real, outcome)
 
     total = sum(probs.values())
@@ -503,15 +494,6 @@ def _clamp_probability(p: float, outcome: Outcome) -> float:
             "clamped probability of outcome %s by %.3e", outcome.label, abs(clamped - p)
         )
     return clamped
-
-
-def _gaussian_decay(scale: float, separation: complex) -> float:
-    """exp(scale |separation|^2) for scale <= 0; once |separation|^2
-    overflows a float, its limit 0, or 1 at scale 0 (0 * inf would be NaN)."""
-    try:
-        return math.exp(scale * abs(separation) ** 2)
-    except OverflowError:
-        return 1.0 if scale == 0.0 else 0.0
 
 
 def closed_form_probabilities(cfg: ReceiverConfig, sent: complex) -> dict[Outcome, float]:

@@ -2,9 +2,9 @@
 
 States and operators live on the photon-number basis |0>, ..., |dim-1> of one
 optical mode, as complex128 numpy arrays whose shape holds dim.  The module
-provides the single-mode arrays the receiver simulation needs, coherent
-state vectors and normally ordered Gaussian operator matrices, and the
-validators the other modules share; it defines no array type of its own.
+provides the single-mode arrays the receiver simulation needs (coherent
+states, normally ordered Gaussian operators), and the validators and the one
+Gaussian-decay kernel the other modules share; it defines no array type.
 ``discrimination.PovmSet`` keeps and checks the POVM elements, and the
 receiver's one two-mode object, its beam splitter, lives in
 ``discrimination`` too.
@@ -89,16 +89,31 @@ def check_efficiency(value: float, name: str) -> float:
     return value
 
 
+def _as_complex(value, name: str) -> complex:
+    """``value`` as a complex number with float parts; bools, strings, None
+    and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return complex(_as_real(value.real, name), _as_real(value.imag, name))
+
+
 def _as_amplitude(alpha: complex) -> complex:
     """``alpha`` as a complex amplitude whose mean photon number |alpha|^2 is
-    a finite float; bools, strings, None and non-numbers are rejected."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex):
-        raise ValueError(f"amplitude must be a number, got {alpha!r}")
-    alpha = complex(_as_real(alpha.real, "amplitude"), _as_real(alpha.imag, "amplitude"))
+    a finite float."""
+    alpha = _as_complex(alpha, "amplitude")
     modulus = math.hypot(alpha.real, alpha.imag)
     if not math.isfinite(modulus * modulus):
         raise ValueError(f"amplitude must be finite with finite |amplitude|^2, got {alpha!r}")
     return alpha
+
+
+def _gaussian_decay(scale: float, x: complex) -> float:
+    """exp(scale |x|^2) for scale <= 0, the package's one evaluation of it; once
+    |x|^2 overflows a float, its limit 0, or 1 at scale 0 (0 * inf is NaN)."""
+    try:
+        return math.exp(scale * abs(x) ** 2)
+    except OverflowError:
+        return 1.0 if scale == 0.0 else 0.0
 
 
 def _check_fock_range(dim: int) -> None:
@@ -181,7 +196,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     check_dim(dim)
     _check_fock_range(dim)
     amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = _gaussian_decay(-0.5, alpha)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
@@ -223,16 +238,22 @@ def normally_ordered_exponential(
     term by term.  The three factors are lower-triangular, diagonal, and
     upper-triangular, so the truncated product carries no truncation leak and
     no cancellation: the result equals the exact Fock matrix elements of the
-    untruncated operator.
+    untruncated operator.  Coefficients that are not finite complex numbers,
+    or whose matrix overflows a float, raise ValueError.
     """
     check_dim(dim)
-    cd, ca, cq, c0 = map(_as_amplitude, (coeff_dag, coeff_a, coeff_quad, coeff_const))
+    coeffs = tuple(_as_complex(c, "coefficient") for c in (coeff_dag, coeff_a, coeff_quad, coeff_const))
+    cd, ca, cq, c0 = coeffs
 
     sf = _sqrt_factorials(dim)
-    left = _exp_creation(cd, dim, sf)
-    right = _exp_creation(ca, dim, sf).T
-    diag = np.power(1.0 + cq, np.arange(dim))
-    return np.exp(c0) * ((left * diag[None, :]) @ right)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = _exp_creation(cd, dim, sf)
+        right = _exp_creation(ca, dim, sf).T
+        diag = np.power(1.0 + cq, np.arange(dim))
+        mat = np.exp(c0) * ((left * diag[None, :]) @ right)
+    if not (np.isfinite(coeffs).all() and np.isfinite(mat).all()):
+        raise ValueError(f"coefficients {coeffs} must be finite and give a finite Fock matrix at dim={dim}")
+    return mat
 
 
 def normally_ordered_gaussian(kappa: float, alpha: complex, dim: int) -> np.ndarray:

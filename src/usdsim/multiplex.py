@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
-from .hilbert import _as_amplitude, _as_real, check_efficiency
+from .hilbert import _as_amplitude, _as_real, _gaussian_decay, check_efficiency
 from .montecarlo import RngStream, _tally_rounds, check_draws
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
@@ -100,7 +100,7 @@ class MultiplexConfig:
     def state_overlap(self) -> float:
         """|<vacuum|signal>| = exp(-T^2 |gamma|^2 / 2) of Alice's two
         early-slot states."""
-        return math.exp(-0.5 * abs(self.splitter_transmission * self.gamma) ** 2)
+        return _gaussian_decay(-0.5, self.splitter_transmission * self.gamma)
 
 
 def alice_emit(bit: int, cfg: MultiplexConfig) -> complex:
@@ -148,8 +148,7 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
     Each detector clicks independently with probability 1 - exp(-eta |amp|^2).
     """
     eta = check_efficiency(eta, "detector efficiency")
-    no1 = math.exp(-eta * abs(_as_amplitude(amps.amp_d1)) ** 2)
-    no2 = math.exp(-eta * abs(_as_amplitude(amps.amp_d2)) ** 2)
+    no1, no2 = (_gaussian_decay(-eta, _as_amplitude(amp)) for amp in (amps.amp_d1, amps.amp_d2))
     return _joint_outcomes(no1, no2)
 
 
@@ -171,9 +170,7 @@ def quantum_bound(cfg: MultiplexConfig) -> float:
     """Lowest inconclusive probability any receiver could reach on the pair
     of states arriving at Bob: exp(-c T^2 |gamma|^2 / 2)."""
     t = cfg.splitter_transmission
-    return math.exp(
-        -0.5 * cfg.channel_transmission * t * t * abs(cfg.gamma) ** 2
-    )
+    return _gaussian_decay(-0.5 * cfg.channel_transmission * t * t, cfg.gamma)
 
 
 def inconclusive_bound_ratio(cfg: MultiplexConfig) -> float:

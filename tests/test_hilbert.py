@@ -347,6 +347,28 @@ class TestNormallyOrderedExponential:
         got = h.normally_ordered_exponential(*coeffs, dim)
         assert np.max(np.abs(got - want)) <= 0.25 * dim * oracles.EPS
 
+    def test_non_finite_is_refused(self):
+        # coefficients that are not finite numbers, or whose Fock matrix
+        # overflows a float, are refused with the coefficients named and no
+        # RuntimeWarning (an error under the test settings) on the way; the
+        # c0 = -inf case would give a finite matrix, exp(c0) being 0
+        refused = "must be finite and give a finite Fock matrix at dim"
+        for build, args, named in (
+            (h.normally_ordered_exponential, (0, 0, 0, 1000, 4), "(0j, 0j, 0j, (1000+0j))"),
+            (h.normally_ordered_exponential, (1e154, 1e154, 0, 0, 40), "((1e+154+0j), (1e+154+0j), 0j, 0j)"),
+            (h.normally_ordered_exponential, (0, 0, 1e154, 0, 40), "(0j, 0j, (1e+154+0j), 0j)"),
+            (h.normally_ordered_gaussian, (0.5, 1e154, 40), "((5e+153+0j), (5e+153+0j), (-0.5+0j), (-5e+307+0j))"),
+            (h.normally_ordered_exponential, (0, 0, 0, complex(-math.inf, 0.0), 4), "(0j, 0j, 0j, (-inf+0j))"),
+            (h.normally_ordered_exponential, (math.nan, 0, 0, 0, 4), "((nan+0j), 0j, 0j, 0j)"),
+        ):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == f"coefficients {named} {refused}={args[-1]}"
+        for bad in ("x", True):
+            with pytest.raises(ValueError) as info:
+                h.normally_ordered_exponential(0, bad, 0, 0, 4)
+            assert str(info.value) == f"coefficient must be a number, got {bad!r}"
+
 
 class TestTypesAndGuards:
     def test_dim_validation(self):

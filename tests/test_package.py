@@ -1,5 +1,5 @@
-"""The names the ``usdsim`` package exports, where its draws are made and
-where its numerical guards raise."""
+"""The names the ``usdsim`` package exports, where its draws are made, where
+it evaluates a Gaussian decay and where its numerical guards raise."""
 
 import ast
 import types
@@ -73,6 +73,27 @@ def test_one_draw_site():
     package = Path(usdsim.__file__).parent
     sites = {site for path in package.glob("*.py") for site in draw_sites(ast.parse(path.read_text()), path.stem)}
     assert sites == {"montecarlo._tally"}
+
+
+def test_one_gaussian_kernel():
+    # every exp(scale |x|^2) of the closed forms and the coherent state is
+    # hilbert._gaussian_decay's; the two other math.exp calls evaluate the
+    # multiplex no-click rate and the ratio's overflow-guarded exponent.  A
+    # site is named by its innermost function and class
+    def exp_sites(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "math.exp":
+                yield inner
+            yield from exp_sites(child, inner)
+
+    package = Path(usdsim.__file__).parent
+    sites = {site for path in package.glob("*.py") for site in exp_sites(ast.parse(path.read_text()), path.stem)}
+    assert sites == {
+        "hilbert._gaussian_decay",
+        "multiplex.round_inconclusive_probability",
+        "multiplex.inconclusive_bound_ratio",
+    }
 
 
 def test_one_guard_raise():
