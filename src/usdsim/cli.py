@@ -112,6 +112,17 @@ def _amplitude(value, key: str) -> complex:
     return complex(_as_real(re, f"{key} real part"), _as_real(im, f"{key} imaginary part"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is a
+    config error, where ``json`` would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> Config:
     path = Path(path)
     try:
@@ -121,7 +132,7 @@ def load_config(path: str | Path) -> Config:
     except ValueError as exc:  # a NUL byte in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(data.decode())
+        raw = json.loads(data.decode(), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -240,12 +251,20 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
 @contextmanager
 def _create(path: Path, newline: str | None = None):
     """``path`` opened for writing text; a file the system refuses to open,
-    write or close is a config error that names it."""
+    write or close is a config error that names it, and a file that fails
+    once open (its content, a write, the close) is removed first."""
+    opened = False
     try:
         with path.open("w", newline=newline) as fh:
+            opened = True
             yield fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except BaseException as exc:
+        if opened:
+            with suppress(OSError):  # a failed removal must not hide the error
+                path.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _complex_pair(value) -> list[float]:
@@ -262,19 +281,11 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     """Write ``header``, then each row as ``rows`` yields it, each cell as
-    ``_flat_value`` formats it; if producing a row fails, the partial file is
-    removed before the error propagates."""
+    ``_flat_value`` formats it."""
     with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        try:
-            writer.writerows(map(_flat_value, row) for row in rows)
-        except OSError:
-            raise
-        except BaseException:
-            fh.close()
-            path.unlink()
-            raise
+        writer.writerows(map(_flat_value, row) for row in rows)
 
 
 def _flat_value(value) -> str:

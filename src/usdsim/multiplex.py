@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 from .discrimination import OUTCOME_ORDER, Outcome, _joint_outcomes
-from .hilbert import _as_amplitude, _as_real, _gaussian_decay, check_efficiency
+from .hilbert import _as_amplitude, _as_integer, _as_real, _gaussian_decay, check_efficiency
 from .montecarlo import RngStream, _tally_rounds, check_draws
 
 #: Alice's states become hard to tell from a plain attenuator beyond this.
@@ -100,13 +100,14 @@ class MultiplexConfig:
     def state_overlap(self) -> float:
         """|<vacuum|signal>| = exp(-T^2 |gamma|^2 / 2) of Alice's two
         early-slot states."""
-        return _gaussian_decay(-0.5, self.splitter_transmission * self.gamma)
+        return _gaussian_decay(-0.5, alice_emit(1, self))
 
 
 def alice_emit(bit: int, cfg: MultiplexConfig) -> complex:
     """Alice's early-slot signal amplitude for one bit: 0 (shutter closed,
     vacuum) for bit 0, the weak pulse T*gamma for bit 1.  The late reference
     pulse is the same for both bits: ``MultiplexConfig.alice_aux_amp``."""
+    bit = _as_integer(bit, "bit")
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     return bit * cfg.splitter_transmission * cfg.gamma
@@ -120,9 +121,9 @@ class DetectorAmplitudes:
     amp_d2: complex
 
 
-def propagate_bob(signal_amplitude: complex, cfg: MultiplexConfig) -> DetectorAmplitudes:
-    """Exact in-window detector amplitudes for one emitted round, given
-    Alice's early-slot signal amplitude (``alice_emit``).
+def propagate_bob(bit: int, cfg: MultiplexConfig) -> DetectorAmplitudes:
+    """Exact in-window detector amplitudes for one round in which Alice sends
+    ``bit``, her early-slot signal being ``alice_emit(bit, cfg)``.
 
     Signal and reference ride the same fiber, so channel loss scales both by
     sqrt(channel_transmission) and the fixed attenuation ratio in Bob's short
@@ -133,9 +134,8 @@ def propagate_bob(signal_amplitude: complex, cfg: MultiplexConfig) -> DetectorAm
     t = cfg.splitter_transmission
     tau = cfg.bob_bs_transmission
     root_c = math.sqrt(cfg.channel_transmission)
-    signal = _as_amplitude(signal_amplitude) * root_c
-    bit1_signal = t * cfg.gamma * root_c  # what the signal would be for bit 1
-    leak = bit1_signal * (1.0 - t) * math.sqrt(tau)
+    signal = alice_emit(bit, cfg) * root_c
+    leak = alice_emit(1, cfg) * root_c * (1.0 - t) * math.sqrt(tau)
     return DetectorAmplitudes(
         amp_d1=signal * math.sqrt(1.0 - t) * math.sqrt(1.0 - tau),
         amp_d2=signal * (1.0 - t) * math.sqrt(tau) - leak,
@@ -155,8 +155,8 @@ def click_probabilities(amps: DetectorAmplitudes, eta: float) -> dict[Outcome, f
 def balance_imbalance(cfg: MultiplexConfig) -> float:
     """Detected mean photon number of D1 for bit 1 minus that of D2 for bit 0;
     the derived tap transmission tau = 1/(2-T) makes the two equal."""
-    amp_d1 = propagate_bob(alice_emit(1, cfg), cfg).amp_d1
-    amp_d2 = propagate_bob(alice_emit(0, cfg), cfg).amp_d2
+    amp_d1 = propagate_bob(1, cfg).amp_d1
+    amp_d2 = propagate_bob(0, cfg).amp_d2
     return abs(amp_d1) ** 2 - abs(amp_d2) ** 2
 
 
@@ -207,9 +207,7 @@ def run_protocol(cfg: MultiplexConfig, rng: RngStream) -> KeyReport:
     one detector amplitude is exactly zero every round, so the sifted key is
     error free and no anomalous events occur.
     """
-    dists = [
-        click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta) for bit in (0, 1)
-    ]
+    dists = [click_probabilities(propagate_bob(bit, cfg), cfg.eta) for bit in (0, 1)]
     per_bit = _tally_rounds(dists, cfg.rounds, rng)
 
     counts = {o: per_bit[0][o] + per_bit[1][o] for o in OUTCOME_ORDER}

@@ -9,15 +9,18 @@ column slabs, the displaced receiver where it propagates amplitudes through
 the fiber network, a per-draw inverse CDF from one unchunked stream
 where the library counts streamed chunks of draws, and the exact sum of a
 normally ordered exponential's matrix elements in 40-digit decimal where the
-library multiplies triangular float factors, and the four POVM elements
+library multiplies triangular float factors, the four POVM elements
 combined from three such sums in decimal where ``povm_analytic`` combines
-float Gaussians.  None of them calls the library code it is compared with.
+float Gaussians, and the vacuum-port reduction summed over binomial columns
+in decimal where ``povm_ancilla`` multiplies tabulated float columns.  None
+of them calls the library code it is compared with.
 
 It also owns the roundoff bounds that tests comparing two descriptions of
 the receiver hold them to: ``element_bound`` for the element gap between two
-POVM constructions, ``reference_bound`` for ``povm_analytic`` against its
-decimal reference, and ``probability_bound`` for a Fock probability against
-the closed forms or the fiber model.
+POVM constructions, ``reference_bound`` and ``ancilla_reference_bound`` for
+``povm_analytic`` and ``povm_ancilla`` against their decimal references, and
+``probability_bound`` for a Fock probability against the closed forms or the
+fiber model.
 """
 
 import collections
@@ -31,7 +34,7 @@ from scipy.linalg import expm
 from usdsim.discrimination import OUTCOME_ORDER, Outcome, ReceiverConfig, vacuum_port_columns
 from usdsim.hilbert import normally_ordered_gaussian
 from usdsim.montecarlo import clean_distribution
-from usdsim.multiplex import alice_emit, click_probabilities, propagate_bob
+from usdsim.multiplex import click_probabilities, propagate_bob
 
 
 EPS = float(np.finfo(float).eps)
@@ -66,10 +69,25 @@ PROBABILITY_FACTOR = 0.5
 REFERENCE_FACTOR = 1.0
 
 
+# c_anc of ancilla_reference_bound.  The largest gap measured between an
+# element of povm_ancilla and the same element of povm_ancilla_reference is
+# 3.75 and 3.64 dim eps over two sets of 320 and 300 random adequate
+# receivers at dims 2-24 (|alpha| <= 2, eta 1 or uniform), and 4.2 dim eps
+# over 400 more at dims 2-10, each at dim 6 or 7; at dims 12-24 it is at most
+# 2.1 dim eps.  8 is about twice the largest.
+ANCILLA_REFERENCE_FACTOR = 8.0
+
+
 def reference_bound(dim: int) -> float:
     """c_ref dim eps: how far an element of ``povm_analytic`` may lie from the
     decimal ``povm_analytic_reference`` at truncation ``dim``."""
     return REFERENCE_FACTOR * dim * EPS
+
+
+def ancilla_reference_bound(dim: int) -> float:
+    """c_anc dim eps: how far an element of ``povm_ancilla`` may lie from the
+    decimal ``povm_ancilla_reference`` at truncation ``dim``."""
+    return ANCILLA_REFERENCE_FACTOR * dim * EPS
 
 
 def element_bound(dim: int) -> float:
@@ -204,6 +222,61 @@ def povm_analytic_reference(cfg) -> dict:
             Outcome.CONCLUSIVE_1: _rounded(signed_sum(0, (1, q1), (-1, q12))),
             Outcome.CONCLUSIVE_2: _rounded(signed_sum(0, (1, q2), (-1, q12))),
             Outcome.ANOMALOUS: _rounded(signed_sum(1, (-1, q1), (-1, q2), (1, q12))),
+        }
+
+
+def povm_ancilla_reference(cfg) -> dict:
+    """The four elements of the receiver ``cfg`` the ancilla way, from the
+    exact sums of the vacuum-port reduction
+
+        A[m, n] = sum_(a <= m, c <= n) V[a, m] L[a, c] R[m - a, n - c] V[c, n],
+
+    V[a, n] = sqrt(C(n, a) / 2^n) the entry of the 50:50 column U|n, 0> at
+    |a, n - a>, port parity included, and L (x) R the detectors'
+    two-mode operator: L is P1 or I - P1 and R is P2 or I - P2, for the
+    no-click operators P_i = :exp(-eta (b^dag - beta_i*)(b - beta_i)): as
+    ``_exact_exponential`` sums them.  Evaluated in DECIMAL_DIGITS-digit
+    decimal from the float beta1, beta2 and efficiency taken exactly; each
+    element is rounded to complex128 once."""
+    dim = cfg.dim
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        dec = decimal.Decimal
+        eta = dec(cfg.eta)
+        # v[a][n] = V[a, n], 0 for a > n
+        v = [[(dec(math.comb(n, a)) / 2**n).sqrt() for n in range(dim)] for a in range(dim)]
+
+        def no_click(beta):
+            re, im = dec(beta.real), dec(beta.imag)
+            cd, ca = (eta * re, eta * im), (eta * re, -eta * im)
+            return _exact_exponential(cd, ca, (1 - eta, dec(0)), -eta * (re * re + im * im), dim)
+
+        def complement(p):
+            return [[(dec(j == k) - re, -im) for k, (re, im) in enumerate(row)] for j, row in enumerate(p)]
+
+        def reduced(left, right):
+            rows = []
+            for m in range(dim):
+                row = []
+                for n in range(dim):
+                    re = im = dec(0)
+                    for a in range(m + 1):
+                        for c in range(n + 1):
+                            (l_re, l_im), (r_re, r_im) = left[a][c], right[m - a][n - c]
+                            weight = v[a][m] * v[c][n]
+                            re += weight * (l_re * r_re - l_im * r_im)
+                            im += weight * (l_re * r_im + l_im * r_re)
+                    row.append((re, im))
+                rows.append(row)
+            return rows
+
+        p1, p2 = no_click(cfg.beta1), no_click(cfg.beta2)
+        q1, q2 = complement(p1), complement(p2)
+        return {
+            Outcome.INCONCLUSIVE: _rounded(reduced(p1, p2)),
+            Outcome.CONCLUSIVE_1: _rounded(reduced(p1, q2)),
+            Outcome.CONCLUSIVE_2: _rounded(reduced(q1, p2)),
+            Outcome.ANOMALOUS: _rounded(reduced(q1, q2)),
         }
 
 
@@ -379,10 +452,7 @@ def reference_protocol(cfg, rng) -> tuple[dict, int, int]:
     bits = gen.integers(0, 2, size=cfg.rounds).tolist()
     u = gen.random(cfg.rounds)
     drawn = {
-        bit: reference_outcomes(
-            click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta), u
-        )
-        for bit in (0, 1)
+        bit: reference_outcomes(click_probabilities(propagate_bob(bit, cfg), cfg.eta), u) for bit in (0, 1)
     }
     counts = dict.fromkeys(OUTCOME_ORDER, 0)
     sifted = errors = 0

@@ -23,7 +23,6 @@ from usdsim.discrimination import (
 from usdsim.montecarlo import RngStream, run_trials, three_sigma_band
 from usdsim.multiplex import (
     MultiplexConfig,
-    alice_emit,
     balance_imbalance,
     click_probabilities,
     propagate_bob,
@@ -168,7 +167,7 @@ def test_criterion_5_fiber_closed_forms():
             worst_imbalance = max(worst_imbalance, abs(imbalance))
             assert abs(imbalance) <= 1e-12
 
-            amps = propagate_bob(alice_emit(1, cfg), cfg)
+            amps = propagate_bob(1, cfg)
             d1_mean_photons = abs(amps.amp_d1) ** 2
             mean_photons = (1.0 - t) ** 2 * t * t * gamma * gamma / (2.0 - t)
             worst_energy = max(worst_energy, abs(d1_mean_photons - mean_photons))

@@ -445,6 +445,21 @@ class TestConfigLoading:
         assert capsys.readouterr().err == "config error: unknown keys in 'receiver': ['mystery']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given, repeated, key",
+        [('"dim": 32', '"dim": 32, "dim": 8', "dim"), ('{"receiver": ', '{"rng": {"seed": 1}, "receiver": ', "rng")],
+        ids=["key", "section"],
+    )
+    def test_repeated_key_exits_2(self, workspace, capsys, given, repeated, key):
+        # json keeps the last of two values silently: at dim 8, probs would
+        # run and fail the truncation guard with exit 3
+        _, out, write = workspace
+        path = Path(write(base_config(out)))
+        path.write_text(path.read_text().replace(given, repeated, 1))
+        assert cli.main(["probs", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: config key '{key}' is given twice in one object\n"
+        assert not out.exists()
+
     def test_unknown_section_exits_2(self, workspace):
         _, out, write = workspace
         cfg = base_config(out)
@@ -977,6 +992,39 @@ class TestOutputDirectory:
         assert len(errors) == len(blocked)
         for error, (_, artifact) in zip(errors, blocked):
             assert error.startswith("config error: cannot write") and str(artifact) in error
+
+    def test_failed_write_leaves_no_partial_artifact(self, workspace):
+        # a file-size limit of 8 KiB fails a write midway through a dump and
+        # through the sweep table; each command names the file and removes
+        # what it wrote of it, so every file left is a complete one below the
+        # limit.  One fresh interpreter limits itself and writes no bytecode
+        _, out, write = workspace
+        path = write(base_config(out))
+        argvs = [
+            ["povm", path, "--construction", "analytic", "--dump"],
+            ["sweep", path, "--param", "T", "--from", "0.01", "--to", "0.1", "--steps", "400"],
+        ]
+        limit = 8192
+        proc = run_python(
+            "-c",
+            "import json, resource, sys; from usdsim import cli; "
+            "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE); "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard)); "
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))",
+            json.dumps(argvs),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2, 2]
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 2 and "Traceback" not in proc.stderr
+        named = [re.fullmatch(r"config error: cannot write (\S+): File too large", e) for e in errors]
+        assert all(named), errors
+        dump, table = (Path(match[1]) for match in named)
+        assert dump.parent == out and dump.name.startswith("povm_analytic_")
+        assert table == out / "sweep.csv"
+        assert not dump.exists() and not table.exists()
+        assert all(p.stat().st_size < limit for p in out.iterdir())
 
     def test_default_label_sources(self, workspace):
         _, out, write = workspace

@@ -7,7 +7,7 @@ must give the same four-outcome distribution for any pair |alpha_i| <= 2, any
 efficiency and any coherent input, within ``oracles.probability_bound``.  The
 two POVM constructions, which both carry the efficiency, must agree with each
 other element by element within ``oracles.element_bound``.  The
-fiber network itself (``propagate_bob`` on what ``alice_emit`` sends) must be
+fiber network itself (``propagate_bob`` on the bit Alice sends) must be
 the displaced receiver that ``oracles.fiber_receiver`` maps it to, its
 closed-form bound and inconclusive rate must be that receiver's, the
 quantities ``MultiplexConfig`` derives must be the network's, and the
@@ -129,7 +129,7 @@ def test_fiber_network_is_the_displaced_receiver(cfg):
     assert 0.0 < abs(sent_by_bit[1]) <= 2.0 and receiver.dim <= 32
     analytic, ancilla = povm_analytic(receiver), povm_ancilla(receiver)
     for bit, sent in enumerate(sent_by_bit):
-        fiber = click_probabilities(propagate_bob(alice_emit(bit, cfg), cfg), cfg.eta)
+        fiber = click_probabilities(propagate_bob(bit, cfg), cfg.eta)
         closed = closed_form_probabilities(receiver, sent)
         fock = [outcome_probabilities(receiver, sent, povm) for povm in (analytic, ancilla)]
         for outcome in OUTCOME_ORDER:
@@ -141,7 +141,7 @@ def test_fiber_network_is_the_displaced_receiver(cfg):
     assert abs(round_inconclusive_probability(cfg) - bit1_inconclusive) <= 1e-15
     # the derived quantities on MultiplexConfig are the network's own: D1's
     # bit-1 power, the emitted pair's overlap, and a balanced tap
-    d1_power = abs(propagate_bob(alice_emit(1, cfg), cfg).amp_d1) ** 2
+    d1_power = abs(propagate_bob(1, cfg).amp_d1) ** 2
     c = cfg.channel_transmission
     assert abs(cfg.detector_mean_photons * c - d1_power) <= 1e-13 * d1_power
     assert cfg.state_overlap == inconclusive_rate(0, alice_emit(1, cfg))

@@ -303,6 +303,26 @@ class TestAncillaPovm:
             for outcome in OUTCOME_ORDER:
                 assert abs(probs_a[outcome] - probs_b[outcome]) <= oracles.probability_bound(sent, cfg.dim)
 
+    @pytest.mark.parametrize(
+        "alpha1, alpha2, dim, eta",
+        [
+            (1.0, -1.0, 16, 1.0),
+            (0.7 + 0.4j, -0.3 + 1.1j, 16, 0.6),
+            (0.5 + 0.3j, -0.3 + 0.8j, 20, 0.35),
+            (0.2, 0.1j, 8, 0.9),
+            (0.01, -0.01j, 4, 1.0),
+            (0.4, -0.4, 12, 0.0),  # blind detectors: the exact identity
+        ],
+    )
+    def test_elements_match_the_decimal_sums(self, alpha1, alpha2, dim, eta):
+        # the vacuum-port reduction judged on its own, against the 40-digit
+        # sums over the binomial columns, with no table and no beam splitter
+        cfg = ReceiverConfig(alpha1, alpha2, dim, eta)
+        want = oracles.povm_ancilla_reference(cfg)
+        povm = povm_ancilla(cfg)
+        for outcome in OUTCOME_ORDER:
+            assert np.max(np.abs(povm.elements[outcome] - want[outcome])) <= oracles.ancilla_reference_bound(dim), outcome
+
     def test_reduction_matches_literal_conjugation_path(self):
         # full path: conjugate each two-mode operator by the beam splitter,
         # then take the vacuum expectation over the unused port

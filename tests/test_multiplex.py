@@ -154,15 +154,11 @@ class TestAliceEmit:
     def test_reference_pulse(self):
         assert make_config(gamma=10.0, T=0.05).alice_aux_amp == pytest.approx(9.5)
 
-    def test_bad_bit(self):
-        with pytest.raises(ValueError):
-            alice_emit(2, make_config())
-
 
 class TestPropagation:
     def test_bit_one_interferes_destructively_at_d2(self):
         cfg = make_config(gamma=10.0, T=0.05)
-        amps = propagate_bob(alice_emit(1, cfg), cfg)
+        amps = propagate_bob(1, cfg)
         assert amps.amp_d2 == 0.0  # exact cancellation, not approximate
         t = cfg.splitter_transmission
         want = (1.0 - t) ** 2 * t * t * abs(cfg.gamma) ** 2 / (2.0 - t)
@@ -173,7 +169,7 @@ class TestPropagation:
 
     def test_bit_zero_reference_leak_only(self):
         cfg = make_config(gamma=10.0, T=0.05)
-        amps = propagate_bob(alice_emit(0, cfg), cfg)
+        amps = propagate_bob(0, cfg)
         assert amps.amp_d1 == 0.0
         t, tau = cfg.splitter_transmission, cfg.bob_bs_transmission
         want = t * t * abs(cfg.gamma) ** 2 * (1.0 - t) ** 2 * tau
@@ -182,7 +178,7 @@ class TestPropagation:
     def test_vanishing_tap(self):
         cfg = make_config(gamma=10.0, T=1e-9)
         for bit in (0, 1):
-            amps = propagate_bob(alice_emit(bit, cfg), cfg)
+            amps = propagate_bob(bit, cfg)
             assert abs(amps.amp_d1) < 1e-6 and abs(amps.amp_d2) < 1e-6
 
     def test_matches_bruteforce_network(self):
@@ -194,16 +190,16 @@ class TestPropagation:
                 channel=rng.uniform(0.3, 1.0),
             )
             for bit in (0, 1):
-                amps = propagate_bob(alice_emit(bit, cfg), cfg)
+                amps = propagate_bob(bit, cfg)
                 d1, d2 = network_amplitudes_bruteforce(bit, cfg)
                 assert abs(amps.amp_d1 - d1) <= 1e-12
                 assert abs(amps.amp_d2 - d2) <= 1e-12
 
     def test_channel_scales_both_pulses(self):
         cfg = make_config(gamma=10.0, T=0.05, channel=0.5)
-        amps1 = propagate_bob(alice_emit(1, cfg), cfg)
+        amps1 = propagate_bob(1, cfg)
         assert amps1.amp_d2 == 0.0  # cancellation survives the loss
-        full = propagate_bob(alice_emit(1, make_config(gamma=10.0, T=0.05)), make_config(gamma=10.0, T=0.05))
+        full = propagate_bob(1, make_config(gamma=10.0, T=0.05))
         assert abs(amps1.amp_d1) ** 2 == pytest.approx(0.5 * abs(full.amp_d1) ** 2, abs=1e-12)
 
     def test_splitter_within_an_ulp_of_one(self):
@@ -212,15 +208,16 @@ class TestPropagation:
             warnings.simplefilter("ignore", UserWarning)
             cfg = make_config(T=0.9999999999999999, rounds=100)
         assert cfg.bob_bs_transmission == 1.0
-        assert propagate_bob(alice_emit(1, cfg), cfg).amp_d1 == 0.0
+        assert propagate_bob(1, cfg).amp_d1 == 0.0
         assert run_protocol(cfg, RngStream(0)).rounds == 100
 
-    @pytest.mark.parametrize("signal", [math.nan, math.inf, complex(0.0, math.nan), True, "x", None])
-    def test_signal_amplitude_is_checked(self, signal):
-        # the amplitude check of every other public amplitude input, not a
-        # NaN or inf amplitude, a bool taken as 1 or a bare TypeError
-        with pytest.raises(ValueError, match="amplitude must be"):
-            propagate_bob(signal, make_config())
+    @pytest.mark.parametrize("bit", [2, -1, True, 1.0, "x", None])
+    def test_bit_is_checked(self, bit):
+        # alice_emit's check is the network's only input check: not a bool
+        # or float taken as 1, a bit out of range or a bare TypeError
+        for send in (alice_emit, propagate_bob):
+            with pytest.raises(ValueError, match="bit must be"):
+                send(bit, make_config())
 
 
 class TestClickProbabilities:
@@ -232,7 +229,7 @@ class TestClickProbabilities:
 
     def test_closed_form_rate(self):
         cfg = make_config(gamma=10.0, T=0.05, eta=1.0)
-        amps = propagate_bob(alice_emit(1, cfg), cfg)
+        amps = propagate_bob(1, cfg)
         probs = click_probabilities(amps, cfg.eta)
         want = math.exp(-(0.95**2) * 0.25 / 1.95)
         assert probs[Outcome.INCONCLUSIVE] == pytest.approx(want, abs=1e-12)
@@ -263,7 +260,7 @@ class TestBalance:
     def test_derived_tap_balances_exactly(self, T, gamma):
         cfg = make_config(gamma=gamma, T=T)
         assert abs(balance_imbalance(cfg)) <= 1e-12
-        d1_mean_photons = abs(propagate_bob(alice_emit(1, cfg), cfg).amp_d1) ** 2
+        d1_mean_photons = abs(propagate_bob(1, cfg).amp_d1) ** 2
         assert d1_mean_photons == pytest.approx(cfg.detector_mean_photons, abs=1e-12)
 
     def test_monotone_in_eta_and_gamma(self):
@@ -282,8 +279,8 @@ class TestBalance:
         # probability: the fiber network realizes the two-detector receiver
         for T in (0.01, 0.05, 0.1):
             cfg = make_config(gamma=10.0, T=T, eta=1.0)
-            amps1 = propagate_bob(alice_emit(1, cfg), cfg)
-            amps0 = propagate_bob(alice_emit(0, cfg), cfg)
+            amps1 = propagate_bob(1, cfg)
+            amps0 = propagate_bob(0, cfg)
             separation = math.hypot(abs(amps1.amp_d1), abs(amps0.amp_d2))
             assert inconclusive_rate(0.0, separation) == pytest.approx(
                 round_inconclusive_probability(cfg), abs=1e-10

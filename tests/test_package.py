@@ -1,5 +1,6 @@
 """The names the ``usdsim`` package exports, where its draws are made, where
-it evaluates a Gaussian decay and where its numerical guards raise."""
+it evaluates a Gaussian decay, where it forms Alice's weak pulse and where its
+numerical guards raise."""
 
 import ast
 import types
@@ -92,6 +93,29 @@ def test_one_gaussian_kernel():
     assert sites == {
         "hilbert._gaussian_decay",
         "multiplex.round_inconclusive_probability",
+        "multiplex.inconclusive_bound_ratio",
+    }
+
+
+def test_alice_emit_owns_the_weak_pulse():
+    # Alice's early-slot signal T*gamma is formed in alice_emit alone: Bob's
+    # network and the emitted pair's overlap take it from there, and the
+    # other readers of gamma are its validation, the reference pulse and the
+    # closed forms.  A reader is named by its innermost function and class
+    def gamma_readers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Attribute) and child.attr == "gamma":
+                yield inner
+            yield from gamma_readers(child, inner)
+
+    tree = ast.parse((Path(usdsim.__file__).parent / "multiplex.py").read_text())
+    assert set(gamma_readers(tree, "multiplex")) == {
+        "multiplex.MultiplexConfig.__post_init__",
+        "multiplex.MultiplexConfig.alice_aux_amp",
+        "multiplex.MultiplexConfig.detector_mean_photons",
+        "multiplex.alice_emit",
+        "multiplex.quantum_bound",
         "multiplex.inconclusive_bound_ratio",
     }
 
