@@ -62,11 +62,15 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config loading (JSON layout checked here, values by the library constructors)
 
-_SECTION_KEYS = {
-    "receiver": {"alpha1", "alpha2", "dim", "eta"},
-    "multiplex": {"gamma", "T", "eta", "channel_transmission", "rounds"},
-    "rng": {"seed"},
-    "output": {"format", "path"},
+# the config file's layout: each section's library constructor, which checks
+# its values (named, and looked up here when a config loads), and each JSON
+# key's keyword there; load_config checks 'output' itself
+_SECTIONS = {
+    "receiver": ("ReceiverConfig", {"alpha1": "alpha1", "alpha2": "alpha2", "dim": "dim", "eta": "eta"}),
+    "multiplex": ("MultiplexConfig", {"gamma": "gamma", "T": "splitter_transmission", "eta": "eta",
+                                      "channel_transmission": "channel_transmission", "rounds": "rounds"}),
+    "rng": ("RngStream", {"seed": "seed"}),
+    "output": (None, {"format": "format", "path": "path"}),
 }
 
 # keys a section may leave out, for the default of load_config or MultiplexConfig
@@ -78,8 +82,7 @@ class Config:
     """A loaded config file: each section present built once, by the library
     constructor it feeds, and the raw JSON that run metadata hashes.
 
-    ``rng`` is seed 0 when the file has no 'rng' section, which the multiplex
-    commands allow; a command that names 'rng' to ``open_run`` refuses it.
+    ``rng`` is seed 0 when the file has no 'rng' section, for every command.
 
     ``format`` serializes run records: 'json' or flat 'csv' rows; inherently
     tabular artifacts (the simulate table, sweep grids) are CSV regardless.
@@ -137,42 +140,28 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_SECTION_KEYS)
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section, keys in _SECTION_KEYS.items():
+    for section, (_, keys) in _SECTIONS.items():
         if section in raw:
             if not isinstance(raw[section], dict):
                 raise ConfigError(f"config section '{section}' must be an object")
-            extra = set(raw[section]) - keys
+            extra = set(raw[section]) - set(keys)
             if extra:
                 raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
-            missing = sorted(keys - _OPTIONAL_KEYS - set(raw[section]))
+            missing = sorted(set(keys) - _OPTIONAL_KEYS - set(raw[section]))
             if missing:
                 raise ConfigError(f"missing key '{missing[0]}' in '{section}'")
 
-    with _config_errors("rng"):
-        rng = RngStream(raw["rng"]["seed"] if "rng" in raw else 0)
-    receiver = multiplex = None
-    if "receiver" in raw:
-        sec = raw["receiver"]
-        with _config_errors("receiver"):
-            receiver = ReceiverConfig(
-                alpha1=_amplitude(sec["alpha1"], "alpha1"),
-                alpha2=_amplitude(sec["alpha2"], "alpha2"),
-                dim=sec["dim"],
-                eta=sec["eta"],
-            )
-    if "multiplex" in raw:
-        sec = raw["multiplex"]
-        with _config_errors("multiplex"):
-            multiplex = MultiplexConfig(
-                gamma=_amplitude(sec["gamma"], "gamma"),
-                splitter_transmission=sec["T"],
-                eta=sec["eta"],
-                rounds=sec["rounds"],
-                **{key: sec[key] for key in ("channel_transmission",) if key in sec},
-            )
+    built = {}
+    for section, (constructor, keys) in _SECTIONS.items():
+        if constructor and section in raw:
+            sec = raw[section]
+            with _config_errors(section):
+                values = {word: _amplitude(sec[key], key) if key in ("alpha1", "alpha2", "gamma") else sec[key]
+                          for key, word in keys.items() if key in sec}
+                built[section] = globals()[constructor](**values)
     output = raw.get("output", {})
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -180,17 +169,16 @@ def load_config(path: str | Path) -> Config:
     out = output.get("path", "out")
     if not isinstance(out, str):
         raise ConfigError(f"output path must be a string, got {out!r}")
-    return Config(raw, receiver, multiplex, rng, fmt, out)
+    return Config(raw, built.get("receiver"), built.get("multiplex"), built.get("rng") or RngStream(0), fmt, out)
 
 
-def open_run(path: str | Path, *sections: str) -> tuple[Config, Path]:
-    """A command's prologue: the config at ``path``, a config error for the
-    first of ``sections`` it lacks, then the output directory, created
-    (USDSIM_OUTPUT_DIR, else the config's output path)."""
+def open_run(path: str | Path, section: str) -> tuple[Config, Path]:
+    """A command's prologue: the config at ``path``, a config error if it
+    lacks ``section``, the one the command reads, then the output directory,
+    created (USDSIM_OUTPUT_DIR, else the config's output path)."""
     config = load_config(path)
-    for section in sections:
-        if section not in config.raw:
-            raise ConfigError(f"config is missing the '{section}' section")
+    if section not in config.raw:
+        raise ConfigError(f"config is missing the '{section}' section")
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or config.path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -410,7 +398,7 @@ _SIMULATE_HEADER = [
 def cmd_simulate(args) -> None:
     with _config_errors():
         n = check_draws(args.trials, "--trials")
-    config, out = open_run(args.config, "receiver", "rng")
+    config, out = open_run(args.config, "receiver")
     cfg, rng = config.receiver, config.rng
     tallies = run_trials(cfg, n, rng)
     rows = []
@@ -462,9 +450,6 @@ def cmd_multiplex(args) -> None:
     write_record(out / "multiplex", config, "multiplex", config.rng.seed, results=results, counts=counts)
 
 
-_SWEEP_FIELDS = {"eta": "eta", "T": "splitter_transmission", "gamma_mag": "gamma"}
-
-
 def _grid_point(start: float, stop: float, steps: int, i: int) -> float:
     """Point i of np.linspace(start, stop, steps), by linspace's own formula,
     so no grid is ever built whole."""
@@ -488,13 +473,12 @@ def cmd_sweep(args) -> None:
     with _config_errors():
         mc = None if args.mc is None else check_draws(args.mc, "--mc")
     separation = args.param == "alpha_separation"
-    if separation:
-        config, out = open_run(args.config, "receiver", *(["rng"] if mc is not None else []))
-        base = config.receiver
-    else:
-        config, out = open_run(args.config, "multiplex")
-        base = config.multiplex
+    section = "receiver" if separation else "multiplex"
+    config, out = open_run(args.config, section)
+    base = getattr(config, section)
+    if not separation:
         rounds = {} if mc is None else {"rounds": mc}
+        field = _SECTIONS[section][1]["gamma" if args.param == "gamma_mag" else args.param]
         phase = base.gamma / abs(base.gamma) if abs(base.gamma) else 1.0
     header = [args.param, "analytic_inconclusive", "analytic_quantum_bound"]
     if not separation:
@@ -520,7 +504,7 @@ def cmd_sweep(args) -> None:
             point = float(value) * phase if args.param == "gamma_mag" else float(value)
             with rejected, warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cfg = replace(base, **rounds, **{_SWEEP_FIELDS[args.param]: point})
+                cfg = replace(base, **rounds, **{field: point})
             row = [value, round_inconclusive_probability(cfg), quantum_bound(cfg), inconclusive_bound_ratio(cfg)]
             if mc is not None:
                 report = run_protocol(cfg, RngStream(config.rng.seed, i))

@@ -473,10 +473,8 @@ class TestConfigLoading:
             (["povm"], "receiver"),
             (["probs"], "receiver"),
             (["simulate", "--trials", "10"], "receiver"),
-            (["simulate", "--trials", "10"], "rng"),
             (["multiplex"], "multiplex"),
             (["sweep", *separation], "receiver"),
-            (["sweep", *separation], "rng"),
             (["sweep", "--param", "T", "--from", "0.01", "--to", "0.1", "--steps", "2"], "multiplex"),
         ):
             cfg = base_config(out)
@@ -485,6 +483,19 @@ class TestConfigLoading:
             assert cli.main([command, write(cfg), *flags]) == 2, argv
             assert capsys.readouterr().err == f"config error: config is missing the '{section}' section\n"
             assert not out.exists(), argv
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(section, key) for section, (_, keys) in cli._SECTIONS.items() if section != "output" for key in keys],
+    )
+    def test_every_config_key_reaches_its_constructor(self, workspace, capsys, section, key):
+        # a string where every key wants a number or an [re, im] pair: the
+        # section's constructor rejects it, even in a section probs never
+        # reads, so no key is accepted and then ignored
+        _, out, write = workspace
+        assert cli.main(["probs", write(base_config(out, **{section: {key: "x"}}))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+        assert not out.exists()
 
     def test_bad_amplitude_shape_exits_2(self, workspace):
         _, out, write = workspace
@@ -857,39 +868,43 @@ class TestSweepCommand:
 
 
 class TestRngSection:
-    def test_missing_section_runs_the_protocol_with_seed_0(self, workspace):
-        # multiplex and the T sweep's Monte Carlo columns draw from seed 0
-        # when the config has no 'rng' section; only the config hash differs
+    def test_missing_section_draws_from_seed_0(self, workspace):
+        # every command that draws writes, without an 'rng' section, the
+        # bytes it writes with seed 0; only the records' config hash differs
         tmp_path, _, write = workspace
-        grid = ["--param", "T", "--from", "0.01", "--to", "0.2", "--steps", "4", "--mc", "200"]
-        records, sweeps = {}, {}
+        mc = ["--steps", "4", "--mc", "200"]
+        argvs = {
+            "simulate": ["simulate", "--trials", "1000"],
+            "multiplex": ["multiplex"],
+            "sweep-T": ["sweep", "--param", "T", "--from", "0.01", "--to", "0.2", *mc],
+            "sweep-alpha": ["sweep", "--param", "alpha_separation", "--from", "0.5", "--to", "2", *mc],
+        }
+        artifacts = {}
         for label in ("seed-0", "no-rng"):
-            out = tmp_path / label
-            cfg = base_config(out, rng={"seed": 0})
-            if label == "no-rng":
-                del cfg["rng"]
-            path = write(cfg)
-            assert cli.main(["multiplex", path]) == 0
-            assert cli.main(["sweep", path, *grid]) == 0
-            records[label] = json.loads((out / "multiplex.json").read_text())
-            sweeps[label] = (out / "sweep.csv").read_bytes()
-        seeded, bare = records["seed-0"], records["no-rng"]
-        assert bare["results"] == seeded["results"]
-        assert bare["counts"] == seeded["counts"]
-        assert bare["metadata"]["seed"] == seeded["metadata"]["seed"] == 0
-        assert bare["metadata"]["config_hash"] != seeded["metadata"]["config_hash"]
-        assert sweeps["no-rng"] == sweeps["seed-0"]
-
-    def test_missing_section_still_required_by_the_trials(self, workspace, capsys):
-        _, out, write = workspace
-        cfg = base_config(out)
-        del cfg["rng"]
-        path = write(cfg)
-        grid = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2"]
-        assert cli.main(["simulate", path, "--trials", "10"]) == 2
-        assert cli.main(["sweep", path, *grid, "--mc", "10"]) == 2
-        assert capsys.readouterr().err.count("missing the 'rng' section") == 2
-        assert cli.main(["sweep", path, *grid]) == 0
+            for name, (command, *flags) in argvs.items():
+                out = tmp_path / label / name
+                cfg = base_config(out, rng={"seed": 0})
+                if label == "no-rng":
+                    del cfg["rng"]
+                assert cli.main([command, write(cfg), *flags]) == 0, (label, name)
+                for path in sorted(out.iterdir()):
+                    if path.suffix == ".json":
+                        record = json.loads(path.read_text())
+                        assert record["metadata"].pop("config_hash")
+                        assert record["metadata"]["seed"] == 0
+                        artifacts[label, name, path.name] = record
+                    else:
+                        artifacts[label, name, path.name] = path.read_bytes()
+        seeded = {key[1:]: value for key, value in artifacts.items() if key[0] == "seed-0"}
+        bare = {key[1:]: value for key, value in artifacts.items() if key[0] == "no-rng"}
+        assert set(seeded) == {
+            ("simulate", "simulate.csv"),
+            ("simulate", "simulate_run.json"),
+            ("multiplex", "multiplex.json"),
+            ("sweep-T", "sweep.csv"),
+            ("sweep-alpha", "sweep.csv"),
+        }
+        assert bare == seeded
 
 
 class TestDrawCounts:
@@ -1024,6 +1039,8 @@ class TestOutputDirectory:
         assert dump.parent == out and dump.name.startswith("povm_analytic_")
         assert table == out / "sweep.csv"
         assert not dump.exists() and not table.exists()
+        # the record is written last, so a run that failed has none
+        assert not (out / "povm.json").exists()
         assert all(p.stat().st_size < limit for p in out.iterdir())
 
     def test_default_label_sources(self, workspace):

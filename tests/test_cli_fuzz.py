@@ -79,10 +79,10 @@ def configs(draw):
     """A valid config with up to two keys or sections made junk or removed."""
     config = draw(valid_configs)
     for _ in range(draw(st.integers(0, 2))):
-        name = draw(st.sampled_from([*cli._SECTION_KEYS, "detector"]))
+        name = draw(st.sampled_from([*cli._SECTIONS, "detector"]))
         section = config.get(name)
         if isinstance(section, dict) and draw(st.booleans()):
-            key = draw(st.sampled_from([*sorted(cli._SECTION_KEYS.get(name, ())), "mystery"]))
+            key = draw(st.sampled_from([*sorted(cli._SECTIONS.get(name, (None, ()))[1]), "mystery"]))
             if draw(st.booleans()):
                 section.pop(key, None)
             else:

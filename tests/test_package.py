@@ -61,36 +61,38 @@ def test_multiplex_makes_no_draw():
     assert not used & drawing
 
 
-def test_one_draw_site():
-    # every uniform and bit the package draws is drawn in montecarlo._tally,
-    # the one inverse-CDF sampler; a site is named by its innermost function
-    def draw_sites(node, scope):
+def sites(matches, files="*.py"):
+    """The site of each node that ``matches`` in the package's ``files``: its
+    module, then its innermost enclosing function and class."""
+
+    def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in {"random", "integers"}:
+            if matches(child):
                 yield inner
-            yield from draw_sites(child, inner)
+            yield from walk(child, inner)
 
     package = Path(usdsim.__file__).parent
-    sites = {site for path in package.glob("*.py") for site in draw_sites(ast.parse(path.read_text()), path.stem)}
-    assert sites == {"montecarlo._tally"}
+    return {site for path in package.glob(files) for site in walk(ast.parse(path.read_text()), path.stem)}
+
+
+def test_one_draw_site():
+    # every uniform and bit the package draws is drawn in montecarlo._tally,
+    # the one inverse-CDF sampler
+    def draw(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"random", "integers"}
+
+    assert sites(draw) == {"montecarlo._tally"}
 
 
 def test_one_gaussian_kernel():
     # every exp(scale |x|^2) of the closed forms and the coherent state is
     # hilbert._gaussian_decay's; the two other math.exp calls evaluate the
-    # multiplex no-click rate and the ratio's overflow-guarded exponent.  A
-    # site is named by its innermost function and class
-    def exp_sites(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == "math.exp":
-                yield inner
-            yield from exp_sites(child, inner)
+    # multiplex no-click rate and the ratio's overflow-guarded exponent
+    def exp(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "math.exp"
 
-    package = Path(usdsim.__file__).parent
-    sites = {site for path in package.glob("*.py") for site in exp_sites(ast.parse(path.read_text()), path.stem)}
-    assert sites == {
+    assert sites(exp) == {
         "hilbert._gaussian_decay",
         "multiplex.round_inconclusive_probability",
         "multiplex.inconclusive_bound_ratio",
@@ -101,16 +103,11 @@ def test_alice_emit_owns_the_weak_pulse():
     # Alice's early-slot signal T*gamma is formed in alice_emit alone: Bob's
     # network and the emitted pair's overlap take it from there, and the
     # other readers of gamma are its validation, the reference pulse and the
-    # closed forms.  A reader is named by its innermost function and class
-    def gamma_readers(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if isinstance(child, ast.Attribute) and child.attr == "gamma":
-                yield inner
-            yield from gamma_readers(child, inner)
+    # closed forms
+    def reads_gamma(node):
+        return isinstance(node, ast.Attribute) and node.attr == "gamma"
 
-    tree = ast.parse((Path(usdsim.__file__).parent / "multiplex.py").read_text())
-    assert set(gamma_readers(tree, "multiplex")) == {
+    assert sites(reads_gamma, "multiplex.py") == {
         "multiplex.MultiplexConfig.__post_init__",
         "multiplex.MultiplexConfig.alice_aux_amp",
         "multiplex.MultiplexConfig.detector_mean_photons",
