@@ -63,13 +63,12 @@ class ConfigError(Exception):
 # config loading (JSON layout checked here, values by the library constructors)
 
 # the config file's layout: each section's library constructor, which checks
-# its values (named, and looked up here when a config loads), and each JSON
-# key's keyword there; load_config checks 'output' itself
+# its values, and each JSON key's keyword there; load_config checks 'output' itself
 _SECTIONS = {
-    "receiver": ("ReceiverConfig", {"alpha1": "alpha1", "alpha2": "alpha2", "dim": "dim", "eta": "eta"}),
-    "multiplex": ("MultiplexConfig", {"gamma": "gamma", "T": "splitter_transmission", "eta": "eta",
-                                      "channel_transmission": "channel_transmission", "rounds": "rounds"}),
-    "rng": ("RngStream", {"seed": "seed"}),
+    "receiver": (ReceiverConfig, {"alpha1": "alpha1", "alpha2": "alpha2", "dim": "dim", "eta": "eta"}),
+    "multiplex": (MultiplexConfig, {"gamma": "gamma", "T": "splitter_transmission", "eta": "eta",
+                                    "channel_transmission": "channel_transmission", "rounds": "rounds"}),
+    "rng": (RngStream, {"seed": "seed"}),
     "output": (None, {"format": "format", "path": "path"}),
 }
 
@@ -161,14 +160,14 @@ def load_config(path: str | Path) -> Config:
             with _config_errors(section):
                 values = {word: _amplitude(sec[key], key) if key in ("alpha1", "alpha2", "gamma") else sec[key]
                           for key, word in keys.items() if key in sec}
-                built[section] = globals()[constructor](**values)
+                built[section] = constructor(**values)
     output = raw.get("output", {})
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
     out = output.get("path", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"output path must be a string, got {out!r}")
+    if not isinstance(out, str) or not out:  # Path("") is the working directory
+        raise ConfigError(f"output path must be a non-empty string, got {out!r}")
     return Config(raw, built.get("receiver"), built.get("multiplex"), built.get("rng") or RngStream(0), fmt, out)
 
 
@@ -285,7 +284,7 @@ def _flat_value(value) -> str:
         return ""
     if isinstance(value, complex):
         return f"{_fmt(value.real)} {_fmt(value.imag)}"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 

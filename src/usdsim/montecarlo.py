@@ -21,6 +21,7 @@ which counts and rates stay exact in float64.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -76,9 +77,11 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= _as_integer(value, name) < 2**64:
+        for name in ("seed", "stream_id"):
+            value = _as_integer(getattr(self, name), name)
+            if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must fit in 64 bits, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -220,5 +223,5 @@ def three_sigma_band(p: float, n: int) -> tuple[float, float]:
     exact binomial band would change the ``within_band`` column of
     ``simulate.csv``.
     """
-    sigma = np.sqrt(max(p * (1.0 - p), 0.0) / n)
+    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return (p - 3.0 * sigma, p + 3.0 * sigma)

@@ -22,14 +22,17 @@ from usdsim.discrimination import OUTCOME_ORDER, ReceiverConfig, closed_form_pro
 from usdsim.hilbert import coherent_state
 
 
-def base_config(out_dir, **overrides):
+def base_config(out_dir="out", **overrides):
     """The README config with 20000 rounds, writing to ``out_dir``, then
-    ``overrides`` merged into its sections."""
+    ``overrides`` merged into its sections; a section given None is removed."""
     cfg = copy.deepcopy(workloads.README_CONFIG)
     cfg["multiplex"]["rounds"] = 20000
     cfg["output"]["path"] = str(out_dir)
     for section, values in overrides.items():
-        cfg.setdefault(section, {}).update(values)
+        if values is None:
+            del cfg[section]
+        else:
+            cfg.setdefault(section, {}).update(values)
     return cfg
 
 
@@ -368,13 +371,18 @@ def test_each_command_builds_each_section_once(workspace, monkeypatch):
     _, out, write = workspace
     path = write(base_config(out))
     builds = collections.Counter()
-    for name in ("ReceiverConfig", "MultiplexConfig", "RngStream"):
 
-        def counted(*args, _build=getattr(cli, name), _name=name, **kwargs):
-            builds[_name] += 1
-            return _build(*args, **kwargs)
+    def counted(build):
+        def counting(*args, **kwargs):
+            builds[build.__name__] += 1
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        return counting
+
+    for section, (build, keys) in cli._SECTIONS.items():
+        if build:
+            monkeypatch.setitem(cli._SECTIONS, section, (counted(build), keys))
+    monkeypatch.setattr(cli, "RngStream", counted(cli.RngStream))  # the sweep's per-point streams
     separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2"]
     for argv, streams in (
         (["povm", path, "--construction", "analytic"], 1),
@@ -389,10 +397,75 @@ def test_each_command_builds_each_section_once(workspace, monkeypatch):
         assert builds == {"ReceiverConfig": 1, "MultiplexConfig": 1, "RngStream": streams}, argv
 
 
+class Prefix(str):
+    """A refusal's stderr given by its start alone."""
+
+
+_TEXT = json.dumps(base_config()).encode()
+_NOT_JSON = Prefix("config error: config file config.json is not valid JSON: ")
+_TWICE = "config key {!r} is given twice in one object"
+_UNKNOWN_KEY = "unknown keys in 'receiver': ['mystery']"
+_MISSING = "config is missing the '{}' section"
+_SEPARATION = "sweep --param alpha_separation --from 1 --to 2 --steps 2 --mc 10"
+
+# Every way the CLI refuses its input: the config (a dict, a file's bytes, or
+# None for no file) written to config.json beside an empty file a_file, the
+# command and its flags, and the config error's line or a Prefix of stderr.
+_REFUSALS = {
+    "missing-file": (None, "povm", "cannot read config file config.json: No such file or directory"),
+    "not-json": (b"{not json", "povm", _NOT_JSON),
+    "undecodable": (b"\xff{", "povm", _NOT_JSON),
+    "long-integer": (b'{"rng": {"seed": ' + b"1" * 5000 + b"}}", "povm", _NOT_JSON),  # past the conversion limit
+    "deep-nesting": (b"[" * 100_000, "povm", _NOT_JSON),
+    "root-not-object": (b"[1, 2]", "povm", "config root must be a JSON object"),
+    # json would keep the last value silently: at dim 8, probs fails a guard, exit 3
+    "repeated-key": (_TEXT.replace(b'"dim": 32', b'"dim": 32, "dim": 8'), "probs", _TWICE.format("dim")),
+    "repeated-section": (_TEXT.replace(b'{"receiver"', b'{"rng": {"seed": 1}, "receiver"'), "probs", _TWICE.format("rng")),
+    "unknown-section": (base_config(detector={}), "povm", "unknown config sections: ['detector']"),
+    "section-not-object": ({**base_config(), "rng": [1]}, "povm", "config section 'rng' must be an object"),
+    "unknown-key": (base_config(receiver={"mystery": 1}), "povm", _UNKNOWN_KEY),
+    # reported ahead of a section the command needs and the file lacks
+    "unknown-key-before-missing-section": (base_config(multiplex=None, receiver={"mystery": 1}), "multiplex", _UNKNOWN_KEY),
+    "missing-section-povm": (base_config(receiver=None), "povm", _MISSING.format("receiver")),
+    "missing-section-probs": (base_config(receiver=None), "probs", _MISSING.format("receiver")),
+    "missing-section-simulate": (base_config(receiver=None), "simulate --trials 10", _MISSING.format("receiver")),
+    "missing-section-multiplex": (base_config(multiplex=None), "multiplex", _MISSING.format("multiplex")),
+    "missing-section-sweep-separation": (base_config(receiver=None), _SEPARATION, _MISSING.format("receiver")),
+    "missing-section-sweep-T": (base_config(multiplex=None), "sweep --param T --from 0.01 --to 0.1 --steps 2",
+                                _MISSING.format("multiplex")),
+    "dim-1": (base_config(receiver={"dim": 1}), "povm", "receiver: Fock dimension must be >= 2, got 1"),
+    "alpha1-not-a-pair": (base_config(receiver={"alpha1": 1.0}), "povm", "receiver: alpha1 must be a [re, im] pair, got 1.0"),
+    "T-past-a-float": (base_config(multiplex={"T": 10**400 // 9}), "multiplex",
+                       "multiplex: splitter transmission is too large for a float"),
+    "format-xml": (base_config(output={"format": "xml"}), "povm", "output format must be 'json' or 'csv', got 'xml'"),
+    "path-5": (base_config(output={"path": 5}), "povm", "output path must be a non-empty string, got 5"),
+    "path-empty": (base_config(""), "probs", "output path must be a non-empty string, got ''"),  # Path("") is "."
+    "path-under-a-file": (base_config("a_file/out"), "povm",
+                          "cannot create output directory a_file/out: [Errno 20] Not a directory: 'a_file/out'"),
+    "path-nul-byte": (base_config("nul\0byte"), "povm", "cannot create output directory nul\0byte: embedded null byte"),
+    "trials-0": (base_config(), "simulate --trials 0", "--trials must be >= 1, got 0"),
+    "steps-1": (base_config(), "sweep --param eta --from 0 --to 1 --steps 1", "--steps must be >= 2, got 1"),
+    "mc-0": (base_config(), "sweep --param eta --from 0 --to 1 --steps 3 --mc 0", "--mc must be >= 1, got 0"),
+    "from-above-to": (base_config(), "sweep --param eta --from 1 --to 0 --steps 5",
+                      "--from must be smaller than --to, both finite, got 1.0, 0.0"),
+    "unknown-param": (base_config(), "sweep --param bogus --from 0 --to 1 --steps 5", Prefix("usage: usdsim sweep")),
+}
+
+
 class TestConfigLoading:
-    def test_missing_file_exits_2(self, capsys):
-        assert cli.main(["povm", "/nonexistent/config.json"]) == 2
-        assert "/nonexistent/config.json" in capsys.readouterr().err
+    @pytest.mark.parametrize("given, argv, stderr", _REFUSALS.values(), ids=list(_REFUSALS))
+    def test_refused_input_exits_2(self, tmp_path, monkeypatch, capsys, given, argv, stderr):
+        # in process, so an escaping exception fails the row; the run creates nothing
+        monkeypatch.chdir(tmp_path)
+        Path("a_file").write_text("")
+        if given is not None:
+            Path("config.json").write_bytes(given if isinstance(given, bytes) else json.dumps(given).encode())
+        before = sorted(os.listdir())
+        command, *flags = argv.split()
+        assert cli.main([command, "config.json", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(stderr) if isinstance(stderr, Prefix) else err == f"config error: {stderr}\n", err
+        assert sorted(os.listdir()) == before
 
     def test_unreadable_config_exits_2(self, workspace):
         # a directory, and a file whose read fails (reading /proc/self/mem at
@@ -413,102 +486,23 @@ class TestConfigLoading:
             cli.load_config("a\0b")
         assert str(info.value) == "cannot read config file a\0b: embedded null byte"
 
-    def test_invalid_json_exits_2(self, workspace, capsys):
-        tmp_path, _, _ = workspace
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert cli.main(["povm", str(path)]) == 2
-        # undecodable bytes, an integer literal past the conversion limit, deep nesting
-        for text in (b"\xff{", b'{"rng": {"seed": ' + b"1" * 5000 + b"}}", b"[" * 100_000):
-            path.write_bytes(text)
-            assert cli.main(["povm", str(path)]) == 2
-        # valid JSON whose root is not an object
-        capsys.readouterr()
-        path.write_text("[1, 2]")
-        assert cli.main(["povm", str(path)]) == 2
-        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
-
-    def test_dim_one_exits_2(self, workspace):
-        _, out, write = workspace
-        path = write(base_config(out, receiver={"dim": 1}))
-        assert cli.main(["povm", path]) == 2
-
-    def test_unknown_key_exits_2(self, workspace, capsys):
-        _, out, write = workspace
-        cfg = base_config(out)
-        cfg["receiver"]["mystery"] = 1
-        assert cli.main(["povm", write(cfg)]) == 2
-        # reported ahead of a section the command needs and the file lacks
-        del cfg["multiplex"]
-        capsys.readouterr()
-        assert cli.main(["multiplex", write(cfg)]) == 2
-        assert capsys.readouterr().err == "config error: unknown keys in 'receiver': ['mystery']\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "given, repeated, key",
-        [('"dim": 32', '"dim": 32, "dim": 8', "dim"), ('{"receiver": ', '{"rng": {"seed": 1}, "receiver": ', "rng")],
-        ids=["key", "section"],
-    )
-    def test_repeated_key_exits_2(self, workspace, capsys, given, repeated, key):
-        # json keeps the last of two values silently: at dim 8, probs would
-        # run and fail the truncation guard with exit 3
-        _, out, write = workspace
-        path = Path(write(base_config(out)))
-        path.write_text(path.read_text().replace(given, repeated, 1))
-        assert cli.main(["probs", str(path)]) == 2
-        assert capsys.readouterr().err == f"config error: config key '{key}' is given twice in one object\n"
-        assert not out.exists()
-
-    def test_unknown_section_exits_2(self, workspace):
-        _, out, write = workspace
-        cfg = base_config(out)
-        cfg["detector"] = {}
-        assert cli.main(["povm", write(cfg)]) == 2
-
-    def test_missing_section_exits_2_and_creates_no_directory(self, workspace, capsys):
-        _, out, write = workspace
-        separation = ["--param", "alpha_separation", "--from", "1", "--to", "2", "--steps", "2", "--mc", "10"]
-        for argv, section in (
-            (["povm"], "receiver"),
-            (["probs"], "receiver"),
-            (["simulate", "--trials", "10"], "receiver"),
-            (["multiplex"], "multiplex"),
-            (["sweep", *separation], "receiver"),
-            (["sweep", "--param", "T", "--from", "0.01", "--to", "0.1", "--steps", "2"], "multiplex"),
-        ):
-            cfg = base_config(out)
-            del cfg[section]
-            command, *flags = argv
-            assert cli.main([command, write(cfg), *flags]) == 2, argv
-            assert capsys.readouterr().err == f"config error: config is missing the '{section}' section\n"
-            assert not out.exists(), argv
-
-    @pytest.mark.parametrize(
-        "section, key",
-        [(section, key) for section, (_, keys) in cli._SECTIONS.items() if section != "output" for key in keys],
-    )
-    def test_every_config_key_reaches_its_constructor(self, workspace, capsys, section, key):
+    @pytest.mark.parametrize("section, key", [(section, key) for section, (_, keys) in cli._SECTIONS.items() for key in keys])
+    def test_every_config_key_reaches_its_constructor(self, workspace, monkeypatch, capsys, section, key):
         # a string where every key wants a number or an [re, im] pair: the
-        # section's constructor rejects it, even in a section probs never
-        # reads, so no key is accepted and then ignored
-        _, out, write = workspace
-        assert cli.main(["probs", write(base_config(out, **{section: {key: "x"}}))]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {section}: ")
-        assert not out.exists()
-
-    def test_bad_amplitude_shape_exits_2(self, workspace):
-        _, out, write = workspace
-        assert cli.main(["povm", write(base_config(out, receiver={"alpha1": 1.0}))]) == 2
-
-    def test_bad_output_format_exits_2(self, workspace):
-        _, out, write = workspace
-        assert cli.main(["povm", write(base_config(out, output={"format": "xml"}))]) == 2
-        assert cli.main(["povm", write(base_config(out, output={"path": 5}))]) == 2
-        tmp_path, _, _ = workspace
-        (tmp_path / "a_file").write_text("")
-        for path in (str(tmp_path / "a_file"), "nul\u0000byte"):
-            assert cli.main(["povm", write(base_config(out, output={"path": path}))]) == 2
+        # section's constructor rejects it, even in a section probs never reads,
+        # so no key is accepted and then ignored; a required key left out is
+        # named, and an optional one takes its default
+        tmp_path, out, write = workspace
+        monkeypatch.chdir(tmp_path)  # where the default output path, 'out', lies
+        if section != "output":
+            assert cli.main(["probs", write(base_config(out, **{section: {key: "x"}}))]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+            assert not out.exists()
+        cfg = base_config(out)
+        del cfg[section][key]
+        missing = "" if key in cli._OPTIONAL_KEYS else f"config error: missing key '{key}' in '{section}'\n"
+        assert cli.main(["probs", write(cfg)]) == (2 if missing else 0)
+        assert (capsys.readouterr().err, out.exists()) == (missing, not missing)
 
     def test_guard_failure_exits_3(self, workspace, capsys):
         _, out, write = workspace
@@ -530,10 +524,6 @@ class TestConfigLoading:
                 assert proc.returncode == 3, (dim, command, options, proc.stderr)
                 assert "guard" in proc.stderr
                 assert "Traceback" not in proc.stderr
-
-    def test_usage_error_exits_2(self, capsys):
-        assert cli.main(["sweep", "config.json", "--param", "bogus", "--from", "0", "--to", "1", "--steps", "5"]) == 2
-        capsys.readouterr()
 
 
 class TestPovmCommand:
@@ -693,10 +683,6 @@ class TestSimulateCommand:
                 assert lo <= expected <= hi
                 assert row["within_band"] == "true"
 
-    def test_bad_trials_exits_2(self, workspace):
-        _, out, write = workspace
-        assert cli.main(["simulate", write(base_config(out)), "--trials", "0"]) == 2
-
 
 class TestMultiplexCommand:
     def test_echo_fields(self, workspace):
@@ -720,13 +706,7 @@ class TestMultiplexCommand:
         with pytest.raises(TypeError):
             cli.write_json(out / "unwritable.json", {"value": {1}})
 
-    def test_missing_section_exits_2(self, workspace):
-        _, out, write = workspace
-        cfg = base_config(out)
-        del cfg["multiplex"]
-        assert cli.main(["multiplex", write(cfg)]) == 2
-
-    def test_overflowing_gamma_is_a_config_error(self, workspace, capsys):
+    def test_overflowing_gamma_is_a_config_error(self, workspace):
         # |gamma|^2 overflows a float
         _, out, write = workspace
         cfg = base_config(out, multiplex={"gamma": [1e200, 0.0]})
@@ -734,10 +714,6 @@ class TestMultiplexCommand:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
-        # an integer splitter transmission past a float's range
-        cfg = base_config(out, multiplex={"T": 10**400 // 9})
-        assert cli.main(["multiplex", write(cfg)]) == 2
-        assert capsys.readouterr().err == "config error: multiplex: splitter transmission is too large for a float\n"
 
     def test_weak_splitting_warning_is_printed_once(self, workspace):
         _, out, write = workspace
@@ -757,7 +733,6 @@ class TestMultiplexCommand:
         assert cli.main(["multiplex", write(cfg)]) == 0
         rows = {r[0]: r[1] for r in read_csv(out / "multiplex.csv")}
         assert rows["bit_error_rate"] == ""
-
 
 
 # sweep ends: any finite float, and ends within a few hundred ulps of zero,
@@ -818,20 +793,6 @@ class TestSweepCommand:
         with np.errstate(over="ignore"):
             grid = np.linspace(start, stop, steps)
         assert lazy.tobytes() == grid.tobytes()
-
-    def test_single_step_exits_2(self, workspace):
-        _, out, write = workspace
-        assert cli.main(["sweep", write(base_config(out)), "--param", "eta", "--from", "0", "--to", "1", "--steps", "1"]) == 2
-
-    def test_bad_mc_leaves_no_output_directory(self, workspace):
-        _, out, write = workspace
-        argv = ["--param", "eta", "--from", "0", "--to", "1", "--steps", "3", "--mc", "0"]
-        assert cli.main(["sweep", write(base_config(out)), *argv]) == 2
-        assert not out.exists()
-
-    def test_reversed_range_exits_2(self, workspace):
-        _, out, write = workspace
-        assert cli.main(["sweep", write(base_config(out)), "--param", "eta", "--from", "1", "--to", "0", "--steps", "5"]) == 2
 
     def test_out_of_range_value_exits_2(self, workspace):
         # the grid's third point, T = 1.5, is rejected after two rows were written

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from scipy import stats
 
 from oracles import reference_counts
-from usdsim import montecarlo
+from usdsim import cli, montecarlo
 from usdsim.discrimination import (
     OUTCOME_ORDER,
     Outcome,
@@ -66,6 +67,13 @@ class TestRngStream:
         for seed in (-1, 2**64, 1.5, True, "0.5", None):
             with pytest.raises(ValueError):
                 RngStream(seed)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        # the checked ints are stored, so a run record can encode the seed
+        stream = RngStream(np.int64(5), np.uint64(2))
+        assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+        assert stream == RngStream(5, 2)
+        assert json.loads(json.dumps(cli.run_metadata("simulate", {}, stream.seed)))["seed"] == 5
 
 
 class TestSampling:
