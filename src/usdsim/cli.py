@@ -7,6 +7,7 @@ output directory; the environment variable USDSIM_OUTPUT_DIR overrides that
 directory.
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical guard failure.
+A command that fails removes every file it wrote.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ def load_config(path: str | Path) -> Config:
     try:
         data = path.read_bytes()
     except OSError as exc:  # a missing file, a directory, an unreadable file
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     try:
         raw = json.loads(data.decode(), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - set(_SECTIONS)
@@ -182,7 +183,7 @@ def open_run(path: str | Path, section: str) -> tuple[Config, Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
     return config, out
 
 
@@ -235,23 +236,22 @@ def run_metadata(command: str, raw: dict, seed: int | None) -> dict:
     }
 
 
+# every file _create has opened since main began its command, which main
+# removes if the command fails
+_created: list[Path] = []
+
+
 @contextmanager
 def _create(path: Path, newline: str | None = None):
-    """``path`` opened for writing text; a file the system refuses to open,
-    write or close is a config error that names it, and a file that fails
-    once open (its content, a write, the close) is removed first."""
-    opened = False
+    """``path`` opened for writing text and recorded in ``_created``; a file
+    the system refuses to open, write or close is a config error that names
+    it."""
     try:
         with path.open("w", newline=newline) as fh:
-            opened = True
+            _created.append(path)
             yield fh
-    except BaseException as exc:
-        if opened:
-            with suppress(OSError):  # a failed removal must not hide the error
-                path.unlink()
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def _complex_pair(value) -> list[float]:
@@ -563,14 +563,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse usage errors already print to stderr
         return int(exc.code or 0)
+    _created.clear()
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalGuardError as exc:
-        print(f"numerical guard failure: {exc}", file=sys.stderr)
-        return 3
+    except BaseException as exc:
+        # a failed command leaves none of its files, complete or not
+        for path in _created:
+            with suppress(OSError):  # a failed removal must not hide the error
+                path.unlink()
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, NumericalGuardError):
+            print(f"numerical guard failure: {exc}", file=sys.stderr)
+            return 3
+        raise
     return 0
 
 

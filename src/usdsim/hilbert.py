@@ -82,7 +82,7 @@ def check_dim(dim: int) -> int:
 
 def check_efficiency(value: float, name: str) -> float:
     """Validate a real number in [0, 1] named ``name``: a detector efficiency,
-    or the kappa of ``normally_ordered_gaussian``."""
+    the kappa of ``normally_ordered_gaussian`` or a probability."""
     value = _as_real(value, name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")

@@ -22,8 +22,9 @@ which counts and rates stay exact in float64.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .discrimination import (
     outcome_probabilities,
     povm_analytic,
 )
-from .hilbert import STRUCTURAL_TOL, _as_integer
+from .hilbert import STRUCTURAL_TOL, _as_integer, _as_real, check_efficiency
 
 #: Counter-based generator backing every stream; recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
@@ -91,16 +92,17 @@ class RngStream:
 @dataclass(frozen=True)
 class TrialTally:
     """Outcome counts for a batch of trials, keyed by exactly the four
-    outcomes (kept in OUTCOME_ORDER); each count is an integer >= 0, and any
-    other keys or counts raise ValueError.  ``n_trials`` is their sum."""
+    outcomes (kept in OUTCOME_ORDER, as a read-only mapping); each count is an
+    integer >= 0, and any other keys or counts raise ValueError.  ``n_trials``
+    is their sum."""
 
-    counts: dict[Outcome, int]
+    counts: Mapping[Outcome, int]
 
     def __post_init__(self):
         values = [_as_integer(c, "count") for c in _outcome_values(self.counts, "tally")]
         if any(c < 0 for c in values):
             raise ValueError(f"counts must be non-negative, got {values}")
-        object.__setattr__(self, "counts", dict(zip(OUTCOME_ORDER, values)))
+        object.__setattr__(self, "counts", MappingProxyType(dict(zip(OUTCOME_ORDER, values))))
 
     @property
     def n_trials(self) -> int:
@@ -115,10 +117,10 @@ class TrialTally:
 
 
 def clean_distribution(dist: dict[Outcome, float]) -> np.ndarray:
-    """Validate a distribution keyed by exactly the four outcomes (any other
-    key set raises ValueError) and zero sub-tolerance mass; returns the
-    probabilities in OUTCOME_ORDER."""
-    probs = np.array([float(p) for p in _outcome_values(dist, "distribution")])
+    """Validate a distribution keyed by exactly the four outcomes, each a real
+    number (any other key set or value raises ValueError), and zero
+    sub-tolerance mass; returns the probabilities in OUTCOME_ORDER."""
+    probs = np.array([_as_real(p, "probability") for p in _outcome_values(dist, "distribution")])
     if not np.all(np.isfinite(probs)):
         raise ValueError("distribution contains non-finite probabilities")
     if np.any(probs < -SUB_TOLERANCE_MASS):
@@ -221,7 +223,10 @@ def three_sigma_band(p: float, n: int) -> tuple[float, float]:
     narrow where n p or n (1 - p) is below about 1: at p = 1e-5 and n = 1000
     any nonzero count (probability 1.0%, not the nominal 0.27%) lies outside.  An
     exact binomial band would change the ``within_band`` column of
-    ``simulate.csv``.
+    ``simulate.csv``.  ``p`` must lie in [0, 1] and ``n`` be a draw count
+    (``check_draws``); anything else raises ValueError.
     """
-    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    p = check_efficiency(p, "probability")
+    n = check_draws(n, "trials")
+    sigma = math.sqrt(p * (1.0 - p) / n)
     return (p - 3.0 * sigma, p + 3.0 * sigma)

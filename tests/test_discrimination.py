@@ -185,32 +185,10 @@ def cross_discrepancy(povm_a, povm_b):
 
 
 class TestReceiverConfig:
-    def test_identical_states_rejected(self):
-        with pytest.raises(ValueError):
-            ReceiverConfig(0.5, 0.5, 16)
-
     def test_betas_are_derived(self):
         cfg = ReceiverConfig(1.0 + 1.0j, -0.4, 16)
         assert cfg.beta1 == (1.0 + 1.0j) / math.sqrt(2.0)
         assert cfg.beta2 == -0.4 / math.sqrt(2.0)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ReceiverConfig(1.0, -1.0, 1)
-        with pytest.raises(ValueError) as info:
-            ReceiverConfig(1.0, -1.0, 16, eta=1.5)
-        assert str(info.value) == "detector efficiency must lie in [0, 1], got 1.5"
-        for junk in ("0.5", None, True):
-            with pytest.raises(ValueError):
-                ReceiverConfig(1.0, -1.0, 16, eta=junk)
-            with pytest.raises(ValueError):
-                ReceiverConfig(junk, -1.0, 16)
-            with pytest.raises(ValueError):
-                ReceiverConfig(1.0, -1.0, junk)
-        with pytest.raises(ValueError):
-            ReceiverConfig(float("inf"), -1.0, 16)
-        with pytest.raises(ValueError):
-            ReceiverConfig(1e200, -1.0, 16)  # |alpha|^2 overflows
 
     def test_outcome_classification(self):
         # the click pattern (d1, d2) is the enum value
@@ -399,12 +377,6 @@ class TestAncillaPovm:
         assert peak < dim**4 * 16 / 4
         assert peak <= 6 * dim**3 * 16
 
-    def test_workspace_guard(self):
-        # checked before the adequacy guard allocates anything dim-sized
-        for dim in (66, 10**20):
-            message = guard_message(povm_ancilla, ReceiverConfig(0.5, -0.5, dim))
-            assert message == f"two-mode workspace guard: dim={dim} exceeds the cap 64"
-
     def test_isometry_guard(self, monkeypatch):
         columns = discrimination.vacuum_port_columns
 
@@ -477,21 +449,6 @@ class TestPovmInvariants:
             assert povm.guards["hermiticity_defect"] == povm.max_hermiticity_defect()
             with pytest.raises(TypeError):
                 povm.guards["min_eigenvalue"] = 0.0
-
-    def test_hand_built_povm_is_guarded(self):
-        cfg = ReceiverConfig(0.5, -0.5, 4)
-        eye, zero = np.eye(4), np.zeros((4, 4))
-        skew = np.zeros((4, 4))
-        skew[0, 1] = 1e-6
-        negative = np.diag([-1e-6, 0.0, 0.0, 0.0])
-        nan = np.full((4, 4), np.nan)
-        for elements, message in (
-            ((eye - skew, skew, zero, zero), "hermiticity guard: POVM defect 1.000e-06 exceeds 1.0e-09"),
-            ((nan, zero, zero, zero), "hermiticity guard: POVM defect nan exceeds 1.0e-09"),
-            ((0.5 * eye, zero, zero, zero), "completeness guard: residual 5.000e-01 exceeds 1.0e-09"),
-            ((eye - negative, negative, zero, zero), "positivity guard: eigenvalue -1.000e-06 below -1.0e-10"),
-        ):
-            assert guard_message(PovmSet, dict(zip(OUTCOME_ORDER, elements)), cfg) == message
 
     def test_roundoff_negative_eigenvalue_is_kept(self):
         # an eigenvalue inside the roundoff clamp builds and is reported as
@@ -570,48 +527,6 @@ class TestPovmInvariants:
                 optimality_check(cfg, povm)
         assert calls == []
 
-    def test_missing_outcome_is_rejected(self):
-        # the guards alone would pass this one-element set (residual 0.0)
-        cfg = ReceiverConfig(0.5, -0.5, 4)
-        message = (
-            "POVM needs exactly the four outcomes: "
-            "missing CONCLUSIVE_1, CONCLUSIVE_2, ANOMALOUS; unexpected none"
-        )
-        with pytest.raises(ValueError, match=message):
-            PovmSet({Outcome.INCONCLUSIVE: np.eye(4)}, cfg)
-
-    def test_unexpected_key_is_rejected(self):
-        cfg = ReceiverConfig(0.5, -0.5, 4)
-        elements = {o: np.zeros((4, 4)) for o in OUTCOME_ORDER}
-        elements[Outcome.INCONCLUSIVE] = np.eye(4)
-        with pytest.raises(ValueError, match="missing none; unexpected 'extra'"):
-            PovmSet(elements | {"extra": np.eye(4)}, cfg)
-
-    def test_element_of_another_dim_is_rejected(self):
-        cfg = ReceiverConfig(0.5, -0.5, 4)
-        elements = {o: np.eye(3) / 4 for o in OUTCOME_ORDER}
-        message = r"POVM element INCONCLUSIVE has shape \(3, 3\), expected \(4, 4\) for dim=4"
-        with pytest.raises(ValueError, match=message):
-            PovmSet(elements, cfg)
-        elements = {o: np.zeros((4, 4)) for o in OUTCOME_ORDER}
-        elements[Outcome.ANOMALOUS] = np.eye(4)[:, :3]
-        with pytest.raises(ValueError, match=r"ANOMALOUS has shape \(4, 3\), expected \(4, 4\)"):
-            PovmSet(elements, cfg)
-        # a 1 x 1 matrix, a non-square matrix and a vector, each with dim's rows
-        cfg = ReceiverConfig(0.5, -0.5, 8)
-        for matrix in (np.eye(1), np.zeros((8, 12)), np.zeros(8)):
-            elements = {o: np.zeros((8, 8)) for o in OUTCOME_ORDER}
-            elements[Outcome.CONCLUSIVE_2] = matrix
-            message = f"CONCLUSIVE_2 has shape {matrix.shape}, expected (8, 8)"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                PovmSet(elements, cfg)
-
-    def test_non_mapping_is_rejected(self):
-        cfg = ReceiverConfig(0.5, -0.5, 4)
-        elements = [np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))]
-        with pytest.raises(ValueError, match="^POVM needs a mapping keyed by Outcome, got list$"):
-            PovmSet(elements, cfg)
-
     def test_rebuilt_from_elements_is_a_copy(self):
         povm = povm_analytic(ReceiverConfig(0.7 - 0.2j, -0.4 + 0.5j, 16, eta=0.8))
         rebuilt = PovmSet(povm.elements, povm.config)
@@ -626,12 +541,6 @@ class TestPovmInvariants:
         cfg = ReceiverConfig(0.5, -0.5, 4)
         reverse = {o: np.eye(4) * (o is Outcome.INCONCLUSIVE) for o in reversed(OUTCOME_ORDER)}
         assert list(PovmSet(reverse, cfg).elements) == list(OUTCOME_ORDER)
-
-    def test_elements_cannot_be_replaced(self):
-        # a replaced INCONCLUSIVE of 7 I would skip every guard
-        povm = povm_analytic(ReceiverConfig(0.5, -0.5, 8))
-        with pytest.raises(TypeError):
-            povm.elements[Outcome.INCONCLUSIVE] = 7 * np.eye(8)
 
     def test_element_matrices_are_read_only(self):
         povm = povm_analytic(ReceiverConfig(0.5, -0.5, 8))
@@ -765,13 +674,6 @@ class TestOutcomeProbabilities:
             closed[Outcome.CONCLUSIVE_1], abs=1e-10
         )
 
-    def test_dimension_mismatch_rejected(self):
-        # a POVM answers only for the config it was built for: dim and eta
-        povm = povm_analytic(ReceiverConfig(1.0, -1.0, 32))
-        for other in (ReceiverConfig(1.0, -1.0, 24), ReceiverConfig(1.0, -1.0, 32, eta=0.5)):
-            with pytest.raises(ValueError):
-                outcome_probabilities(other, 1.0, povm)
-
     def test_normalization_guard(self):
         # a construction defect inside the completeness guard: 0.9e-9 J (J the
         # all-ones matrix) added to A_11 leaves a residual of 9e-10, but moves
@@ -899,14 +801,6 @@ class TestInconclusiveRate:
         s1 = h.coherent_state(a1, 48)
         s2 = h.coherent_state(a2, 48)
         assert inconclusive_rate(a1, a2) == pytest.approx(abs(np.vdot(s1, s2)), abs=1e-8)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            inconclusive_rate(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            inconclusive_rate(1e200, 0.0)
-        with pytest.raises(ValueError):
-            closed_form_probabilities(ReceiverConfig(1.0, -1.0, 16), float("nan"))
 
     def test_overflowing_separation_reaches_its_limit(self):
         # each |alpha|^2 = 1e308 fits a float, |alpha1 - alpha2|^2 = 4e308 does not

@@ -70,12 +70,6 @@ class TestCoherentState:
                 alpha = math.sqrt(frac * dim / 4.0)
                 assert 1.0 - np.linalg.norm(h.coherent_state(alpha, dim)) ** 2 <= h.STRUCTURAL_TOL / 2
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            h.coherent_state(float("nan"), 8)
-        with pytest.raises(ValueError):
-            h.coherent_state(complex(1.0, float("inf")), 8)
-
 
 class TestDisplacement:
     def test_zero_displacement_is_identity(self):
@@ -182,19 +176,9 @@ class TestBeamSplitter:
             assert np.max(np.abs(vacuum_port_columns(dim) - want)) <= 1e-14, dim
 
     def test_sector_table_covers_the_ancilla_cap(self):
-        # one line per sector n < MAX_ANCILLA_DIM, n + 1 entries each; a dim
-        # beyond the table is refused by name, not by an IndexError
+        # one line per sector n < MAX_ANCILLA_DIM, n + 1 entries each
         assert len(SECTOR_COLUMNS) == MAX_ANCILLA_DIM
         assert [len(column) for column in SECTOR_COLUMNS] == list(range(1, MAX_ANCILLA_DIM + 1))
-        with pytest.raises(ValueError, match=f"up to dim={MAX_ANCILLA_DIM}, got dim=65"):
-            vacuum_port_columns(MAX_ANCILLA_DIM + 1)
-
-    @pytest.mark.parametrize("dim", [0, 1, -1, 2.5, True, "3"])
-    def test_vacuum_columns_check_the_fock_dimension(self, dim):
-        # the same check as every other Fock-layer entry, not an empty array,
-        # a bare TypeError or numpy's "negative dimensions"
-        with pytest.raises(ValueError, match="Fock dimension"):
-            vacuum_port_columns(dim)
 
     def test_vacuum_columns_binomial_closed_form(self):
         # oracle: U|n,0> = sum_a sqrt(C(n,a) / 2^n) |a, n-a> at t = 1/2, every
@@ -271,19 +255,6 @@ class TestNormallyOrderedGaussian:
         g = h.normally_ordered_gaussian(kappa, alpha, dim)
         assert np.max(np.abs(g - displaced)) <= 1e-8
 
-    def test_kappa_out_of_range(self):
-        for bad in (-0.5, 1.5, math.nan):
-            with pytest.raises(ValueError, match="kappa"):
-                h.normally_ordered_gaussian(bad, 0.5, 8)
-        # the detector efficiency's check, under kappa's name
-        for bad, message in (
-            (1.5, "kappa must lie in [0, 1], got 1.5"),
-            ("x", "kappa must be a real number, got 'x'"),
-        ):
-            with pytest.raises(ValueError) as info:
-                h.normally_ordered_gaussian(bad, 0.5, 8)
-            assert str(info.value) == message
-
     def test_kappa_zero_is_the_identity_bit_for_bit(self):
         # a blind detector: the same bytes as np.eye, with no -0.0 anywhere
         for dim in range(2, 193):
@@ -347,38 +318,8 @@ class TestNormallyOrderedExponential:
         got = h.normally_ordered_exponential(*coeffs, dim)
         assert np.max(np.abs(got - want)) <= 0.25 * dim * oracles.EPS
 
-    def test_non_finite_is_refused(self):
-        # coefficients that are not finite numbers, or whose Fock matrix
-        # overflows a float, are refused with the coefficients named and no
-        # RuntimeWarning (an error under the test settings) on the way; the
-        # c0 = -inf case would give a finite matrix, exp(c0) being 0
-        refused = "must be finite and give a finite Fock matrix at dim"
-        for build, args, named in (
-            (h.normally_ordered_exponential, (0, 0, 0, 1000, 4), "(0j, 0j, 0j, (1000+0j))"),
-            (h.normally_ordered_exponential, (1e154, 1e154, 0, 0, 40), "((1e+154+0j), (1e+154+0j), 0j, 0j)"),
-            (h.normally_ordered_exponential, (0, 0, 1e154, 0, 40), "(0j, 0j, (1e+154+0j), 0j)"),
-            (h.normally_ordered_gaussian, (0.5, 1e154, 40), "((5e+153+0j), (5e+153+0j), (-0.5+0j), (-5e+307+0j))"),
-            (h.normally_ordered_exponential, (0, 0, 0, complex(-math.inf, 0.0), 4), "(0j, 0j, 0j, (-inf+0j))"),
-            (h.normally_ordered_exponential, (math.nan, 0, 0, 0, 4), "((nan+0j), 0j, 0j, 0j)"),
-        ):
-            with pytest.raises(ValueError) as info:
-                build(*args)
-            assert str(info.value) == f"coefficients {named} {refused}={args[-1]}"
-        for bad in ("x", True):
-            with pytest.raises(ValueError) as info:
-                h.normally_ordered_exponential(0, bad, 0, 0, 4)
-            assert str(info.value) == f"coefficient must be a number, got {bad!r}"
-
 
 class TestTypesAndGuards:
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            h.check_dim(1)
-        with pytest.raises(ValueError):
-            h.check_dim(2.0)
-        with pytest.raises(ValueError, match="integer"):
-            h.check_dim(True)
-
     def test_default_dim(self):
         assert oracles.default_dim() == 16
         assert oracles.default_dim(0.0) == 16

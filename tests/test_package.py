@@ -1,6 +1,6 @@
 """The names the ``usdsim`` package exports, where its draws are made, where
-it evaluates a Gaussian decay, where it forms Alice's weak pulse and where its
-numerical guards raise."""
+it evaluates a Gaussian decay, where it forms Alice's weak pulse, where its
+numerical guards raise and where the CLI opens the files it writes."""
 
 import ast
 import types
@@ -156,3 +156,13 @@ def test_cli_opens_each_run_in_one_place():
                 callers.setdefault(name, set()).add(getattr(scope, "name", None))
     assert callers["load_config"] == {"open_run"}
     assert callers["mkdir"] == {"open_run"}
+
+
+def test_cli_opens_files_in_one_place():
+    # every file cli.py writes is opened by _create, which records it so that
+    # main removes it when the command fails: no writer can bypass that
+    def opens(node):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+        return name in {"open", "write_text", "write_bytes"}
+
+    assert sites(opens, "cli.py") == {"cli._create"}
